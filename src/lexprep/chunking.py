@@ -1,17 +1,19 @@
 """Sentence splitting and greedy packing into token-budgeted chunks.
 
 Texts are split into sentences, then consecutive sentences are appended
-into one training unit for as long as the re-tokenized unit stays within
-the token budget, so sequences are dense without mid-sentence truncation.
-A single sentence longer than the whole budget is hard-split at token
-boundaries into maximal pieces rather than dropped.
+into one training unit for as long as the unit stays within the token
+budget, so sequences are dense without mid-sentence truncation. The
+unit's count is the sum of its sentences' counts when the tokenizer
+declares itself concatenation-stable, and is measured by re-tokenizing
+the joined unit otherwise. A single sentence longer than the whole budget
+is hard-split at token boundaries into maximal pieces rather than dropped.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import RawDocument
 from .errors import TokenizerFailure
@@ -38,8 +40,6 @@ _OPENERS = "¿¡«“\"'‘(["
 # next non-space character.
 _BOUNDARY = re.compile(r"([.!?…]+)(\s+)(?=(\S))")
 
-_LAST_WORD = re.compile(r"\S+$")
-
 
 def _opens_sentence(ch: str) -> bool:
     return ch.isupper() or ch in _OPENERS
@@ -51,8 +51,13 @@ def _split_line(line: str) -> list[str]:
     for match in _BOUNDARY.finditer(line):
         if not _opens_sentence(match.group(3)):
             continue
-        word = _LAST_WORD.search(line[: match.end(1)])
-        if word and word.group().lstrip(_OPENERS).lower() in ABBREVIATIONS:
+        # The word before the punctuation: scanning back to the previous
+        # whitespace keeps the split linear in the line length.
+        end = match.end(1)
+        begin = end
+        while begin > 0 and not line[begin - 1].isspace():
+            begin -= 1
+        if line[begin:end].lstrip(_OPENERS).lower() in ABBREVIATIONS:
             continue
         sentence = line[start : match.end(1)].strip()
         if sentence:
@@ -87,6 +92,9 @@ class Chunk:
 
     word_boundaries partitions [0, token_count) into contiguous ranges,
     one (start, end) pair per word; identity within a run is (doc_id, seq).
+    token_ids, when present, are the ids from the tokenizer that built the
+    chunk, so masking need not tokenize the text again; they are not part
+    of the chunk's identity, equality or record.
     """
 
     doc_id: str
@@ -94,6 +102,7 @@ class Chunk:
     text: str
     token_count: int
     word_boundaries: tuple[tuple[int, int], ...]
+    token_ids: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.token_count <= 0:
@@ -105,6 +114,8 @@ class Chunk:
             expected = end
         if expected != self.token_count:
             raise ValueError("word_boundaries must cover exactly token_count tokens")
+        if self.token_ids is not None and len(self.token_ids) != self.token_count:
+            raise ValueError("token_ids must hold exactly token_count ids")
 
     def to_record(self) -> dict:
         return {
@@ -137,6 +148,7 @@ def _make_chunk(doc_id: str, seq: int, text: str, tokens: list[Token]) -> Chunk:
         text=text,
         token_count=len(tokens),
         word_boundaries=word_ranges(tokens),
+        token_ids=tuple([tok.id for tok in tokens]),
     )
 
 
@@ -196,11 +208,14 @@ def pack_chunks(
 ) -> list[Chunk]:
     """Greedily pack sentences left-to-right into token-budgeted chunks.
 
-    The next sentence joins the current chunk iff the re-tokenized joined
-    text stays within budget (per-sentence counts are never summed, since
-    subword tokenizers are not concatenation-stable); otherwise the chunk
-    is emitted and a new one starts. Sentence order is preserved and
-    chunks never cross document boundaries.
+    The next sentence joins the current chunk iff the joined text stays
+    within budget; otherwise the chunk is emitted and a new one starts.
+    For a tokenizer that declares `concat_stable`, each sentence is
+    tokenized once and the joined count is the sum of the sentence counts.
+    Otherwise per-sentence counts are never summed, since subword
+    tokenizers are not concatenation-stable in general: the joined text
+    is re-tokenized as a whole. Sentence order is preserved and chunks
+    never cross document boundaries.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only.
@@ -211,8 +226,11 @@ def pack_chunks(
         raise ValueError(
             f"max_tokens={max_tokens} leaves no room after {reserved} reserved tokens"
         )
+    concat_stable = getattr(tokenizer, "concat_stable", False)
     chunks: list[Chunk] = []
     current_sents: list[str] = []
+    # With a concat-stable tokenizer this is the sentences' tokens end to
+    # end: ids and word starts are the joined text's, offsets are not.
     current_tokens: list[Token] = []
 
     def emit(text: str, tokens: list[Token]) -> None:
@@ -222,21 +240,29 @@ def pack_chunks(
         sentence = sentence.strip()
         if not sentence:
             continue
-        candidate = " ".join(current_sents + [sentence]) if current_sents else sentence
-        tokens = _tokenize(tokenizer, candidate, doc_id)
-        if tokens and len(tokens) <= budget:
-            current_sents.append(sentence)
-            current_tokens = tokens
-            continue
+        if concat_stable:
+            tokens = _tokenize(tokenizer, sentence, doc_id)
+            if current_sents and len(current_tokens) + len(tokens) <= budget:
+                current_sents.append(sentence)
+                current_tokens.extend(tokens)
+                continue
+        else:
+            candidate = " ".join([*current_sents, sentence])
+            tokens = _tokenize(tokenizer, candidate, doc_id)
+            if tokens and len(tokens) <= budget:
+                current_sents.append(sentence)
+                current_tokens = tokens
+                continue
         if not tokens:
             continue
         if current_sents:
             emit(" ".join(current_sents), current_tokens)
             current_sents, current_tokens = [], []
-            tokens = _tokenize(tokenizer, sentence, doc_id)
-            if len(tokens) <= budget:
-                current_sents, current_tokens = [sentence], tokens
-                continue
+            if not concat_stable:
+                tokens = _tokenize(tokenizer, sentence, doc_id)
+        if len(tokens) <= budget:
+            current_sents, current_tokens = [sentence], tokens
+            continue
         pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
         for text, piece_tokens in pieces[:-1]:
             emit(text, piece_tokens)
@@ -260,7 +286,7 @@ def chunk_document(
 
 
 def chunk_from_record(record: dict, tokenizer: TokenizerInterface) -> Chunk:
-    """Rebuild a Chunk (with word boundaries) from its serialized record.
+    """Rebuild a Chunk (with word boundaries and ids) from its serialized record.
 
     The stored token_count must match what the supplied tokenizer produces;
     a mismatch means the record was written with a different tokenizer.

@@ -15,6 +15,7 @@ toward 1.0 where a high-threshold gate can separate them.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
@@ -46,22 +47,32 @@ def _normalize(text: str) -> list[str]:
 
 
 def text_ngrams(text: str) -> Counter:
-    """Count word-padded character n-grams of lengths 1 to 5."""
+    """Count word-padded character n-grams of lengths 1 to 5.
+
+    Each distinct word is expanded once and its grams weighted by how
+    often the word occurs.
+    """
     counts: Counter = Counter()
-    for word in _normalize(text):
+    get = counts.get
+    for word, times in Counter(_normalize(text)).items():
         padded = f" {word} "
-        for n in range(NGRAM_MIN, NGRAM_MAX + 1):
-            for i in range(len(padded) - n + 1):
-                gram = padded[i : i + n]
-                if not gram.isspace():
-                    counts[gram] += 1
+        # Words hold no whitespace, so the unigrams (NGRAM_MIN is 1) are the
+        # letters: the two padding spaces are the only all-space grams.
+        grams = [*word]
+        for n in range(NGRAM_MIN + 1, NGRAM_MAX + 1):
+            grams += [padded[i : i + n] for i in range(len(padded) - n + 1)]
+        if times == 1:
+            counts.update(grams)
+        else:
+            for gram in grams:
+                counts[gram] = get(gram, 0) + times
     return counts
 
 
 def rank_ngrams(counts: Counter, size: int = PROFILE_SIZE) -> tuple[str, ...]:
     """Most frequent grams first; count ties break alphabetically."""
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(gram for gram, _ in ordered[:size])
+    top = heapq.nsmallest(size, counts.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(gram for gram, _ in top)
 
 
 @dataclass(frozen=True)

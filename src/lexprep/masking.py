@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .chunking import Chunk
@@ -85,7 +86,10 @@ def chunk_rng(seed: int, doc_id: str, seq: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def _chunk_token_ids(chunk: Chunk, tokenizer: TokenizerInterface) -> list[int]:
+def _chunk_token_ids(chunk: Chunk, tokenizer: TokenizerInterface) -> Sequence[int]:
+    """The ids the chunk carries, or else its re-tokenized and checked ids."""
+    if chunk.token_ids is not None:
+        return chunk.token_ids
     token_ids = [tok.id for tok in tokenizer.tokenize(chunk.text)]
     if len(token_ids) != chunk.token_count:
         raise ValueError(

@@ -10,6 +10,7 @@ pipeline runs are reproducible with no model download.
 from __future__ import annotations
 
 import json
+import re
 from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 
@@ -32,10 +33,16 @@ class TokenizerInterface(Protocol):
     """What the chunker and masker need from a tokenizer.
 
     tokenize("") must return []. Concatenation stability is not assumed:
-    chunk token counts are always measured by tokenizing the chunk text
-    as a whole. `reserved_special_count` is how many special tokens the
-    tokenizer adds per sequence (0 for the reference tokenizer); chunk
-    packing budgets content tokens against max_tokens minus this count.
+    by default chunk token counts are measured by tokenizing the chunk
+    text as a whole. A tokenizer class may declare `concat_stable = True`
+    when, for any two texts a and b without leading or trailing
+    whitespace, tokenize(a + " " + b) has the ids and word-start flags of
+    tokenize(a) followed by those of tokenize(b); the chunker then sums
+    per-sentence counts instead of re-tokenizing. Tokenizers that do not
+    declare it keep the whole-text measurement. `reserved_special_count`
+    is how many special tokens the tokenizer adds per sequence (0 for the
+    reference tokenizer); chunk packing budgets content tokens against
+    max_tokens minus this count.
     """
 
     vocab_size: int
@@ -48,6 +55,15 @@ class TokenizerInterface(Protocol):
 
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4
 SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
+
+# A maximal run of isalnum characters (a word to segment) or one other
+# non-whitespace character (a token of its own): `\w` is isalnum plus "_"
+# and `\s` is isspace.
+_WORD_OR_MARK = re.compile(r"[^\W_]+|\S")
+
+# Token's generated __new__ is a Python function; building the tuple
+# directly saves a call per token.
+_new_token = tuple.__new__
 
 _SINGLE_CHARS = (
     "abcdefghijklmnopqrstuvwxyz"
@@ -90,9 +106,13 @@ class VocabTokenizer:
     words of their own. Characters not covered by any piece map to [UNK]
     (the surface character is still carried in the token's piece field).
     Instances are safe for concurrent read-only use.
+
+    Tokens never span whitespace and depend only on their own word, so
+    joining two texts with a space concatenates their token streams.
     """
 
     reserved_special_count = 0
+    concat_stable = True
 
     def __init__(self, pieces: Sequence[str] | None = None):
         if pieces is None:
@@ -106,7 +126,7 @@ class VocabTokenizer:
         self.vocab_size = len(SPECIAL_PIECES) + len(pieces)
         self.mask_token_id = MASK
         self.special_token_ids = frozenset(range(len(SPECIAL_PIECES)))
-        self._word_cache: dict[str, tuple[tuple[int, str], ...]] = {}
+        self._word_cache: dict[str, tuple[tuple[int, bool, str, int], ...]] = {}
 
     @classmethod
     def from_file(cls, path) -> "VocabTokenizer":
@@ -125,34 +145,24 @@ class VocabTokenizer:
 
     def tokenize(self, text: str) -> list[Token]:
         tokens: list[Token] = []
-        pos = 0
-        length = len(text)
-        while pos < length:
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch.isalnum():
-                end = pos + 1
-                while end < length and text[end].isalnum():
-                    end += 1
-                word = text[pos:end]
-                for offset, (piece_id, piece) in enumerate_pieces(
-                    word, self._segment_word(word)
-                ):
-                    tokens.append(Token(piece_id, offset == 0, piece, pos + offset))
-                pos = end
+        append = tokens.append
+        piece_ids = self._piece_ids
+        for match in _WORD_OR_MARK.finditer(text):
+            word = match.group()
+            pos = match.start()
+            if word.isalnum():
+                for piece_id, is_start, piece, offset in self._segment_word(word):
+                    append(_new_token(Token, (piece_id, is_start, piece, pos + offset)))
             else:
-                piece_id = self._piece_ids.get(ch, UNK)
-                tokens.append(Token(piece_id, True, ch, pos))
-                pos += 1
+                append(_new_token(Token, (piece_ids.get(word, UNK), True, word, pos)))
         return tokens
 
-    def _segment_word(self, word: str) -> tuple[tuple[int, str], ...]:
+    def _segment_word(self, word: str) -> tuple[tuple[int, bool, str, int], ...]:
+        """(piece_id, is_word_start, piece, offset_in_word) for each piece."""
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
-        pieces: list[tuple[int, str]] = []
+        pieces: list[tuple[int, bool, str, int]] = []
         i = 0
         n = len(word)
         while i < n:
@@ -160,22 +170,14 @@ class VocabTokenizer:
                 candidate = word[i : i + take]
                 piece_id = self._piece_ids.get(candidate)
                 if piece_id is not None:
-                    pieces.append((piece_id, candidate))
+                    pieces.append((piece_id, i == 0, candidate, i))
                     i += take
                     break
             else:
-                pieces.append((UNK, word[i]))
+                pieces.append((UNK, i == 0, word[i], i))
                 i += 1
         result = tuple(pieces)
         if len(self._word_cache) >= 65536:
             self._word_cache.clear()
         self._word_cache[word] = result
         return result
-
-
-def enumerate_pieces(word: str, pieces: tuple[tuple[int, str], ...]):
-    """Yield (char_offset_in_word, (piece_id, piece)) for a segmented word."""
-    offset = 0
-    for piece_id, piece in pieces:
-        yield offset, (piece_id, piece)
-        offset += len(piece)

@@ -1,6 +1,8 @@
 """Sentence splitting and token-budgeted packing."""
 
 import random
+import re
+import time
 from collections import Counter
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexprep.chunking import (
+    ABBREVIATIONS,
     Chunk,
     chunk_document,
     chunk_from_record,
@@ -30,6 +33,57 @@ _WORD_POOL = (
 
 def _sentence_of(n_tokens: int) -> str:
     return " ".join(["de"] * n_tokens)
+
+
+class Delegating:
+    """The reference tokenizer without its `concat_stable` declaration."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reserved_special_count = inner.reserved_special_count
+
+    def tokenize(self, text):
+        return self.inner.tokenize(text)
+
+
+def chunk_fields(chunks):
+    return [
+        (c.doc_id, c.seq, c.text, c.token_count, c.word_boundaries, c.token_ids)
+        for c in chunks
+    ]
+
+
+# Sentence material for the differential tests: pool words, punctuation,
+# unusual characters, and a word long enough to need a mid-word cut at
+# small budgets.
+_SENTENCE_WORDS = _WORD_POOL + [
+    ",", ".", "¿", "?", "(", ")", "x²", "mar_azul", "e\u0301", "правило",
+    "1.º", "responsabilidad" * 12,
+]
+
+_OPENERS = "¿¡«“\"'‘(["
+_REFERENCE_LAST_WORD = re.compile(r"\S+$")
+_REFERENCE_BOUNDARY = re.compile(r"([.!?…]+)(\s+)(?=(\S))")
+
+
+def _reference_split_line(line: str) -> list[str]:
+    """The quadratic splitter: a regex search over the line up to each boundary."""
+    sentences = []
+    start = 0
+    for match in _REFERENCE_BOUNDARY.finditer(line):
+        if not (match.group(3).isupper() or match.group(3) in _OPENERS):
+            continue
+        word = _REFERENCE_LAST_WORD.search(line[: match.end(1)])
+        if word and word.group().lstrip(_OPENERS).lower() in ABBREVIATIONS:
+            continue
+        sentence = line[start : match.end(1)].strip()
+        if sentence:
+            sentences.append(sentence)
+        start = match.end(2)
+    tail = line[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
 
 
 def token_multiset(tokenizer, texts) -> Counter:
@@ -58,6 +112,41 @@ class TestSplitSentences:
 
     def test_empty_input(self):
         assert split_sentences("") == []
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["Ley", "art.", "Sr.", "(art.", "«Sra.", "EE.UU.", "núm.", "x.",
+                 "fin.", "¿Qué?", "¡Sí!", "…", "Él", "1.º", "de", "«Otra", "a"]
+            ),
+            max_size=40,
+        ),
+        st.lists(st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003"]), min_size=1),
+    )
+    def test_matches_regex_search_splitter(self, words, spaces):
+        line = "".join(w + spaces[i % len(spaces)] for i, w in enumerate(words))
+        assert split_sentences(line) == _reference_split_line(line)
+
+    def test_split_time_linear_in_line_length(self):
+        # Many boundaries on one line, some after abbreviations; the old
+        # per-boundary search made doubling the line quadruple the time.
+        def line(n):
+            return " ".join(
+                f"Visto el art. {i} de la Ley. El Sr. Díaz firma. ¿Procede? Sí."
+                for i in range(n)
+            )
+
+        def fastest(text):
+            times = []
+            for _ in range(5):
+                begin = time.perf_counter()
+                split_sentences(text)
+                times.append(time.perf_counter() - begin)
+            return min(times)
+
+        short, long = line(200), line(400)
+        assert len(split_sentences(long)) == 2 * len(split_sentences(short))
+        assert fastest(long) <= 2.5 * fastest(short)
 
     def test_more_abbreviations(self):
         text = "El Sr. García y la Sra. Ruiz firman. La pág. 3 lo recoge."
@@ -229,6 +318,51 @@ class TestPackChunks:
             assert len(tokenizer.tokenize(candidate)) > budget
 
 
+class TestConcatStablePacking:
+    """Summed sentence counts give the chunks that re-tokenizing gives."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(_SENTENCE_WORDS), max_size=40).map(" ".join),
+            max_size=12,
+        ),
+        st.integers(4, 64),
+    )
+    def test_matches_retokenizing_path(self, tokenizer, sentences, max_tokens):
+        fast = pack_chunks(sentences, tokenizer, max_tokens=max_tokens, doc_id="c")
+        slow = pack_chunks(
+            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="c"
+        )
+        assert chunk_fields(fast) == chunk_fields(slow)
+
+    @pytest.mark.parametrize("max_tokens", [16, 100, 512])
+    def test_matches_retokenizing_path_with_huge_word(self, tokenizer, max_tokens):
+        huge = ("prescripción" * 900)[:10_000]
+        sentences = [
+            "La ley se publica.",
+            "Antes " + huge + " después de la ley.",
+            _sentence_of(max_tokens + 3),
+            "Fin del texto.",
+        ]
+        fast = pack_chunks(sentences, tokenizer, max_tokens=max_tokens, doc_id="h")
+        slow = pack_chunks(
+            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="h"
+        )
+        assert len(fast) > 1
+        assert chunk_fields(fast) == chunk_fields(slow)
+
+    def test_chunks_carry_their_token_ids(self, tokenizer):
+        chunks = pack_chunks(
+            ["Una frase corta.", "Otra frase algo más larga."] * 5,
+            tokenizer,
+            max_tokens=12,
+        )
+        for chunk in chunks:
+            expected = tuple(t.id for t in tokenizer.tokenize(chunk.text))
+            assert chunk.token_ids == expected
+
+
 class TestChunkDocument:
     def test_splits_then_packs(self, tokenizer):
         doc = make_doc("d1", "Una frase corta. Otra frase corta.")
@@ -257,6 +391,16 @@ class TestChunkRecords:
         (chunk,) = pack_chunks(["de la ley"], tokenizer, max_tokens=16, doc_id="r")
         restored = chunk_from_record(chunk.to_record(), tokenizer)
         assert restored == chunk
+
+    def test_record_rebuilds_token_ids(self, tokenizer):
+        (chunk,) = pack_chunks(["de la ley"], tokenizer, max_tokens=16, doc_id="r")
+        restored = chunk_from_record(chunk.to_record(), tokenizer)
+        assert restored.token_ids == chunk.token_ids
+        assert "token_ids" not in chunk.to_record()
+
+    def test_token_ids_must_match_count(self):
+        with pytest.raises(ValueError):
+            Chunk("d", 0, "x y", 2, ((0, 1), (1, 2)), token_ids=(5,))
 
     def test_token_count_mismatch_rejected(self, tokenizer):
         (chunk,) = pack_chunks(["de la ley"], tokenizer, max_tokens=16, doc_id="r")

@@ -1,6 +1,11 @@
 """Character n-gram language identification and the Spanish gate."""
 
+from collections import Counter
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexprep.errors import EmptyText, NoProfiles
 from lexprep.langid import (
@@ -26,6 +31,60 @@ from lexprep.langid import (
 
 from .conftest import make_doc
 from .lang_snippets import CA_SNIPPETS, EN_SNIPPETS, ES_SNIPPETS, GATE_FIXTURE
+
+
+def _reference_ngrams(text: str) -> Counter:
+    """The per-occurrence count: every gram of every word occurrence."""
+    words = "".join(ch if ch.isalpha() else " " for ch in text.lower()).split()
+    counts: Counter = Counter()
+    for word in words:
+        padded = f" {word} "
+        for n in range(NGRAM_MIN, NGRAM_MAX + 1):
+            for i in range(len(padded) - n + 1):
+                gram = padded[i : i + n]
+                if not gram.isspace():
+                    counts[gram] += 1
+    return counts
+
+
+def _reference_rank(counts: Counter, size: int = PROFILE_SIZE) -> tuple[str, ...]:
+    """The full sort by (-count, gram), truncated."""
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(gram for gram, _ in ordered[:size])
+
+
+# Words that repeat (so counts exceed 1 and ties are common), plus digits,
+# punctuation, Unicode spaces and letters whose case mapping is unusual.
+_LANGID_WORDS = st.sampled_from(
+    "la ley de del el estado llei da lei the law x² mar_azul año ñandú "
+    "İstanbul STRASSE straße ﬁn l·l 7/1985 -- e\u0301 \u00a0 \t".split(" ")
+)
+_langid_text = st.one_of(
+    st.lists(_LANGID_WORDS, max_size=60).map(" ".join),
+    st.text(max_size=80),
+)
+
+
+class TestNgramsMatchReference:
+    @settings(deadline=None)
+    @given(_langid_text)
+    def test_counts_match_per_occurrence_loop(self, text):
+        counts = text_ngrams(text)
+        assert list(counts.items()) == list(_reference_ngrams(text).items())
+
+    @settings(deadline=None)
+    @given(_langid_text, st.integers(0, PROFILE_SIZE + 5))
+    def test_rank_matches_full_sort(self, text, size):
+        counts = _reference_ngrams(text)
+        assert rank_ngrams(counts, size) == _reference_rank(counts, size)
+
+    def test_builtin_profiles_match_reference(self):
+        seed_dir = resources.files("lexprep").joinpath("data/seed")
+        for profile in builtin_profiles():
+            text = seed_dir.joinpath(f"{profile.language}.txt").read_text(
+                encoding="utf-8"
+            )
+            assert profile.ngram_ranks == _reference_rank(_reference_ngrams(text))
 
 
 class TestNgrams:

@@ -1,9 +1,12 @@
 """Whole-word selection and the 80/10/10 corruption rules."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexprep.chunking import pack_chunks
 from lexprep.errors import VocabularyTooSmall
@@ -27,6 +30,38 @@ def one_chunk(tokenizer, text, max_tokens=512, doc_id="m"):
 
 def covered(selection):
     return sum(end - start for start, end in selection)
+
+
+def _reference_select(chunk, config, rng, tokenizer):
+    """Word selection as it was: re-tokenize, then test every word for specials."""
+    token_ids = [tok.id for tok in tokenizer.tokenize(chunk.text)]
+    specials = tokenizer.special_token_ids
+    candidates = []
+    maskable = 0
+    for start, end in chunk.word_boundaries:
+        if all(token_ids[i] in specials for i in range(start, end)):
+            continue
+        candidates.append((start, end))
+        maskable += end - start
+    if not candidates:
+        return ()
+    target = math.ceil(config.mask_rate * maskable)
+    rng.shuffle(candidates)
+    covered_tokens = 0
+    chosen = []
+    for start, end in candidates:
+        if covered_tokens >= target:
+            break
+        chosen.append((start, end))
+        covered_tokens += end - start
+    return tuple(sorted(chosen))
+
+
+# Unknown characters (Cyrillic, "²") become [UNK], a special id, so some
+# drawn words are made of special tokens only and are never candidates.
+_MASK_WORDS = st.sampled_from(
+    _SINGLE_TOKEN_WORDS + ["información", "правило", "x²", "ley", ",", "¿"]
+)
 
 
 class TestSelectWords:
@@ -87,6 +122,50 @@ class TestSelectWords:
         first = select_words(chunk, config, random.Random(5), tokenizer)
         second = select_words(chunk, config, random.Random(5), tokenizer)
         assert first == second
+
+
+class TestCarriedIds:
+    @settings(deadline=None)
+    @given(
+        st.lists(_MASK_WORDS, min_size=1, max_size=80).map(" ".join),
+        st.floats(0.01, 1.0),
+        st.integers(0, 2**32),
+    )
+    def test_select_matches_reference(self, tokenizer, text, rate, seed):
+        chunk = one_chunk(tokenizer, text)
+        config = MaskingConfig(mask_rate=rate)
+        expected = _reference_select(chunk, config, random.Random(seed), tokenizer)
+        assert select_words(chunk, config, random.Random(seed), tokenizer) == expected
+
+    @settings(deadline=None)
+    @given(st.lists(_MASK_WORDS, min_size=1, max_size=80).map(" ".join))
+    def test_carried_ids_mask_like_retokenized(self, tokenizer, text):
+        chunk = one_chunk(tokenizer, text)
+        bare = dataclasses.replace(chunk, token_ids=None)
+        config = MaskingConfig(seed=5)
+        assert mask_chunk(chunk, tokenizer, config) == mask_chunk(
+            bare, tokenizer, config
+        )
+
+    def test_carried_ids_skip_tokenizing(self, tokenizer):
+        class Counting:
+            def __init__(self):
+                self.calls = 0
+                self.vocab_size = tokenizer.vocab_size
+                self.mask_token_id = tokenizer.mask_token_id
+                self.special_token_ids = tokenizer.special_token_ids
+
+            def tokenize(self, text):
+                self.calls += 1
+                return tokenizer.tokenize(text)
+
+        chunk = one_chunk(tokenizer, "la administración publicó la resolución")
+        counting = Counting()
+        mask_chunk(chunk, counting, MaskingConfig())
+        assert counting.calls == 0
+        bare = dataclasses.replace(chunk, token_ids=None)
+        mask_chunk(bare, counting, MaskingConfig())
+        assert counting.calls == 2
 
 
 class TestApplyMask:

@@ -1,7 +1,9 @@
 """Reference tokenizer behavior and vocabulary persistence."""
 
+from itertools import groupby
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexprep.tokenizers import (
@@ -11,11 +13,59 @@ from lexprep.tokenizers import (
     TokenizerInterface,
     UNK,
     VocabTokenizer,
+    _WORD_OR_MARK,
+    default_pieces,
 )
 
 _words_text = st.text(
     alphabet=st.sampled_from(list("abcdeéñz .,\n\t(¿?")), max_size=60
 )
+
+# Characters where isalnum, isspace and the regex classes could plausibly
+# part ways: underscore, superscript and non-ASCII digits, fractions and
+# Roman numerals, combining marks, NBSP and other Unicode spaces, the
+# zero-width space (not a space), the ASCII separators (spaces) and letters
+# whose case mapping changes length.
+_AWKWARD = list(
+    "_²³¹٣½Ⅻ\u0301\u0327\u00a0\u2003\u3000\u202f\u200b\u2028\x1c\x1f\x85"
+    "ßİﬁ ab1éñ.,¿?\n\t"
+)
+_awkward_text = st.text(
+    alphabet=st.one_of(st.sampled_from(_AWKWARD), st.characters()), max_size=80
+)
+
+
+def _reference_tokenize(text: str) -> list[Token]:
+    """The per-character scan that the single regex pass replaced."""
+    piece_ids = {p: i + len(SPECIAL_PIECES) for i, p in enumerate(default_pieces())}
+    max_len = max(len(p) for p in piece_ids)
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if not ch.isalnum():
+            tokens.append(Token(piece_ids.get(ch, UNK), True, ch, pos))
+            pos += 1
+            continue
+        end = pos + 1
+        while end < len(text) and text[end].isalnum():
+            end += 1
+        i = pos
+        while i < end:
+            for take in range(min(max_len, end - i), 0, -1):
+                if text[i : i + take] in piece_ids:
+                    piece = text[i : i + take]
+                    tokens.append(Token(piece_ids[piece], i == pos, piece, i))
+                    i += take
+                    break
+            else:
+                tokens.append(Token(UNK, i == pos, text[i], i))
+                i += 1
+        pos = end
+    return tokens
 
 
 def test_empty_text_yields_no_tokens(tokenizer):
@@ -62,6 +112,35 @@ def test_offsets_cover_non_whitespace(tokenizer, text):
 @given(_words_text)
 def test_deterministic(tokenizer, text):
     assert tokenizer.tokenize(text) == tokenizer.tokenize(text)
+
+
+@settings(deadline=None)
+@given(_awkward_text)
+def test_matches_per_character_scan(tokenizer, text):
+    assert tokenizer.tokenize(text) == _reference_tokenize(text)
+
+
+def test_word_or_mark_pattern_on_every_code_point():
+    # The scan's words are the isalnum runs; every other non-space
+    # character is a token of its own.
+    text = "".join(map(chr, range(0x110000)))
+    expected = []
+    for alnum, run in groupby(text, key=str.isalnum):
+        if alnum:
+            expected.append("".join(run))
+        else:
+            expected.extend(ch for ch in run if not ch.isspace())
+    assert _WORD_OR_MARK.findall(text) == expected
+
+
+def test_declares_concat_stable(tokenizer):
+    assert VocabTokenizer.concat_stable is True
+    a, b = "El art. 5, (¿vigente?)", "información_pública x² café"
+    joined = tokenizer.tokenize(a + " " + b)
+    split = tokenizer.tokenize(a) + tokenizer.tokenize(b)
+    assert [(t.id, t.is_word_start) for t in joined] == [
+        (t.id, t.is_word_start) for t in split
+    ]
 
 
 def test_unknown_characters_map_to_unk(tokenizer):
