@@ -8,7 +8,6 @@ characters, and trims the ends. Cleaning is total and idempotent.
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass
 
 # Horizontal whitespace: any whitespace except the newline. Covers tabs and
@@ -16,6 +15,8 @@ from dataclasses import dataclass
 _HSPACE_RUN = re.compile(r"[^\S\n]+")
 # A run of two or more newlines, possibly separated by horizontal whitespace.
 _NEWLINE_RUN = re.compile(r"\n(?:[^\S\n]*\n)+")
+# Unicode category Cc (U+0000-U+001F and U+007F-U+009F) without \t and \n.
+_CONTROL = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,7 @@ def _strip_control(text: str) -> str:
     # control character is dropped, except \t which is horizontal whitespace
     # and belongs to the space-collapsing rule.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return "".join(
-        ch
-        for ch in text
-        if ch in "\n\t" or unicodedata.category(ch) != "Cc"
-    )
+    return _CONTROL.sub("", text)
 
 
 def clean_text(text: str, policy: CleanPolicy = CleanPolicy()) -> str:

@@ -15,13 +15,14 @@ toward 1.0 where a high-threshold gate can separate them.
 
 from __future__ import annotations
 
-import heapq
 import json
+import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import RawDocument
@@ -35,6 +36,11 @@ DEFAULT_THRESHOLD = 0.95
 
 REJECTED_LANGUAGE = "??"
 
+# Runs of isalnum characters other than decimal digits. Every letter is
+# one, and so are the rare non-decimal numerics (², ½, Ⅻ) that still have
+# to be cut out of a run.
+_LETTER_RUN = re.compile(r"[^\W\d_]+")
+
 
 def _normalize(text: str) -> list[str]:
     """Lowercase, map non-letters to spaces, return words.
@@ -42,8 +48,13 @@ def _normalize(text: str) -> list[str]:
     Accented letters stay: characters such as ñ, ç, ã or l·l separate
     closely related languages better than any unaccented gram.
     """
-    lowered = text.lower()
-    return "".join(ch if ch.isalpha() else " " for ch in lowered).split()
+    words = []
+    for run in _LETTER_RUN.findall(text.lower()):
+        if run.isalpha():
+            words.append(run)
+        else:
+            words += "".join(ch if ch.isalpha() else " " for ch in run).split()
+    return words
 
 
 def text_ngrams(text: str) -> Counter:
@@ -71,8 +82,18 @@ def text_ngrams(text: str) -> Counter:
 
 def rank_ngrams(counts: Counter, size: int = PROFILE_SIZE) -> tuple[str, ...]:
     """Most frequent grams first; count ties break alphabetically."""
-    top = heapq.nsmallest(size, counts.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(gram for gram, _ in top)
+    if size <= 0:
+        return ()
+    items = list(counts.items())
+    if len(items) > size:
+        # Only grams counted at least as often as the size-th one can rank.
+        floor = sorted(counts.values(), reverse=True)[size - 1]
+        items = [item for item in items if item[1] >= floor]
+    # Grams are unique, so the first sort orders by gram; the second is
+    # stable, so count ties keep that order.
+    items.sort()
+    items.sort(key=itemgetter(1), reverse=True)
+    return tuple([gram for gram, _ in items[:size]])
 
 
 @dataclass(frozen=True)
@@ -219,21 +240,25 @@ def save_profiles(profiles: list[LanguageProfile], path: str | Path) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def load_profiles(path: str | Path) -> list[LanguageProfile]:
+def _parse_profiles(lines: Iterable[str], source: str) -> list[LanguageProfile]:
     profiles = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                record = json.loads(line)
-                profiles.append(
-                    LanguageProfile(
-                        language=record["language"],
-                        ngram_ranks=tuple(record["ngram_ranks"]),
-                    )
+    for line in lines:
+        if line.strip():
+            record = json.loads(line)
+            profiles.append(
+                LanguageProfile(
+                    language=record["language"],
+                    ngram_ranks=tuple(record["ngram_ranks"]),
                 )
+            )
     if not profiles:
-        raise NoProfiles(f"no profiles found in {path}")
+        raise NoProfiles(f"no profiles found in {source}")
     return profiles
+
+
+def load_profiles(path: str | Path) -> list[LanguageProfile]:
+    with open(path, encoding="utf-8") as handle:
+        return _parse_profiles(handle, str(path))
 
 
 def build_profiles_from_dir(directory: str | Path) -> list[LanguageProfile]:
@@ -250,16 +275,12 @@ def build_profiles_from_dir(directory: str | Path) -> list[LanguageProfile]:
 
 @lru_cache(maxsize=1)
 def builtin_profiles() -> tuple[LanguageProfile, ...]:
-    """Profiles built from the bundled seed corpora."""
-    seed_dir = resources.files("lexprep").joinpath("data/seed")
-    profiles = []
-    for entry in sorted(seed_dir.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".txt"):
-            profiles.append(
-                LanguageProfile.from_text(
-                    entry.name[:-4], entry.read_text(encoding="utf-8")
-                )
-            )
-    if not profiles:
-        raise NoProfiles("no bundled seed corpora found")
-    return tuple(profiles)
+    """Profiles of the bundled seed corpora, loaded from `data/profiles.jsonl`.
+
+    The file is shipped prebuilt so that no process has to rank the seed
+    texts. After changing a seed text or the n-gram code, rebuild it with
+    `lexprep build-profiles src/lexprep/data/seed src/lexprep/data/profiles.jsonl`.
+    """
+    entry = resources.files("lexprep").joinpath("data/profiles.jsonl")
+    lines = entry.read_text(encoding="utf-8").splitlines()
+    return tuple(_parse_profiles(lines, "the bundled profiles"))

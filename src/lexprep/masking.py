@@ -115,13 +115,18 @@ def select_words(
     """
     token_ids = _chunk_token_ids(chunk, tokenizer)
     specials = tokenizer.special_token_ids
-    candidates = []
-    maskable = 0
-    for start, end in chunk.word_boundaries:
-        if all(token_ids[i] in specials for i in range(start, end)):
-            continue
-        candidates.append((start, end))
-        maskable += end - start
+    if specials.isdisjoint(token_ids):
+        # Every word holds a non-special token, so every word is a candidate.
+        candidates = list(chunk.word_boundaries)
+        maskable = chunk.token_count
+    else:
+        candidates = []
+        maskable = 0
+        for start, end in chunk.word_boundaries:
+            if all(token_ids[i] in specials for i in range(start, end)):
+                continue
+            candidates.append((start, end))
+            maskable += end - start
     if not candidates:
         return ()
     target = math.ceil(config.mask_rate * maskable)

@@ -2,37 +2,59 @@
 
 A manifest file names the input, the output directory, and an ordered
 subset of stages (filter-lang, clean, chunk, mask) with their settings,
-so a full preparation run is a single auditable artifact. Stages execute
-sequentially and each stage's output is fully materialized (one numbered
-file per stage) before the next begins, which keeps the per-stage tallies
-in the summary exact. Re-running a manifest over the same input writes
-byte-identical files.
+so a full preparation run is a single auditable artifact. A run is one
+streaming pass: each document read from the input goes through the
+stages in order, in memory, and every stage writes its output and
+rejection lines (one numbered file each) as it produces them. The files
+are written under temporary names and renamed into place together once
+the pass has finished, so a run that fails publishes no stage file.
+Re-running a manifest over the same input writes byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import os
 import shutil
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .chunking import DEFAULT_MAX_TOKENS, chunk_document, chunk_from_record
+# bench/trace_run.py rebinds each layer's functions by their names in this
+# module, chunk_from_record among them, although the run no longer calls it.
+from .chunking import (  # noqa: F401
+    DEFAULT_MAX_TOKENS,
+    Chunk,
+    chunk_document,
+    chunk_from_record,
+)
 from .cleaning import CleanPolicy, clean_text
-from .corpus import compute_stats, document_to_line, read_documents
-from .errors import ManifestError, StageFailure
+from .corpus import (
+    CorpusStats,
+    RawDocument,
+    compute_stats,
+    document_to_line,
+    read_documents,
+)
+from .errors import MalformedRecord, ManifestError, StageFailure
 from .langid import (
     DEFAULT_THRESHOLD,
+    LanguageProfile,
     builtin_profiles,
     gate,
     load_profiles,
 )
-from .masking import IGNORE_LABEL, MaskingConfig, mask_chunk
+from .masking import IGNORE_LABEL, MaskingConfig, MlmExample, mask_chunk
 from .tokenizers import VocabTokenizer
 
 STAGE_NAMES = ("filter-lang", "clean", "chunk", "mask")
 _DOC_STAGES = ("filter-lang", "clean")
 
 SUMMARY_NAME = "summary.json"
+
+LOG = logging.getLogger("lexprep")
 
 
 def validate_stages(stages: tuple[str, ...]) -> None:
@@ -146,114 +168,10 @@ class PipelineManifest:
         return cls.from_record(record, base=path.parent)
 
 
-def _stage_filter_lang(
-    manifest: PipelineManifest, in_path: Path, out_path: Path, rej_path: Path, strict: bool
-) -> dict:
+def _profiles(manifest: PipelineManifest) -> list[LanguageProfile]:
     if manifest.profiles_path is not None:
-        profiles = load_profiles(manifest.profiles_path)
-    else:
-        profiles = list(builtin_profiles())
-    kept = rejected = 0
-    with open(out_path, "w", encoding="utf-8") as out_handle, open(
-        rej_path, "w", encoding="utf-8"
-    ) as rej_handle:
-        for doc in read_documents(in_path, strict=strict):
-            ok, verdict = gate(
-                doc.text,
-                profiles,
-                language=manifest.language,
-                threshold=manifest.threshold,
-            )
-            if ok:
-                out_handle.write(document_to_line(doc) + "\n")
-                kept += 1
-            else:
-                record = doc.to_record()
-                record["verdict_language"] = verdict.language
-                record["verdict_confidence"] = round(verdict.confidence, 6)
-                rej_handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                rejected += 1
-    return {"in": kept + rejected, "out": kept, "rejected": rejected}
-
-
-def _stage_clean(
-    manifest: PipelineManifest, in_path: Path, out_path: Path, rej_path: Path, strict: bool
-) -> dict:
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as out_handle:
-        for doc in read_documents(in_path, strict=strict):
-            cleaned = doc.replace_text(clean_text(doc.text, manifest.clean_policy))
-            out_handle.write(document_to_line(cleaned) + "\n")
-            count += 1
-    rej_path.write_text("", encoding="utf-8")
-    return {"in": count, "out": count, "rejected": 0}
-
-
-def _stage_chunk(
-    manifest: PipelineManifest, in_path: Path, out_path: Path, rej_path: Path, strict: bool
-) -> dict:
-    tokenizer = _load_tokenizer(manifest)
-    docs = chunks = rejected = tokens_total = 0
-    with open(out_path, "w", encoding="utf-8") as out_handle, open(
-        rej_path, "w", encoding="utf-8"
-    ) as rej_handle:
-        for doc in read_documents(in_path, strict=strict):
-            docs += 1
-            produced = chunk_document(doc, tokenizer, max_tokens=manifest.max_tokens)
-            if not produced:
-                record = doc.to_record()
-                record["reject_reason"] = "no sentences to pack"
-                rej_handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                rejected += 1
-                continue
-            for chunk in produced:
-                out_handle.write(
-                    json.dumps(chunk.to_record(), ensure_ascii=False) + "\n"
-                )
-                chunks += 1
-                tokens_total += chunk.token_count
-    return {
-        "in": docs,
-        "out": chunks,
-        "rejected": rejected,
-        "tokens_total": tokens_total,
-    }
-
-
-def _stage_mask(
-    manifest: PipelineManifest, in_path: Path, out_path: Path, rej_path: Path, strict: bool
-) -> dict:
-    tokenizer = _load_tokenizer(manifest)
-    config = replace(manifest.masking, seed=manifest.seed)
-    rej_path.write_text("", encoding="utf-8")
-    examples = masked_positions = 0
-    with open(in_path, encoding="utf-8") as in_handle, open(
-        out_path, "w", encoding="utf-8"
-    ) as out_handle:
-        for line in in_handle:
-            if not line.strip():
-                continue
-            chunk = chunk_from_record(json.loads(line), tokenizer)
-            example = mask_chunk(chunk, tokenizer, config)
-            out_handle.write(json.dumps(example.to_record(), ensure_ascii=False) + "\n")
-            examples += 1
-            masked_positions += sum(
-                1 for label in example.labels if label != IGNORE_LABEL
-            )
-    return {
-        "in": examples,
-        "out": examples,
-        "rejected": 0,
-        "masked_positions": masked_positions,
-    }
-
-
-_STAGE_RUNNERS = {
-    "filter-lang": _stage_filter_lang,
-    "clean": _stage_clean,
-    "chunk": _stage_chunk,
-    "mask": _stage_mask,
-}
+        return load_profiles(manifest.profiles_path)
+    return list(builtin_profiles())
 
 
 def _load_tokenizer(manifest: PipelineManifest) -> VocabTokenizer:
@@ -262,46 +180,213 @@ def _load_tokenizer(manifest: PipelineManifest) -> VocabTokenizer:
     return VocabTokenizer()
 
 
+def _masker(manifest: PipelineManifest) -> tuple[VocabTokenizer, MaskingConfig]:
+    return _load_tokenizer(manifest), replace(manifest.masking, seed=manifest.seed)
+
+
+# A stage maps one record to the records it passes on and, when it drops
+# the record, the rejection record that says why.
+_StageResult = tuple[list, dict | None]
+
+
+def _filter_lang(
+    manifest: PipelineManifest, profiles: list[LanguageProfile], doc: RawDocument
+) -> _StageResult:
+    ok, verdict = gate(
+        doc.text, profiles, language=manifest.language, threshold=manifest.threshold
+    )
+    if ok:
+        return [doc], None
+    record = doc.to_record()
+    record["verdict_language"] = verdict.language
+    record["verdict_confidence"] = round(verdict.confidence, 6)
+    return [], record
+
+
+def _clean(
+    manifest: PipelineManifest, policy: CleanPolicy, doc: RawDocument
+) -> _StageResult:
+    return [doc.replace_text(clean_text(doc.text, policy))], None
+
+
+def _chunk(
+    manifest: PipelineManifest, tokenizer: VocabTokenizer, doc: RawDocument
+) -> _StageResult:
+    chunks = chunk_document(doc, tokenizer, max_tokens=manifest.max_tokens)
+    if chunks:
+        return chunks, None
+    record = doc.to_record()
+    record["reject_reason"] = "no sentences to pack"
+    return [], record
+
+
+def _mask(
+    manifest: PipelineManifest,
+    masker: tuple[VocabTokenizer, MaskingConfig],
+    chunk: Chunk,
+) -> _StageResult:
+    # The chunk comes from the chunk stage in memory and carries its token
+    # ids, so it is neither decoded nor tokenized again.
+    tokenizer, config = masker
+    return [mask_chunk(chunk, tokenizer, config)], None
+
+
+def _masked_positions(example: MlmExample) -> int:
+    return sum(1 for label in example.labels if label != IGNORE_LABEL)
+
+
+# Per stage: what it builds once per run from the manifest, and the
+# callable that maps one record, given the manifest and that set-up.
+_STAGE_SETUP = {
+    "filter-lang": _profiles,
+    "clean": attrgetter("clean_policy"),
+    "chunk": _load_tokenizer,
+    "mask": _masker,
+}
+_STAGE_RUNNERS = {
+    "filter-lang": _filter_lang,
+    "clean": _clean,
+    "chunk": _chunk,
+    "mask": _mask,
+}
+# Stage tallies beyond in/out/rejected: name and per-output amount.
+_OUTPUT_TALLIES = {
+    "chunk": ("tokens_total", attrgetter("token_count")),
+    "mask": ("masked_positions", _masked_positions),
+}
+
+
+def _to_line(record) -> str:
+    if isinstance(record, RawDocument):
+        return document_to_line(record)
+    return json.dumps(record.to_record(), ensure_ascii=False)
+
+
+class _StagePass:
+    """One stage during a run: its runner, set-up, open files and tallies.
+
+    Both files are written under temporary names in the output directory;
+    `publish` renames them into place.
+    """
+
+    def __init__(self, manifest: PipelineManifest, index: int, name: str):
+        self.manifest = manifest
+        self.name = name
+        # Looked up when the run starts, so a runner replaced in the map
+        # (to trace or test it) is the one that runs.
+        self.runner = _STAGE_RUNNERS[name]
+        try:
+            self.setup = _STAGE_SETUP[name](manifest)
+        except Exception as exc:
+            raise StageFailure(name, exc) from exc
+        self.output = manifest.output_dir / f"{index:02d}-{name}.jsonl"
+        rejected = manifest.output_dir / f"{index:02d}-{name}.rejected.jsonl"
+        self.finals = (self.output, rejected)
+        self.temps = tuple(path.with_name(f".{path.name}.tmp") for path in self.finals)
+        self.tallies = {"in": 0, "out": 0, "rejected": 0}
+        self.extra = _OUTPUT_TALLIES.get(name)
+        if self.extra is not None:
+            self.tallies[self.extra[0]] = 0
+
+    def open(self, stack: ExitStack) -> None:
+        self.out_handle, self.rej_handle = (
+            stack.enter_context(open(path, "w", encoding="utf-8"))
+            for path in self.temps
+        )
+
+    def feed(self, records: list) -> list:
+        """Run the stage on each record, write its lines, return its outputs."""
+        passed = []
+        tallies = self.tallies
+        try:
+            for record in records:
+                outputs, rejection = self.runner(self.manifest, self.setup, record)
+                tallies["in"] += 1
+                for output in outputs:
+                    self.out_handle.write(_to_line(output) + "\n")
+                if self.extra is not None:
+                    key, amount = self.extra
+                    tallies[key] += sum(amount(output) for output in outputs)
+                tallies["out"] += len(outputs)
+                passed += outputs
+                if rejection is not None:
+                    line = json.dumps(rejection, ensure_ascii=False)
+                    self.rej_handle.write(line + "\n")
+                    tallies["rejected"] += 1
+        except Exception as exc:
+            raise StageFailure(self.name, exc) from exc
+        return passed
+
+    def discard(self) -> None:
+        for path in self.temps:
+            path.unlink(missing_ok=True)
+
+    def publish(self) -> None:
+        for temp, final in zip(self.temps, self.finals):
+            os.replace(temp, final)
+
+
+def _run_stages(
+    manifest: PipelineManifest, strict: bool, stats_before: CorpusStats
+) -> tuple[list[dict], CorpusStats]:
+    """The single pass: every document through every stage, then publish."""
+    stages = [
+        _StagePass(manifest, index, name)
+        for index, name in enumerate(manifest.stages, start=1)
+    ]
+    # validate_stages puts the document stages first.
+    last_doc_stage = sum(name in _DOC_STAGES for name in manifest.stages) - 1
+    stats_after = CorpusStats() if last_doc_stage >= 0 else stats_before
+    malformed: list[MalformedRecord] = []
+    try:
+        with ExitStack() as stack:
+            for stage in stages:
+                stage.open(stack)
+            for doc in read_documents(
+                manifest.input_path, strict=strict, error_sink=malformed
+            ):
+                records = [doc]
+                for position, stage in enumerate(stages):
+                    records = stage.feed(records)
+                    if position == last_doc_stage:
+                        for kept in records:
+                            stats_after.add(kept)
+    except BaseException:
+        for stage in stages:
+            stage.discard()
+        raise
+    for stage in stages:
+        stage.publish()
+    for err in malformed:
+        LOG.warning("skipped line %d: %s", err.line_number, err.reason)
+    reports = [
+        {"name": stage.name, "output": stage.output.name, **stage.tallies}
+        for stage in stages
+    ]
+    reports[0]["malformed"] = len(malformed)
+    return reports, stats_after
+
+
 def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
     """Execute the manifest and return (and persist) the run summary.
 
     Every stage writes `NN-<name>.jsonl` plus `NN-<name>.rejected.jsonl`
     in the output directory; the summary records in/out/rejected per
-    stage and corpus stats before and after the document-level stages.
-    With zero stages the input is copied through unchanged.
+    stage, the malformed input lines the first stage skipped, and corpus
+    stats before and after the document-level stages. A failed run
+    publishes no stage file. With zero stages the input is copied through
+    unchanged.
     """
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
     stats_before = compute_stats(read_documents(manifest.input_path, strict=strict))
 
-    stage_reports = []
-    current = manifest.input_path
-    last_doc_output = manifest.input_path
-    for index, name in enumerate(manifest.stages, start=1):
-        out_path = manifest.output_dir / f"{index:02d}-{name}.jsonl"
-        rej_path = manifest.output_dir / f"{index:02d}-{name}.rejected.jsonl"
-        runner = _STAGE_RUNNERS[name]
-        try:
-            tallies = runner(manifest, current, out_path, rej_path, strict)
-        except StageFailure:
-            raise
-        except Exception as exc:
-            raise StageFailure(name, exc) from exc
-        stage_reports.append(
-            {"name": name, "output": out_path.name, **tallies}
-        )
-        current = out_path
-        if name in _DOC_STAGES:
-            last_doc_output = out_path
-
-    if not manifest.stages:
-        current = manifest.output_dir / "00-input.jsonl"
-        shutil.copyfile(manifest.input_path, current)
-        stage_reports = []
-
-    if last_doc_output == manifest.input_path:
-        stats_after = stats_before
+    if manifest.stages:
+        stage_reports, stats_after = _run_stages(manifest, strict, stats_before)
+        final_output = stage_reports[-1]["output"]
     else:
-        stats_after = compute_stats(read_documents(last_doc_output, strict=strict))
+        final_output = "00-input.jsonl"
+        shutil.copyfile(manifest.input_path, manifest.output_dir / final_output)
+        stage_reports, stats_after = [], stats_before
 
     summary = {
         "input_path": str(manifest.input_path),
@@ -310,7 +395,7 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
         "stages": stage_reports,
         "stats_before": stats_before.to_record(),
         "stats_after": stats_after.to_record(),
-        "final_output": current.name,
+        "final_output": final_output,
     }
     summary_path = manifest.output_dir / SUMMARY_NAME
     summary_path.write_text(

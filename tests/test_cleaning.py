@@ -1,9 +1,12 @@
 """Cleaning rules: the documented examples and the algebraic properties."""
 
+import sys
+import unicodedata
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexprep.cleaning import CleanPolicy, clean_text
+from lexprep.cleaning import CleanPolicy, _strip_control, clean_text
 
 # Random strings that exercise every rule: letters, horizontal whitespace,
 # newlines, control characters, and non-breaking spaces. Adjacent \r and
@@ -85,3 +88,16 @@ def test_default_output_shape(text):
     assert "\t" not in cleaned
     assert "\n\n" not in cleaned
     assert cleaned == cleaned.strip()
+
+
+def test_strip_control_matches_category_scan_on_every_code_point():
+    def reference(text):
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return "".join(
+            ch for ch in text if ch in "\n\t" or unicodedata.category(ch) != "Cc"
+        )
+
+    # Every code point once, in order: the outputs are equal iff the same
+    # code points are dropped.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _strip_control(everything) == reference(everything)

@@ -27,6 +27,7 @@ from lexprep.langid import (
     rank_ngrams,
     save_profiles,
     text_ngrams,
+    _normalize,
 )
 
 from .conftest import make_doc
@@ -47,6 +48,11 @@ def _reference_ngrams(text: str) -> Counter:
     return counts
 
 
+def _reference_normalize(text: str) -> list[str]:
+    """Words as the per-character scan finds them: maximal isalpha runs."""
+    return "".join(ch if ch.isalpha() else " " for ch in text.lower()).split()
+
+
 def _reference_rank(counts: Counter, size: int = PROFILE_SIZE) -> tuple[str, ...]:
     """The full sort by (-count, gram), truncated."""
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
@@ -65,7 +71,18 @@ _langid_text = st.one_of(
 )
 
 
+# Letters next to the characters a letter-run regex could get wrong:
+# decimal and non-decimal digits (², ½, Ⅻ, ٣), underscores, combining
+# marks, and letters whose lowercase form changes length.
+_NORMALIZE_CHARS = st.sampled_from(list("aZñÉ_7²½Ⅻ٣\u0301·' \t\nİßﬁΣ"))
+
+
 class TestNgramsMatchReference:
+    @settings(deadline=None)
+    @given(st.one_of(st.text(_NORMALIZE_CHARS, max_size=40), st.text(max_size=80)))
+    def test_normalize_matches_per_character_scan(self, text):
+        assert _normalize(text) == _reference_normalize(text)
+
     @settings(deadline=None)
     @given(_langid_text)
     def test_counts_match_per_occurrence_loop(self, text):
@@ -85,6 +102,14 @@ class TestNgramsMatchReference:
                 encoding="utf-8"
             )
             assert profile.ngram_ranks == _reference_rank(_reference_ngrams(text))
+
+    def test_shipped_profiles_rebuild_from_seed(self, tmp_path):
+        package = resources.files("lexprep")
+        rebuilt = tmp_path / "profiles.jsonl"
+        with resources.as_file(package.joinpath("data/seed")) as seed_dir:
+            save_profiles(build_profiles_from_dir(seed_dir), rebuilt)
+        shipped = package.joinpath("data/profiles.jsonl").read_bytes()
+        assert rebuilt.read_bytes() == shipped
 
 
 class TestNgrams:

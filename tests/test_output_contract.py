@@ -13,6 +13,7 @@ fails here.
 import hashlib
 from importlib import resources
 
+from lexprep.cli import main
 from lexprep.pipeline import PipelineManifest, run_pipeline
 
 from .conftest import doc_record, write_jsonl
@@ -76,7 +77,7 @@ def contract_records() -> list[dict]:
     return records
 
 
-def test_fixed_run_writes_recorded_bytes(tmp_path):
+def _run_contract_manifest(tmp_path):
     write_jsonl(tmp_path / "input.jsonl", contract_records())
     manifest = PipelineManifest.from_record(
         {
@@ -88,8 +89,33 @@ def test_fixed_run_writes_recorded_bytes(tmp_path):
         }
     )
     run_pipeline(manifest)
+
+
+def test_fixed_run_writes_recorded_bytes(tmp_path):
+    _run_contract_manifest(tmp_path)
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted((tmp_path / "out").glob("[0-9][0-9]-*.jsonl"))
     }
     assert digests == EXPECTED_SHA256
+
+
+def test_run_matches_single_stage_commands(tmp_path):
+    _run_contract_manifest(tmp_path)
+    out, chain = tmp_path / "out", tmp_path / "chain"
+    chain.mkdir()
+    gated, cleaned = chain / "01-filter-lang.jsonl", chain / "02-clean.jsonl"
+    chunks, examples = chain / "03-chunk.jsonl", chain / "04-mask.jsonl"
+    rejected = chain / "01-filter-lang.rejected.jsonl"
+    commands = [
+        ["filter-lang", tmp_path / "input.jsonl", gated, "--rejected", rejected],
+        ["clean", gated, cleaned],
+        ["chunk", cleaned, chunks, "--max-tokens", "96"],
+        ["--seed", "7", "mask", chunks, examples],
+    ]
+    for argv in commands:
+        assert main([str(arg) for arg in argv]) == 0
+    written = sorted(path.name for path in chain.iterdir())
+    assert len(written) == 5
+    for name in written:
+        assert (chain / name).read_bytes() == (out / name).read_bytes(), name

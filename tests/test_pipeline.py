@@ -1,9 +1,11 @@
 """Manifest validation and end-to-end pipeline runs."""
 
 import json
+import logging
 
 import pytest
 
+from lexprep import pipeline
 from lexprep.errors import ManifestError, StageFailure
 from lexprep.pipeline import (
     STAGE_NAMES,
@@ -294,3 +296,36 @@ class TestRunPipeline:
         ]
         assert rejected_record["id"] == "hollow"
         assert rejected_record["reject_reason"] == "no sentences to pack"
+
+    def test_lenient_run_counts_malformed_lines(self, tmp_path, caplog):
+        records = [doc_record(name, text) for name, text in zip("ab", ES_SNIPPETS)]
+        lines = [json.dumps(records[0]), "not json", json.dumps(records[1])]
+        (tmp_path / "input.jsonl").write_text("\n".join(lines) + "\n", "utf-8")
+        manifest = manifest_for(tmp_path, ["clean", "chunk"])
+        with caplog.at_level(logging.WARNING, logger="lexprep"):
+            summary = run_pipeline(manifest)
+        clean, chunk = summary["stages"]
+        assert clean["malformed"] == 1
+        assert clean["in"] == 2
+        assert "malformed" not in chunk
+        (warning,) = caplog.records
+        assert warning.getMessage().startswith("skipped line 2: ")
+
+    def test_failure_mid_pass_publishes_nothing(self, tmp_path, monkeypatch):
+        bilingual_input(tmp_path / "input.jsonl")
+        original = pipeline.clean_text
+        calls = []
+
+        def failing_clean(text, policy):
+            calls.append(text)
+            if len(calls) == 3:
+                raise RuntimeError("cleaner broke")
+            return original(text, policy)
+
+        monkeypatch.setattr(pipeline, "clean_text", failing_clean)
+        manifest = manifest_for(tmp_path, ["filter-lang", "clean", "chunk", "mask"])
+        with pytest.raises(StageFailure) as excinfo:
+            run_pipeline(manifest)
+        assert excinfo.value.stage == "clean"
+        assert len(calls) == 3
+        assert list((tmp_path / "out").iterdir()) == []
