@@ -12,8 +12,9 @@ is hard-split at token boundaries into maximal pieces rather than dropped.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 from .corpus import RawDocument
 from .errors import TokenizerFailure
@@ -141,20 +142,37 @@ def word_ranges(tokens: list[Token]) -> tuple[tuple[int, int], ...]:
     return tuple((starts[i], starts[i + 1]) for i in range(len(starts) - 1))
 
 
-def _make_chunk(doc_id: str, seq: int, text: str, tokens: list[Token]) -> Chunk:
+def _word_ids(tokens: list[Token]) -> list[tuple[int, ...]]:
+    """The ids of `tokens`, one tuple per word range."""
+    ids = [tok.id for tok in tokens]
+    return [tuple(ids[start:end]) for start, end in word_ranges(tokens)]
+
+
+def _encoder(tokenizer: TokenizerInterface) -> Callable[[str], list[tuple[int, ...]]]:
+    """text -> per-word id tuples: the tokenizer's `encode`, if it has one."""
+    encode = getattr(tokenizer, "encode", None)
+    if encode is not None:
+        return encode
+    return lambda text: _word_ids(tokenizer.tokenize(text))
+
+
+def _make_chunk(
+    doc_id: str, seq: int, text: str, words: list[tuple[int, ...]]
+) -> Chunk:
+    ends = tuple(accumulate(map(len, words)))
     return Chunk(
         doc_id=doc_id,
         seq=seq,
         text=text,
-        token_count=len(tokens),
-        word_boundaries=word_ranges(tokens),
-        token_ids=tuple([tok.id for tok in tokens]),
+        token_count=ends[-1] if ends else 0,
+        word_boundaries=tuple(zip((0, *ends), ends)),
+        token_ids=tuple(chain.from_iterable(words)),
     )
 
 
-def _tokenize(tokenizer: TokenizerInterface, text: str, doc_id: str) -> list[Token]:
+def _run(tokenize: Callable[[str], list], text: str, doc_id: str) -> list:
     try:
-        return tokenizer.tokenize(text)
+        return tokenize(text)
     except Exception as exc:
         raise TokenizerFailure(doc_id, f"{exc} (text starts {text[:40]!r})") from exc
 
@@ -165,15 +183,17 @@ def _hard_split(
     budget: int,
     tokenizer: TokenizerInterface,
     doc_id: str,
-) -> list[tuple[str, list[Token]]]:
+) -> list[tuple[str, list[tuple[int, ...]]]]:
     """Cut an oversized sentence at token boundaries into maximal pieces.
 
-    Cuts land on word starts whenever one exists within the budget: both
-    sides of such a cut re-tokenize exactly as in the original sentence,
-    so the document's token stream is preserved. Only a single word wider
-    than the whole budget forces a mid-word cut, where the re-tokenized
-    piece is authoritative and shrinks until it fits.
+    Returns each piece's text and its per-word ids. Cuts land on word
+    starts whenever one exists within the budget. With a concat-stable
+    tokenizer a piece that begins and ends at word starts keeps its slice
+    of the sentence's tokens. Any other piece is re-tokenized: only a
+    single word wider than the whole budget forces a mid-word cut, where
+    the re-tokenized piece is authoritative and shrinks until it fits.
     """
+    concat_stable = getattr(tokenizer, "concat_stable", False)
     pieces = []
     start = 0
     total = len(tokens)
@@ -184,18 +204,28 @@ def _hard_split(
             cut -= 1
         if cut == 0:
             cut = take
-        while cut > 0:
-            last = tokens[start + cut - 1]
-            piece_text = sentence[tokens[start].start : last.start + len(last.piece)]
-            piece_tokens = _tokenize(tokenizer, piece_text, doc_id)
-            if len(piece_tokens) <= budget:
-                break
-            cut -= 1
-        if cut == 0:
-            raise TokenizerFailure(
-                doc_id, f"cannot fit a single token within budget {budget}"
-            )
-        pieces.append((piece_text, piece_tokens))
+        begin = tokens[start].start
+        if (
+            concat_stable
+            and tokens[start].is_word_start
+            and (start + cut == total or tokens[start + cut].is_word_start)
+        ):
+            piece_tokens = tokens[start : start + cut]
+            last = piece_tokens[-1]
+            piece_text = sentence[begin : last.start + len(last.piece)]
+        else:
+            while cut > 0:
+                last = tokens[start + cut - 1]
+                piece_text = sentence[begin : last.start + len(last.piece)]
+                piece_tokens = _run(tokenizer.tokenize, piece_text, doc_id)
+                if len(piece_tokens) <= budget:
+                    break
+                cut -= 1
+            if cut == 0:
+                raise TokenizerFailure(
+                    doc_id, f"cannot fit a single token within budget {budget}"
+                )
+        pieces.append((piece_text, _word_ids(piece_tokens)))
         start += cut
     return pieces
 
@@ -211,11 +241,13 @@ def pack_chunks(
     The next sentence joins the current chunk iff the joined text stays
     within budget; otherwise the chunk is emitted and a new one starts.
     For a tokenizer that declares `concat_stable`, each sentence is
-    tokenized once and the joined count is the sum of the sentence counts.
+    encoded once and the joined count is the sum of the sentence counts.
     Otherwise per-sentence counts are never summed, since subword
     tokenizers are not concatenation-stable in general: the joined text
     is re-tokenized as a whole. Sentence order is preserved and chunks
-    never cross document boundaries.
+    never cross document boundaries. Text is encoded to per-word ids with
+    the tokenizer's `encode` when it has one; Token objects are built
+    only for a sentence over the budget, to cut it.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only.
@@ -227,50 +259,56 @@ def pack_chunks(
             f"max_tokens={max_tokens} leaves no room after {reserved} reserved tokens"
         )
     concat_stable = getattr(tokenizer, "concat_stable", False)
+    encode = _encoder(tokenizer)
     chunks: list[Chunk] = []
     current_sents: list[str] = []
-    # With a concat-stable tokenizer this is the sentences' tokens end to
-    # end: ids and word starts are the joined text's, offsets are not.
-    current_tokens: list[Token] = []
+    # The joined text's ids, one tuple per word.
+    current_words: list[tuple[int, ...]] = []
+    current_count = 0
 
-    def emit(text: str, tokens: list[Token]) -> None:
-        chunks.append(_make_chunk(doc_id, len(chunks), text, tokens))
+    def emit(text: str, words: list[tuple[int, ...]]) -> None:
+        chunks.append(_make_chunk(doc_id, len(chunks), text, words))
 
     for sentence in sentences:
         sentence = sentence.strip()
         if not sentence:
             continue
         if concat_stable:
-            tokens = _tokenize(tokenizer, sentence, doc_id)
-            if current_sents and len(current_tokens) + len(tokens) <= budget:
+            words = _run(encode, sentence, doc_id)
+            count = sum(map(len, words))
+            if current_sents and current_count + count <= budget:
                 current_sents.append(sentence)
-                current_tokens.extend(tokens)
+                current_words += words
+                current_count += count
                 continue
         else:
-            candidate = " ".join([*current_sents, sentence])
-            tokens = _tokenize(tokenizer, candidate, doc_id)
-            if tokens and len(tokens) <= budget:
+            words = _run(encode, " ".join([*current_sents, sentence]), doc_id)
+            count = sum(map(len, words))
+            if count and count <= budget:
                 current_sents.append(sentence)
-                current_tokens = tokens
+                current_words, current_count = words, count
                 continue
-        if not tokens:
+        if not count:
             continue
         if current_sents:
-            emit(" ".join(current_sents), current_tokens)
-            current_sents, current_tokens = [], []
+            emit(" ".join(current_sents), current_words)
+            current_sents = []
             if not concat_stable:
-                tokens = _tokenize(tokenizer, sentence, doc_id)
-        if len(tokens) <= budget:
-            current_sents, current_tokens = [sentence], tokens
+                words = _run(encode, sentence, doc_id)
+                count = sum(map(len, words))
+        if count <= budget:
+            current_sents, current_words, current_count = [sentence], words, count
             continue
+        tokens = _run(tokenizer.tokenize, sentence, doc_id)
         pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
-        for text, piece_tokens in pieces[:-1]:
-            emit(text, piece_tokens)
+        for text, piece_words in pieces[:-1]:
+            emit(text, piece_words)
         # The final piece stays open so following sentences can pack onto it.
-        tail_text, tail_tokens = pieces[-1]
-        current_sents, current_tokens = [tail_text], tail_tokens
+        tail_text, current_words = pieces[-1]
+        current_sents = [tail_text]
+        current_count = sum(map(len, current_words))
     if current_sents:
-        emit(" ".join(current_sents), current_tokens)
+        emit(" ".join(current_sents), current_words)
     return chunks
 
 
@@ -291,8 +329,8 @@ def chunk_from_record(record: dict, tokenizer: TokenizerInterface) -> Chunk:
     The stored token_count must match what the supplied tokenizer produces;
     a mismatch means the record was written with a different tokenizer.
     """
-    tokens = tokenizer.tokenize(record["text"])
-    chunk = _make_chunk(record["doc_id"], int(record["seq"]), record["text"], tokens)
+    words = _encoder(tokenizer)(record["text"])
+    chunk = _make_chunk(record["doc_id"], int(record["seq"]), record["text"], words)
     stored = record.get("token_count")
     if stored is not None and int(stored) != chunk.token_count:
         raise ValueError(

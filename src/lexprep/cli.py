@@ -11,13 +11,13 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .chunking import DEFAULT_MAX_TOKENS, chunk_document, chunk_from_record
 from .cleaning import CleanPolicy, clean_text
 from .corpus import (
     compute_stats,
     document_to_line,
+    parse_records,
     read_documents,
     split_validation,
     write_documents,
@@ -183,13 +183,26 @@ def _init_mask_worker(tokenizer_path: str | None, config: MaskingConfig) -> None
     _MASK_WORKER["config"] = config
 
 
-def _mask_one_line(line: str) -> tuple[str, int]:
+def _mask_one_record(record: dict) -> tuple[str, int]:
     tokenizer = _MASK_WORKER["tokenizer"]
     config = _MASK_WORKER["config"]
-    chunk = chunk_from_record(json.loads(line), tokenizer)
+    chunk = chunk_from_record(record, tokenizer)
     example = mask_chunk(chunk, tokenizer, config)
     selected = sum(1 for label in example.labels if label != IGNORE_LABEL)
     return json.dumps(example.to_record(), ensure_ascii=False), selected
+
+
+def _chunk_record(record: object) -> dict:
+    """The record itself if it has the fields of a chunk record."""
+    if not isinstance(record, dict):
+        raise ValueError("record must be a JSON object")
+    for name, kind in (("doc_id", str), ("seq", int), ("text", str)):
+        if not isinstance(record.get(name), kind):
+            raise ValueError(f"field {name!r} must be a {kind.__name__}")
+    token_count = record.get("token_count")
+    if token_count is not None and not isinstance(token_count, int):
+        raise ValueError("field 'token_count' must be an int")
+    return record
 
 
 def _cmd_mask(args) -> int:
@@ -200,12 +213,18 @@ def _cmd_mask(args) -> int:
         keep_prob=args.keep_prob,
         seed=args.seed,
     )
+    errors: list[MalformedRecord] = []
     examples = masked_positions = 0
     with open(args.input, encoding="utf-8") as lines, open(
         args.output, "w", encoding="utf-8"
     ) as out:
-        content = (line for line in lines if line.strip())
+        records = (
+            record
+            for _, record in parse_records(lines, _chunk_record, args.strict, errors)
+        )
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             # Per-chunk RNG derivation makes parallel output identical to
             # serial, so workers can mask independently in input order.
             with ProcessPoolExecutor(
@@ -213,19 +232,27 @@ def _cmd_mask(args) -> int:
                 initializer=_init_mask_worker,
                 initargs=(args.tokenizer, config),
             ) as pool:
-                results = pool.map(_mask_one_line, content, chunksize=64)
+                results = pool.map(_mask_one_record, records, chunksize=64)
                 for line, selected in results:
                     out.write(line + "\n")
                     examples += 1
                     masked_positions += selected
         else:
             _init_mask_worker(args.tokenizer, config)
-            for raw in content:
-                line, selected = _mask_one_line(raw)
+            for record in records:
+                line, selected = _mask_one_record(record)
                 out.write(line + "\n")
                 examples += 1
                 masked_positions += selected
-    _emit({"examples": examples, "masked_positions": masked_positions})
+    for err in errors:
+        LOG.warning("skipped line %d: %s", err.line_number, err.reason)
+    _emit(
+        {
+            "examples": examples,
+            "masked_positions": masked_positions,
+            "skipped": len(errors),
+        }
+    )
     return 0
 
 

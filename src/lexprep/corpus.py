@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from typing import TypeVar
 
 from .errors import DuplicateId, InsufficientDocuments, MalformedRecord
+
+_T = TypeVar("_T")
 
 
 class DocKind(Enum):
@@ -97,7 +100,10 @@ class RawDocument:
         """Build a document from a parsed record, validating field types.
 
         Raises:
-            ValueError: on a missing or ill-typed field.
+            ValueError: on a missing or ill-typed field, or on a string
+                field that cannot be written as UTF-8 (a lone surrogate
+                escape such as "\\ud800" decodes from JSON but cannot be
+                encoded).
         """
         if not isinstance(record, dict):
             raise ValueError("record must be a JSON object")
@@ -119,7 +125,7 @@ class RawDocument:
                 published = date.fromisoformat(str(raw_date))
             except ValueError as exc:
                 raise ValueError(f"field 'published_date' is not ISO-8601: {exc}")
-        return cls(
+        doc = cls(
             id=doc_id,
             source=str(record.get("source", "") or ""),
             region=str(record.get("region", "") or ""),
@@ -128,11 +134,48 @@ class RawDocument:
             published_date=published,
             text=text,
         )
+        for name in ("id", "source", "region", "language_hint", "text"):
+            value = getattr(doc, name)
+            if value is None or value.isascii():
+                continue
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                reason = f"field {name!r} is not valid UTF-8 text: {exc}"
+                raise ValueError(reason) from None
+        return doc
 
 
 def document_to_line(doc: RawDocument) -> str:
     """Serialize one document to its canonical JSONL line (no newline)."""
     return json.dumps(doc.to_record(), ensure_ascii=False)
+
+
+def parse_records(
+    lines: Iterable[str],
+    parse: Callable[[object], _T],
+    strict: bool = False,
+    error_sink: list[MalformedRecord] | None = None,
+) -> Iterator[tuple[int, _T]]:
+    """Yield (line number, parse(record)) for each non-blank JSON line.
+
+    A line that is not JSON, or whose record `parse` rejects with
+    ValueError, is a MalformedRecord: raised when strict, else skipped
+    and appended to error_sink when one is given.
+    """
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            item = parse(json.loads(line))
+        except ValueError as exc:
+            err = MalformedRecord(line_number, str(exc))
+            if strict:
+                raise err
+            if error_sink is not None:
+                error_sink.append(err)
+            continue
+        yield line_number, item
 
 
 def ingest_stream(
@@ -156,19 +199,9 @@ def ingest_stream(
             lenient mode (the skip-and-count side of the contract).
     """
     seen_ids: set[str] | None = set() if strict else None
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            doc = RawDocument.from_record(record)
-        except (json.JSONDecodeError, ValueError) as exc:
-            err = MalformedRecord(line_number, str(exc))
-            if strict:
-                raise err
-            if error_sink is not None:
-                error_sink.append(err)
-            continue
+    for line_number, doc in parse_records(
+        lines, RawDocument.from_record, strict, error_sink
+    ):
         if seen_ids is not None:
             if doc.id in seen_ids:
                 raise DuplicateId(doc.id, line_number)

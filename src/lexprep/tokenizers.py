@@ -38,8 +38,17 @@ class TokenizerInterface(Protocol):
     when, for any two texts a and b without leading or trailing
     whitespace, tokenize(a + " " + b) has the ids and word-start flags of
     tokenize(a) followed by those of tokenize(b); the chunker then sums
-    per-sentence counts instead of re-tokenizing. Tokenizers that do not
-    declare it keep the whole-text measurement. `reserved_special_count`
+    per-sentence counts instead of re-tokenizing. The declaration also
+    means that cutting a text just before a word-start token splits its
+    token stream there, so an oversized sentence cut between words keeps
+    its tokens. Tokenizers that do not declare it keep the whole-text
+    measurement.
+
+    A tokenizer may also provide `encode(text) -> list[tuple[int, ...]]`:
+    the ids of tokenize(text) grouped into words, one tuple per word, each
+    starting at a word-start token. Chunking and chunk records use it when
+    present and build no Token objects; without it they group the
+    tokens of `tokenize` by their word-start flags. `reserved_special_count`
     is how many special tokens the tokenizer adds per sequence (0 for the
     reference tokenizer); chunk packing budgets content tokens against
     max_tokens minus this count.
@@ -60,6 +69,9 @@ SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 # non-whitespace character (a token of its own): `\w` is isalnum plus "_"
 # and `\s` is isspace.
 _WORD_OR_MARK = re.compile(r"[^\W_]+|\S")
+
+# Most distinct words the tokenizer's word table holds before it is cleared.
+WORD_TABLE_LIMIT = 65536
 
 # Token's generated __new__ is a Python function; building the tuple
 # directly saves a call per token.
@@ -109,6 +121,12 @@ class VocabTokenizer:
 
     Tokens never span whitespace and depend only on their own word, so
     joining two texts with a space concatenates their token streams.
+
+    `encode` is the fast path: one tuple of piece ids per word, looked up
+    in a table from each word seen to its ids, so a repeated word is
+    segmented once. The table holds ids only (no pieces, offsets or
+    flags) and is cleared when it reaches 65,536 words; `tokenize`
+    rebuilds full tokens from the same ids.
     """
 
     reserved_special_count = 0
@@ -122,11 +140,14 @@ class VocabTokenizer:
         if any(p in SPECIAL_PIECES for p in pieces):
             raise ValueError("special tokens are implicit; do not list them")
         self._piece_ids = {p: i + len(SPECIAL_PIECES) for i, p in enumerate(pieces)}
+        # Indexed by id; the [UNK] entry is never read, since an unknown
+        # piece is its own single character.
+        self._pieces = (*SPECIAL_PIECES, *pieces)
         self._max_piece_len = max((len(p) for p in pieces), default=1)
         self.vocab_size = len(SPECIAL_PIECES) + len(pieces)
         self.mask_token_id = MASK
         self.special_token_ids = frozenset(range(len(SPECIAL_PIECES)))
-        self._word_cache: dict[str, tuple[tuple[int, bool, str, int], ...]] = {}
+        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     @classmethod
     def from_file(cls, path) -> "VocabTokenizer":
@@ -137,47 +158,65 @@ class VocabTokenizer:
         return cls(data["pieces"])
 
     def save(self, path) -> None:
-        pieces = sorted(self._piece_ids, key=self._piece_ids.get)
+        pieces = list(self._pieces[len(SPECIAL_PIECES) :])
         data = {"special_tokens": list(SPECIAL_PIECES), "pieces": pieces}
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(data, handle, ensure_ascii=False, indent=1)
             handle.write("\n")
 
+    def encode(self, text: str) -> list[tuple[int, ...]]:
+        """The piece ids of each word of `text`, one tuple per word.
+
+        A punctuation mark (any non-space character outside a word) is a
+        word of one token. The first id of each tuple is the word start.
+        """
+        words = _WORD_OR_MARK.findall(text)
+        encoded = list(map(self._word_ids.get, words))
+        if None in encoded:
+            segment = self._segment
+            for i, ids in enumerate(encoded):
+                if ids is None:
+                    encoded[i] = segment(words[i])
+        return encoded
+
     def tokenize(self, text: str) -> list[Token]:
         tokens: list[Token] = []
         append = tokens.append
-        piece_ids = self._piece_ids
+        lookup = self._word_ids.get
+        pieces = self._pieces
         for match in _WORD_OR_MARK.finditer(text):
             word = match.group()
             pos = match.start()
-            if word.isalnum():
-                for piece_id, is_start, piece, offset in self._segment_word(word):
-                    append(_new_token(Token, (piece_id, is_start, piece, pos + offset)))
-            else:
-                append(_new_token(Token, (piece_ids.get(word, UNK), True, word, pos)))
+            ids = lookup(word) or self._segment(word)
+            if len(ids) == 1:
+                # A one-token word is its own piece, known or [UNK].
+                append(_new_token(Token, (ids[0], True, word, pos)))
+                continue
+            offset = 0
+            for piece_id in ids:
+                piece = word[offset] if piece_id == UNK else pieces[piece_id]
+                append(_new_token(Token, (piece_id, offset == 0, piece, pos + offset)))
+                offset += len(piece)
         return tokens
 
-    def _segment_word(self, word: str) -> tuple[tuple[int, bool, str, int], ...]:
-        """(piece_id, is_word_start, piece, offset_in_word) for each piece."""
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
-        pieces: list[tuple[int, bool, str, int]] = []
+    def _segment(self, word: str) -> tuple[int, ...]:
+        """Greedy longest-match ids of a word missing from the table."""
+        piece_ids = self._piece_ids
+        ids: list[int] = []
         i = 0
         n = len(word)
         while i < n:
             for take in range(min(self._max_piece_len, n - i), 0, -1):
-                candidate = word[i : i + take]
-                piece_id = self._piece_ids.get(candidate)
+                piece_id = piece_ids.get(word[i : i + take])
                 if piece_id is not None:
-                    pieces.append((piece_id, i == 0, candidate, i))
+                    ids.append(piece_id)
                     i += take
                     break
             else:
-                pieces.append((UNK, i == 0, word[i], i))
+                ids.append(UNK)
                 i += 1
-        result = tuple(pieces)
-        if len(self._word_cache) >= 65536:
-            self._word_cache.clear()
-        self._word_cache[word] = result
+        result = tuple(ids)
+        if len(self._word_ids) >= WORD_TABLE_LIMIT:
+            self._word_ids.clear()
+        self._word_ids[word] = result
         return result

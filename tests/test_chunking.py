@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lexprep.chunking import (
     ABBREVIATIONS,
     Chunk,
+    _hard_split,
     chunk_document,
     chunk_from_record,
     pack_chunks,
@@ -19,7 +20,7 @@ from lexprep.chunking import (
     word_ranges,
 )
 from lexprep.errors import TokenizerFailure
-from lexprep.tokenizers import VocabTokenizer
+from lexprep.tokenizers import Token, VocabTokenizer
 
 from .conftest import make_doc
 
@@ -408,3 +409,173 @@ class TestChunkRecords:
         record["token_count"] = record["token_count"] + 1
         with pytest.raises(ValueError):
             chunk_from_record(record, tokenizer)
+
+
+def _reference_hard_split(sentence, tokens, budget, tokenizer, doc_id):
+    """The hard split that re-tokenized every piece, cut at a word or not."""
+    pieces = []
+    start = 0
+    total = len(tokens)
+    while start < total:
+        take = min(budget, total - start)
+        cut = take
+        while cut > 0 and start + cut < total and not tokens[start + cut].is_word_start:
+            cut -= 1
+        if cut == 0:
+            cut = take
+        while cut > 0:
+            last = tokens[start + cut - 1]
+            piece_text = sentence[tokens[start].start : last.start + len(last.piece)]
+            piece_tokens = tokenizer.tokenize(piece_text)
+            if len(piece_tokens) <= budget:
+                break
+            cut -= 1
+        if cut == 0:
+            raise TokenizerFailure(
+                doc_id, f"cannot fit a single token within budget {budget}"
+            )
+        pieces.append((piece_text, piece_tokens))
+        start += cut
+    return pieces
+
+
+def _grouped_ids(tokens):
+    ids = [t.id for t in tokens]
+    return [tuple(ids[start:end]) for start, end in word_ranges(tokens)]
+
+
+class Counting:
+    """The reference tokenizer without `encode`, counting calls to `tokenize`."""
+
+    concat_stable = True
+    reserved_special_count = 0
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def tokenize(self, text):
+        self.calls += 1
+        return self.inner.tokenize(text)
+
+
+class LengthTagged:
+    """Concat-stable, but a word's first id depends on the word's length.
+
+    Words are whitespace-delimited and each character is a token, so
+    cutting inside a word changes the tokens of both sides, while cutting
+    between words keeps them.
+    """
+
+    concat_stable = True
+    reserved_special_count = 0
+
+    def tokenize(self, text):
+        tokens = []
+        for match in re.finditer(r"\S+", text):
+            word = match.group()
+            for i, ch in enumerate(word):
+                token_id = 5 + min(len(word), 50) if i == 0 else 60 + ord(ch) % 100
+                tokens.append(Token(token_id, i == 0, ch, match.start() + i))
+        return tokens
+
+
+_HUGE_WORD = ("prescripción" * 900)[:10_000]
+
+
+class TestHardSplit:
+    """Slicing word-aligned pieces gives the pieces that re-tokenizing gives."""
+
+    @staticmethod
+    def _both(tokenizer, sentence, budget):
+        tokens = tokenizer.tokenize(sentence)
+        counting = Counting(tokenizer)
+        fast = _hard_split(sentence, tokens, budget, counting, "h")
+        slow = _reference_hard_split(sentence, tokens, budget, tokenizer, "h")
+        assert [(text, words) for text, words in fast] == [
+            (text, _grouped_ids(piece)) for text, piece in slow
+        ]
+        return fast, counting.calls
+
+    @pytest.mark.parametrize("budget", [16, 100, 512])
+    def test_matches_reference_with_huge_word(self, tokenizer, budget):
+        sentence = "Antes de la " + _HUGE_WORD + " y después, " + _sentence_of(600)
+        pieces, calls = self._both(tokenizer, sentence, budget)
+        assert len(pieces) > 2
+        # Only pieces cut inside the huge word are tokenized again.
+        huge_tokens = len(tokenizer.tokenize(_HUGE_WORD))
+        assert calls <= huge_tokens // budget + 2
+
+    @pytest.mark.parametrize("budget", [16, 100, 512])
+    def test_word_aligned_pieces_are_not_retokenized(self, tokenizer, budget):
+        pieces, calls = self._both(tokenizer, _sentence_of(3 * budget + 5), budget)
+        assert [sum(map(len, words)) for _, words in pieces] == [budget] * 3 + [5]
+        assert calls == 0
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from(_SENTENCE_WORDS), min_size=1, max_size=80).map(
+            " ".join
+        ),
+        st.integers(1, 24),
+    )
+    def test_matches_reference(self, tokenizer, sentence, budget):
+        self._both(tokenizer, sentence, budget)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=30).map(
+            lambda sizes: " ".join("ab" * size for size in sizes)
+        ),
+        st.integers(1, 24),
+    )
+    def test_matches_reference_when_inner_cuts_change_tokens(self, sentence, budget):
+        self._both(LengthTagged(), sentence, budget)
+
+
+class TestEncodePacking:
+    """Packing through `encode` matches packing from tokens."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(_SENTENCE_WORDS), max_size=40).map(" ".join),
+            max_size=12,
+        ),
+        st.integers(4, 64),
+    )
+    def test_matches_token_paths(self, tokenizer, sentences, max_tokens):
+        encoded = pack_chunks(sentences, tokenizer, max_tokens=max_tokens, doc_id="e")
+        grouped = pack_chunks(
+            sentences, Counting(tokenizer), max_tokens=max_tokens, doc_id="e"
+        )
+        joined = pack_chunks(
+            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="e"
+        )
+        assert chunk_fields(encoded) == chunk_fields(grouped) == chunk_fields(joined)
+
+    def test_encode_path_tokenizes_only_oversized_sentences(self, tokenizer):
+        class Encoding(Counting):
+            def encode(self, text):
+                return self.inner.encode(text)
+
+        encoding = Encoding(tokenizer)
+        sentences = ["La ley se publica.", _sentence_of(40), "Fin del texto."]
+        chunks = pack_chunks(sentences, encoding, max_tokens=16, doc_id="e")
+        assert chunk_fields(chunks) == chunk_fields(
+            pack_chunks(sentences, Delegating(tokenizer), max_tokens=16, doc_id="e")
+        )
+        assert encoding.calls == 1
+
+    def test_record_rebuilt_without_encode(self, tokenizer):
+        chunks = pack_chunks(
+            ["Una frase corta.", "Otra frase algo más larga."] * 5,
+            tokenizer,
+            max_tokens=12,
+            doc_id="r",
+        )
+        for chunk in chunks:
+            record = chunk.to_record()
+            fast = chunk_from_record(record, tokenizer)
+            slow = chunk_from_record(record, Delegating(tokenizer))
+            assert chunk_fields([fast]) == chunk_fields([slow]) == chunk_fields([chunk])

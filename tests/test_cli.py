@@ -460,3 +460,129 @@ class TestRun:
         assert summary["final_output"] == "04-mask.jsonl"
         gate = summary["stages"][0]
         assert gate["in"] == gate["out"] + gate["rejected"] == 10
+
+
+# A lone surrogate escape: valid JSON, but the text cannot be written as UTF-8.
+_SURROGATE_LINE = '{"id": "a", "text": "\\ud800"}\n'
+
+
+class TestUnencodableText:
+    def _input(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text(
+            _SURROGATE_LINE + json.dumps(doc_record("b", ES_SNIPPETS[0])) + "\n",
+            encoding="utf-8",
+        )
+        return path
+
+    def test_lenient_ingest_skips_the_record(self, tmp_path, capsys):
+        out_path = tmp_path / "out.jsonl"
+        code, out = run_cli(capsys, "ingest", str(self._input(tmp_path)), str(out_path))
+        assert code == 0
+        assert last_json(out) == {"written": 1, "skipped": 1}
+        assert [doc.id for doc in read_documents(out_path)] == ["b"]
+
+    def test_strict_ingest_aborts(self, tmp_path, capsys):
+        code, _ = run_cli(
+            capsys,
+            "--strict",
+            "ingest",
+            str(self._input(tmp_path)),
+            str(tmp_path / "out.jsonl"),
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_run_counts_the_record_or_aborts(self, tmp_path, capsys, strict):
+        self._input(tmp_path)
+        manifest_path = tmp_path / "run.json"
+        manifest_path.write_text(
+            json.dumps(
+                {
+                    "input_path": "in.jsonl",
+                    "output_dir": "out",
+                    "stages": ["filter-lang", "clean", "chunk", "mask"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        argv = ["--strict"] if strict else []
+        code, out = run_cli(capsys, *argv, "run", str(manifest_path))
+        if strict:
+            assert code == 2
+            return
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["documents_in"] == 1
+        assert summary["stages"][0]["malformed"] == 1
+        assert summary["stages"][0]["in"] == 1
+        assert summary["stages"][-1]["out"] >= 1
+
+
+class TestMaskLenient:
+    _BAD_LINES = [
+        "not json",
+        "[1, 2]",
+        json.dumps({"doc_id": "x", "seq": 0}),
+        json.dumps({"doc_id": "x", "seq": "0", "text": "de la ley"}),
+        json.dumps({"doc_id": "x", "seq": 0, "text": "ley", "token_count": "1"}),
+    ]
+
+    def _chunks(self, tmp_path, capsys):
+        chunks = TestMask()._chunks_file(tmp_path, capsys)
+        good = chunks.read_text("utf-8").splitlines()
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(
+            "\n".join([good[0], *self._BAD_LINES, *good[1:]]) + "\n", encoding="utf-8"
+        )
+        return chunks, mixed
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_lines_are_skipped_and_counted(self, tmp_path, capsys, jobs):
+        chunks, mixed = self._chunks(tmp_path, capsys)
+        clean_out = tmp_path / "clean.jsonl"
+        mixed_out = tmp_path / "mixed-out.jsonl"
+        assert run_cli(capsys, "mask", str(chunks), str(clean_out))[0] == 0
+        code, out = run_cli(capsys, "--jobs", jobs, "mask", str(mixed), str(mixed_out))
+        assert code == 0
+        tallies = last_json(out)
+        assert tallies["skipped"] == len(self._BAD_LINES)
+        assert tallies["examples"] == len(chunks.read_text("utf-8").splitlines())
+        assert mixed_out.read_bytes() == clean_out.read_bytes()
+
+    def test_strict_aborts(self, tmp_path, capsys):
+        _, mixed = self._chunks(tmp_path, capsys)
+        code, _ = run_cli(
+            capsys, "--strict", "mask", str(mixed), str(tmp_path / "out.jsonl")
+        )
+        assert code == 2
+
+    def test_token_count_mismatch_still_fails(self, tmp_path, capsys):
+        chunks, _ = self._chunks(tmp_path, capsys)
+        record = json.loads(chunks.read_text("utf-8").splitlines()[0])
+        record["token_count"] += 1
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, _ = run_cli(capsys, "mask", str(bad), str(tmp_path / "out.jsonl"))
+        assert code == 2
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lexprep
+
+    code = (
+        "import sys, lexprep.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} "
+        "& set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lexprep.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

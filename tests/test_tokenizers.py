@@ -12,6 +12,7 @@ from lexprep.tokenizers import (
     Token,
     TokenizerInterface,
     UNK,
+    WORD_TABLE_LIMIT,
     VocabTokenizer,
     _WORD_OR_MARK,
     default_pieces,
@@ -192,3 +193,51 @@ def test_token_fields():
     assert token.id == 7
     assert token.piece == "ley"
     assert token.start == 4
+
+
+def _word_groups(tokens: list[Token]) -> list[tuple[int, ...]]:
+    groups: list[list[int]] = []
+    for token in tokens:
+        if token.is_word_start:
+            groups.append([token.id])
+        else:
+            groups[-1].append(token.id)
+    return [tuple(group) for group in groups]
+
+
+@settings(deadline=None)
+@given(_awkward_text)
+def test_encode_groups_the_ids_of_tokenize(text):
+    fresh = VocabTokenizer()
+    # The first call segments every word, the later calls look them up.
+    encoded = fresh.encode(text)
+    tokens = fresh.tokenize(text)
+    assert encoded == _word_groups(tokens) == fresh.encode(text)
+    assert tokens == _reference_tokenize(text)
+
+
+def test_encode_marks_digits_underscores_and_unknowns(tokenizer):
+    text = "art_5 12º, ¿x²? правило…"
+    encoded = tokenizer.encode(text)
+    assert encoded == _word_groups(tokenizer.tokenize(text))
+    words = _WORD_OR_MARK.findall(text)
+    assert len(encoded) == len(words)
+    for word, ids in zip(words, encoded):
+        if not word.isalnum():
+            assert len(ids) == 1
+    assert encoded[words.index("правило")] == (UNK,) * len("правило")
+
+
+def test_word_table_holds_id_tuples_and_clears_when_full():
+    tok = VocabTokenizer()
+    words = [f"w{i}" for i in range(WORD_TABLE_LIMIT)]
+    encoded = tok.encode(" ".join(words))
+    table = tok._word_ids
+    assert len(table) == WORD_TABLE_LIMIT
+    assert all(
+        type(ids) is tuple and ids and all(type(i) is int for i in ids)
+        for ids in table.values()
+    )
+    assert tok.encode("palabra") == _word_groups(tok.tokenize("palabra"))
+    assert list(table) == ["palabra"]
+    assert tok.encode(" ".join(words)) == encoded
