@@ -7,18 +7,24 @@ unit's count is the sum of its sentences' counts when the tokenizer
 declares itself concatenation-stable, and is measured by re-tokenizing
 the joined unit otherwise. A single sentence longer than the whole budget
 is hard-split at token boundaries into maximal pieces rather than dropped.
+The hard split draws the sentence's tokens through a window of at most
+budget + 1 of them, so the tokens held at once are bounded by the budget,
+not by the length of the sentence.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
+from typing import TypeVar
 
 from .corpus import RawDocument
 from .errors import TokenizerFailure
 from .tokenizers import Token, TokenizerInterface
+
+_T = TypeVar("_T")
 
 DEFAULT_MAX_TOKENS = 512
 
@@ -170,52 +176,67 @@ def _make_chunk(
     )
 
 
-def _run(tokenize: Callable[[str], list], text: str, doc_id: str) -> list:
+def _failure(doc_id: str, text: str, exc: Exception) -> TokenizerFailure:
+    return TokenizerFailure(doc_id, f"{exc} (text starts {text[:40]!r})")
+
+
+def _run(tokenize: Callable[[str], _T], text: str, doc_id: str) -> _T:
     try:
         return tokenize(text)
     except Exception as exc:
-        raise TokenizerFailure(doc_id, f"{exc} (text starts {text[:40]!r})") from exc
+        raise _failure(doc_id, text, exc) from exc
 
 
 def _hard_split(
     sentence: str,
-    tokens: list[Token],
+    tokens: Iterable[Token],
     budget: int,
     tokenizer: TokenizerInterface,
     doc_id: str,
-) -> list[tuple[str, list[tuple[int, ...]]]]:
+) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
     """Cut an oversized sentence at token boundaries into maximal pieces.
 
-    Returns each piece's text and its per-word ids. Cuts land on word
-    starts whenever one exists within the budget. With a concat-stable
-    tokenizer a piece that begins and ends at word starts keeps its slice
-    of the sentence's tokens. Any other piece is re-tokenized: only a
-    single word wider than the whole budget forces a mid-word cut, where
-    the re-tokenized piece is authoritative and shrinks until it fits.
+    Yields each piece's text and its per-word ids. A cut never looks
+    more than budget + 1 tokens past the start of its piece, so `tokens`
+    (the sentence's tokens, in order) is drawn through a window of at
+    most budget + 1 of them; a lazy iterator keeps memory bounded by the
+    budget. Cuts land on word starts whenever one exists within the
+    budget. With a concat-stable tokenizer a piece that begins and ends
+    at word starts keeps its slice of the window. Any other piece is
+    re-tokenized: only a single word wider than the whole budget forces
+    a mid-word cut, where the re-tokenized piece is authoritative and
+    shrinks until it fits.
     """
     concat_stable = getattr(tokenizer, "concat_stable", False)
-    pieces = []
-    start = 0
-    total = len(tokens)
-    while start < total:
-        take = min(budget, total - start)
+    tokens = iter(tokens)
+    window: list[Token] = []
+    while True:
+        try:
+            window += islice(tokens, budget + 1 - len(window))
+        except Exception as exc:
+            raise _failure(doc_id, sentence, exc) from exc
+        if not window:
+            return
+        # A window short of budget + 1 tokens holds the sentence's last ones.
+        size = len(window)
+        take = min(budget, size)
         cut = take
-        while cut > 0 and start + cut < total and not tokens[start + cut].is_word_start:
+        while cut > 0 and cut < size and not window[cut].is_word_start:
             cut -= 1
         if cut == 0:
             cut = take
-        begin = tokens[start].start
+        begin = window[0].start
         if (
             concat_stable
-            and tokens[start].is_word_start
-            and (start + cut == total or tokens[start + cut].is_word_start)
+            and window[0].is_word_start
+            and (cut == size or window[cut].is_word_start)
         ):
-            piece_tokens = tokens[start : start + cut]
+            piece_tokens = window[:cut]
             last = piece_tokens[-1]
             piece_text = sentence[begin : last.start + len(last.piece)]
         else:
             while cut > 0:
-                last = tokens[start + cut - 1]
+                last = window[cut - 1]
                 piece_text = sentence[begin : last.start + len(last.piece)]
                 piece_tokens = _run(tokenizer.tokenize, piece_text, doc_id)
                 if len(piece_tokens) <= budget:
@@ -225,9 +246,8 @@ def _hard_split(
                 raise TokenizerFailure(
                     doc_id, f"cannot fit a single token within budget {budget}"
                 )
-        pieces.append((piece_text, _word_ids(piece_tokens)))
-        start += cut
-    return pieces
+        yield piece_text, _word_ids(piece_tokens)
+        del window[:cut]
 
 
 def pack_chunks(
@@ -247,7 +267,8 @@ def pack_chunks(
     is re-tokenized as a whole. Sentence order is preserved and chunks
     never cross document boundaries. Text is encoded to per-word ids with
     the tokenizer's `encode` when it has one; Token objects are built
-    only for a sentence over the budget, to cut it.
+    only for a sentence over the budget, to cut it, and at most
+    budget + 1 of them live at once when the tokenizer has `iter_tokens`.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only.
@@ -260,6 +281,8 @@ def pack_chunks(
         )
     concat_stable = getattr(tokenizer, "concat_stable", False)
     encode = _encoder(tokenizer)
+    # An oversized sentence is cut from its tokens, drawn lazily if possible.
+    token_source = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
     chunks: list[Chunk] = []
     current_sents: list[str] = []
     # The joined text's ids, one tuple per word.
@@ -299,12 +322,14 @@ def pack_chunks(
         if count <= budget:
             current_sents, current_words, current_count = [sentence], words, count
             continue
-        tokens = _run(tokenizer.tokenize, sentence, doc_id)
+        tokens = _run(token_source, sentence, doc_id)
         pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
-        for text, piece_words in pieces[:-1]:
-            emit(text, piece_words)
+        tail = next(pieces)
+        for piece in pieces:
+            emit(*tail)
+            tail = piece
         # The final piece stays open so following sentences can pack onto it.
-        tail_text, current_words = pieces[-1]
+        tail_text, current_words = tail
         current_sents = [tail_text]
         current_count = sum(map(len, current_words))
     if current_sents:

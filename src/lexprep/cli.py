@@ -19,8 +19,7 @@ from .corpus import (
     document_to_line,
     parse_records,
     read_documents,
-    split_validation,
-    write_documents,
+    validation_indices,
 )
 from .errors import LexprepError, MalformedRecord
 from .langid import (
@@ -257,11 +256,19 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_split_validation(args) -> int:
-    docs = read_documents(args.input, strict=args.strict)
-    train, validation = split_validation(docs, args.count, args.seed)
-    write_documents(args.train_output, train)
-    write_documents(args.valid_output, validation)
-    _emit({"train": len(train), "validation": len(validation)})
+    # Two passes over the file, so only the sampled positions stay in
+    # memory: the first draws them, the second routes each document.
+    chosen = validation_indices(
+        read_documents(args.input, strict=args.strict), args.count, args.seed
+    )
+    written = 0
+    with open(args.train_output, "w", encoding="utf-8") as train, open(
+        args.valid_output, "w", encoding="utf-8"
+    ) as valid:
+        for i, doc in enumerate(read_documents(args.input, strict=args.strict)):
+            (valid if i in chosen else train).write(document_to_line(doc) + "\n")
+            written += 1
+    _emit({"train": written - len(chosen), "validation": len(chosen)})
     return 0
 
 

@@ -275,28 +275,35 @@ class CorpusStats:
         }
 
 
+def _token_counter(tokenizer) -> Callable[[str], int]:
+    """text -> its token count, without building tokens when `encode` exists."""
+    encode = getattr(tokenizer, "encode", None)
+    if encode is not None:
+        return lambda text: sum(map(len, encode(text)))
+    return lambda text: len(tokenizer.tokenize(text))
+
+
 def compute_stats(docs: Iterable[RawDocument], tokenizer=None) -> CorpusStats:
     """Aggregate CorpusStats over a document stream.
 
     O(1) memory beyond the per-region map. When a tokenizer is given,
-    total_tokens counts tokens of each text; otherwise it stays None.
+    total_tokens counts tokens of each text, summed over the per-word ids
+    of its `encode` when it has one; otherwise it stays None.
     """
+    count_tokens = _token_counter(tokenizer) if tokenizer is not None else None
     stats = CorpusStats()
     for doc in docs:
-        token_count = len(tokenizer.tokenize(doc.text)) if tokenizer else None
-        stats.add(doc, token_count)
+        stats.add(doc, count_tokens(doc.text) if count_tokens else None)
     return stats
 
 
-def split_validation(
-    docs: Iterable[RawDocument], n: int, seed: int
-) -> tuple[list[RawDocument], list[RawDocument]]:
-    """Partition documents into (train, validation) with |validation| = n.
+def validation_indices(docs: Iterable[RawDocument], n: int, seed: int) -> set[int]:
+    """The positions of a uniform sample of n documents, in one pass.
 
-    The validation set is a uniform sample without replacement, drawn by
-    reservoir over a single pass so the selection also works when `docs`
-    is a stream. Both partitions keep the input order; they are disjoint
-    and their union is the input. Deterministic for fixed (docs, n, seed).
+    Vitter's Algorithm R: the first n positions fill the reservoir, and
+    each later position i replaces a random slot with probability
+    n / (i + 1). Only the n positions are kept, never the documents.
+    Deterministic for fixed (docs, n, seed).
 
     Raises:
         InsufficientDocuments: if n exceeds the number of documents.
@@ -305,20 +312,37 @@ def split_validation(
         raise ValueError("n must be non-negative")
     rng = random.Random(seed)
     reservoir: list[int] = []
-    everything: list[RawDocument] = []
-    for i, doc in enumerate(docs):
-        everything.append(doc)
+    count = 0
+    for i, _ in enumerate(docs):
+        count += 1
         if i < n:
             reservoir.append(i)
         else:
             j = rng.randint(0, i)
             if j < n:
                 reservoir[j] = i
-    if len(everything) < n:
+    if count < n:
         raise InsufficientDocuments(
-            f"requested a validation split of {n} from {len(everything)} documents"
+            f"requested a validation split of {n} from {count} documents"
         )
-    chosen = set(reservoir)
+    return set(reservoir)
+
+
+def split_validation(
+    docs: Iterable[RawDocument], n: int, seed: int
+) -> tuple[list[RawDocument], list[RawDocument]]:
+    """Partition documents into (train, validation) with |validation| = n.
+
+    The validation set is the uniform sample without replacement that
+    `validation_indices` draws, so the selection also works when `docs`
+    is a stream. Both partitions keep the input order; they are disjoint
+    and their union is the input. Deterministic for fixed (docs, n, seed).
+
+    Raises:
+        InsufficientDocuments: if n exceeds the number of documents.
+    """
+    everything = list(docs)
+    chosen = validation_indices(everything, n, seed)
     validation = [doc for i, doc in enumerate(everything) if i in chosen]
     train = [doc for i, doc in enumerate(everything) if i not in chosen]
     return train, validation

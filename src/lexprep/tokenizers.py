@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import NamedTuple, Protocol, Sequence, runtime_checkable
+from collections.abc import Iterator, Sequence
+from typing import NamedTuple, Protocol, runtime_checkable
 
 
 class Token(NamedTuple):
@@ -48,7 +49,11 @@ class TokenizerInterface(Protocol):
     the ids of tokenize(text) grouped into words, one tuple per word, each
     starting at a word-start token. Chunking and chunk records use it when
     present and build no Token objects; without it they group the
-    tokens of `tokenize` by their word-start flags. `reserved_special_count`
+    tokens of `tokenize` by their word-start flags. It may also provide
+    `iter_tokens(text) -> Iterator[Token]`: the tokens of tokenize(text),
+    drawn one at a time. The chunker cuts an oversized sentence from it,
+    holding at most budget + 1 tokens at once; without it the sentence's
+    `tokenize` list goes through the same cut. `reserved_special_count`
     is how many special tokens the tokenizer adds per sequence (0 for the
     reference tokenizer); chunk packing budgets content tokens against
     max_tokens minus this count.
@@ -125,8 +130,9 @@ class VocabTokenizer:
     `encode` is the fast path: one tuple of piece ids per word, looked up
     in a table from each word seen to its ids, so a repeated word is
     segmented once. The table holds ids only (no pieces, offsets or
-    flags) and is cleared when it reaches 65,536 words; `tokenize`
-    rebuilds full tokens from the same ids.
+    flags) and is cleared when it reaches 65,536 words. `iter_tokens`
+    rebuilds full tokens from the same ids, one at a time, and `tokenize`
+    lists them.
     """
 
     reserved_special_count = 0
@@ -179,9 +185,8 @@ class VocabTokenizer:
                     encoded[i] = segment(words[i])
         return encoded
 
-    def tokenize(self, text: str) -> list[Token]:
-        tokens: list[Token] = []
-        append = tokens.append
+    def iter_tokens(self, text: str) -> Iterator[Token]:
+        """The tokens of `text`, one at a time, as `tokenize` lists them."""
         lookup = self._word_ids.get
         pieces = self._pieces
         for match in _WORD_OR_MARK.finditer(text):
@@ -190,14 +195,16 @@ class VocabTokenizer:
             ids = lookup(word) or self._segment(word)
             if len(ids) == 1:
                 # A one-token word is its own piece, known or [UNK].
-                append(_new_token(Token, (ids[0], True, word, pos)))
+                yield _new_token(Token, (ids[0], True, word, pos))
                 continue
             offset = 0
             for piece_id in ids:
                 piece = word[offset] if piece_id == UNK else pieces[piece_id]
-                append(_new_token(Token, (piece_id, offset == 0, piece, pos + offset)))
+                yield _new_token(Token, (piece_id, offset == 0, piece, pos + offset))
                 offset += len(piece)
-        return tokens
+
+    def tokenize(self, text: str) -> list[Token]:
+        return list(self.iter_tokens(text))
 
     def _segment(self, word: str) -> tuple[int, ...]:
         """Greedy longest-match ids of a word missing from the table."""

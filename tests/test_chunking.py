@@ -489,13 +489,46 @@ class TestHardSplit:
     @staticmethod
     def _both(tokenizer, sentence, budget):
         tokens = tokenizer.tokenize(sentence)
-        counting = Counting(tokenizer)
-        fast = _hard_split(sentence, tokens, budget, counting, "h")
         slow = _reference_hard_split(sentence, tokens, budget, tokenizer, "h")
-        assert [(text, words) for text, words in fast] == [
-            (text, _grouped_ids(piece)) for text, piece in slow
-        ]
+        expected = [(text, _grouped_ids(piece)) for text, piece in slow]
+        counting = Counting(tokenizer)
+        fast = list(_hard_split(sentence, tokens, budget, counting, "h"))
+        assert fast == expected
+        # A one-shot iterator gives the same pieces: the window never rewinds.
+        streamed = _hard_split(sentence, iter(tokens), budget, tokenizer, "h")
+        assert list(streamed) == expected
         return fast, counting.calls
+
+    @pytest.mark.parametrize("budget", [1, 16, 100, 512])
+    def test_draws_at_most_budget_plus_one_tokens_ahead(self, tokenizer, budget):
+        sentence = "Antes de la " + _HUGE_WORD + " y después, " + _sentence_of(
+            3 * budget
+        )
+        tokens = tokenizer.tokenize(sentence)
+        index_at = {token.start: i for i, token in enumerate(tokens)}
+        drawn = 0
+
+        def one_shot():
+            nonlocal drawn
+            for token in tokens:
+                drawn += 1
+                yield token
+
+        offset = 0
+        for text, _ in _hard_split(sentence, one_shot(), budget, tokenizer, "w"):
+            begin = sentence.index(text, offset)
+            offset = begin + len(text)
+            assert drawn <= index_at[begin] + budget + 1
+        assert drawn == len(tokens)
+
+    def test_lazy_tokenizer_failure_carries_doc_id(self, tokenizer):
+        def failing():
+            yield from tokenizer.tokenize("de la ley")
+            raise RuntimeError("boom")
+
+        with pytest.raises(TokenizerFailure) as excinfo:
+            list(_hard_split("de la ley y más", failing(), 2, tokenizer, "doc-3"))
+        assert "doc-3" in str(excinfo.value)
 
     @pytest.mark.parametrize("budget", [16, 100, 512])
     def test_matches_reference_with_huge_word(self, tokenizer, budget):

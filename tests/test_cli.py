@@ -2,12 +2,13 @@
 
 import json
 import math
+import random
 
 import pytest
 
 from lexprep.chunking import chunk_from_record
 from lexprep.cli import main
-from lexprep.corpus import read_documents
+from lexprep.corpus import document_to_line, read_documents
 from lexprep.langid import load_profiles
 
 from .conftest import doc_record, write_jsonl
@@ -297,6 +298,66 @@ class TestSplitValidation:
         valid_ids = {doc.id for doc in read_documents(valid_path)}
         assert not train_ids & valid_ids
         assert len(train_ids | valid_ids) == 10
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_matches_single_pass_selection(self, tmp_path, capsys, seed):
+        lines = [
+            json.dumps(doc_record(f"d-{i}", f"Texto número {i}."), ensure_ascii=False)
+            for i in range(40)
+        ]
+        lines.insert(17, '{"id": "broken", "text": "sin cierre')
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        train_path, valid_path = tmp_path / "train.jsonl", tmp_path / "valid.jsonl"
+        code, out = run_cli(
+            capsys,
+            "--seed",
+            str(seed),
+            "split-validation",
+            str(path),
+            str(train_path),
+            str(valid_path),
+            "--count",
+            "6",
+        )
+        assert code == 0
+        train, validation = _reference_split(read_documents(path), 6, seed)
+        assert last_json(out) == {"train": 34, "validation": 6}
+        for written, docs in ((train_path, train), (valid_path, validation)):
+            expected = "".join(document_to_line(doc) + "\n" for doc in docs)
+            assert written.read_text(encoding="utf-8") == expected
+
+    def test_too_few_documents_is_a_data_error(self, corpus_path, tmp_path, capsys):
+        code, _ = run_cli(
+            capsys,
+            "split-validation",
+            str(corpus_path),
+            str(tmp_path / "train.jsonl"),
+            str(tmp_path / "valid.jsonl"),
+            "--count",
+            "11",
+        )
+        assert code == 2
+        assert not (tmp_path / "train.jsonl").exists()
+
+
+def _reference_split(docs, n, seed):
+    """The single-pass split that held every document: Algorithm R inline."""
+    rng = random.Random(seed)
+    reservoir, everything = [], []
+    for i, doc in enumerate(docs):
+        everything.append(doc)
+        if i < n:
+            reservoir.append(i)
+        else:
+            j = rng.randint(0, i)
+            if j < n:
+                reservoir[j] = i
+    chosen = set(reservoir)
+    train = [doc for i, doc in enumerate(everything) if i not in chosen]
+    validation = [doc for i, doc in enumerate(everything) if i in chosen]
+    return train, validation
 
 
 class TestLrCurve:

@@ -140,6 +140,33 @@ def test_compute_stats_with_tokenizer(tokenizer):
     assert stats.total_tokens == len(tokenizer.tokenize("de la ley"))
 
 
+class _TokenizeOnly:
+    """The reference tokenizer without `encode`."""
+
+    def __init__(self, inner):
+        self.tokenize = inner.tokenize
+
+
+# The shapes raw dumps carry: blank and punctuation-only bodies, unusual
+# Unicode, a glued run of letters, and a long line with no sentence end.
+_TOKEN_COUNT_TEXTS = [
+    "",
+    "   \n\t ",
+    "... ¿¡ !!! --- ;;; «» (...) ¿? ¡! …",
+    "x² y³ café mar_azul ½ Ⅻ e\u0301 правило 1.º",
+    "Véase " + "prescripciónjurídica" * 1000 + ".",
+    " ".join(["la ley de la administración del estado"] * 2000),
+]
+
+
+def test_compute_stats_counts_the_tokens_tokenize_lists(tokenizer):
+    docs = [make_doc(str(i), text) for i, text in enumerate(_TOKEN_COUNT_TEXTS)]
+    expected = sum(len(tokenizer.tokenize(text)) for text in _TOKEN_COUNT_TEXTS)
+    assert compute_stats(docs, tokenizer=tokenizer).total_tokens == expected
+    slow = compute_stats(docs, tokenizer=_TokenizeOnly(tokenizer))
+    assert slow.total_tokens == expected
+
+
 @given(
     st.lists(
         st.tuples(st.sampled_from(["A", "B", "C"]), st.text(max_size=20)), max_size=30

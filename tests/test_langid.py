@@ -1,5 +1,7 @@
 """Character n-gram language identification and the Spanish gate."""
 
+import random
+import tracemalloc
 from collections import Counter
 from importlib import resources
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from lexprep.errors import EmptyText, NoProfiles
 from lexprep.langid import (
     DEFAULT_THRESHOLD,
+    LONG_WORD,
     NGRAM_MAX,
     NGRAM_MIN,
     PROFILE_SIZE,
@@ -68,6 +71,11 @@ _LANGID_WORDS = st.sampled_from(
 _langid_text = st.one_of(
     st.lists(_LANGID_WORDS, max_size=60).map(" ".join),
     st.text(max_size=80),
+    # Glued runs of letters about LONG_WORD long, the first one repeated.
+    st.lists(
+        st.text(st.sampled_from("abcñé"), min_size=LONG_WORD - 2, max_size=150),
+        max_size=4,
+    ).map(lambda words: " ".join(words + words[:1])),
 )
 
 
@@ -113,6 +121,25 @@ class TestNgramsMatchReference:
 
 
 class TestNgrams:
+    def test_huge_word_counted_in_memory_for_its_distinct_grams(self):
+        seed = resources.files("lexprep").joinpath("data/seed/es.txt")
+        words = _normalize(seed.read_text(encoding="utf-8"))
+        rng = random.Random(5)
+        glued = ""
+        while len(glued) < 100_000:
+            glued += rng.choice(words)
+        text = f"Véase {glued[:100_000]}."
+        tracemalloc.start()
+        try:
+            counts = text_ngrams(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A word of n letters has 5n - 2 grams.
+        assert sum(counts.values()) == (5 * 100_000 - 2) + (5 * 5 - 2)
+        # Listing all 500,000 grams of the word at once peaks near 27 MB.
+        assert peak < 8 * 2**20
+
     def test_gram_lengths_bounded(self):
         for gram in text_ngrams("Boletín Oficial del Estado"):
             assert NGRAM_MIN <= len(gram) <= NGRAM_MAX
