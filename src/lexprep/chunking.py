@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from typing import TypeVar
 
-from .corpus import RawDocument
-from .errors import TokenizerFailure
+from .corpus import RawDocument, parse_records
+from .errors import MalformedRecord, TokenizerFailure
 from .tokenizers import Token, TokenizerInterface
 
 _T = TypeVar("_T")
@@ -346,6 +346,31 @@ def chunk_document(
     return pack_chunks(
         split_sentences(doc.text), tokenizer, max_tokens=max_tokens, doc_id=doc.id
     )
+
+
+def validate_chunk_record(record: object) -> dict:
+    """The record itself if it has the fields of a chunk record."""
+    if not isinstance(record, dict):
+        raise ValueError("record must be a JSON object")
+    for name, kind in (("doc_id", str), ("seq", int), ("text", str)):
+        if not isinstance(record.get(name), kind):
+            raise ValueError(f"field {name!r} must be a {kind.__name__}")
+    token_count = record.get("token_count")
+    if token_count is not None and not isinstance(token_count, int):
+        raise ValueError("field 'token_count' must be an int")
+    return record
+
+
+def read_chunk_records(
+    path,
+    strict: bool = False,
+    error_sink: list[MalformedRecord] | None = None,
+) -> Iterator[dict]:
+    """Stream the checked chunk records of a JSONL file, as `read_documents`."""
+    with open(path, encoding="utf-8") as handle:
+        checked = parse_records(handle, validate_chunk_record, strict, error_sink)
+        for _, record in checked:
+            yield record
 
 
 def chunk_from_record(record: dict, tokenizer: TokenizerInterface) -> Chunk:

@@ -10,34 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from pathlib import Path
 
-from .chunking import DEFAULT_MAX_TOKENS, chunk_document, chunk_from_record
-from .cleaning import CleanPolicy, clean_text
+from .chunking import DEFAULT_MAX_TOKENS
+from .cleaning import CleanPolicy
 from .corpus import (
     compute_stats,
     document_to_line,
-    parse_records,
     read_documents,
     validation_indices,
 )
 from .errors import LexprepError, MalformedRecord
-from .langid import (
-    DEFAULT_THRESHOLD,
-    build_profiles_from_dir,
-    builtin_profiles,
-    gate,
-    load_profiles,
-    save_profiles,
-)
+from .langid import DEFAULT_THRESHOLD, build_profiles_from_dir, save_profiles
 from .masking import (
     DEFAULT_KEEP_PROB,
     DEFAULT_MASK_PROB,
     DEFAULT_MASK_RATE,
     DEFAULT_RANDOM_PROB,
-    IGNORE_LABEL,
     MaskingConfig,
-    mask_chunk,
 )
 from .metrics import (
     build_report,
@@ -47,7 +39,7 @@ from .metrics import (
     load_predictions_jsonl,
     write_report_csv,
 )
-from .pipeline import PipelineManifest, run_pipeline
+from .pipeline import PipelineManifest, run_pipeline, run_stages
 from .schedule import (
     DEFAULT_LR_PEAK,
     DEFAULT_WARMUP_FRAC,
@@ -65,14 +57,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _load_tokenizer(path: str | None) -> VocabTokenizer:
-    return VocabTokenizer.from_file(path) if path else VocabTokenizer()
-
-
-def _load_lang_profiles(path: str | None):
-    return load_profiles(path) if path else list(builtin_profiles())
 
 
 def _emit(record: dict) -> None:
@@ -93,7 +77,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    tokenizer = _load_tokenizer(args.tokenizer) if args.tokenizer else None
+    tokenizer = VocabTokenizer.from_file(args.tokenizer) if args.tokenizer else None
     stats = compute_stats(
         read_documents(args.input, strict=args.strict), tokenizer=tokenizer
     )
@@ -108,28 +92,33 @@ def _cmd_build_profiles(args) -> int:
     return 0
 
 
-def _cmd_filter_lang(args) -> int:
-    profiles = _load_lang_profiles(args.profiles)
-    rejected_path = args.rejected or args.output + ".rejected.jsonl"
-    kept = rejected = 0
-    with open(args.output, "w", encoding="utf-8") as out, open(
-        rejected_path, "w", encoding="utf-8"
-    ) as rej:
-        for doc in read_documents(args.input, strict=args.strict):
-            ok, verdict = gate(
-                doc.text, profiles, language=args.language, threshold=args.threshold
-            )
-            if ok:
-                out.write(document_to_line(doc) + "\n")
-                kept += 1
-            else:
-                record = doc.to_record()
-                record["verdict_language"] = verdict.language
-                record["verdict_confidence"] = round(verdict.confidence, 6)
-                rej.write(json.dumps(record, ensure_ascii=False) + "\n")
-                rejected += 1
-    _emit({"in": kept + rejected, "kept": kept, "rejected": rejected})
+def _run_stage(args, name: str, summary: dict, rejected=os.devnull, **settings) -> int:
+    """Run one stage from args.input to args.output and print its summary.
+
+    `summary` maps each key printed to the report tally it shows.
+    """
+    output = Path(args.output)
+    # The manifest carries the settings; its stage list stays empty, since
+    # a lone mask stage is no valid manifest.
+    manifest = PipelineManifest(
+        Path(args.input), output.parent, stages=(), seed=args.seed, **settings
+    )
+    paths = (output, Path(rejected))
+    (report,), _ = run_stages(manifest, [(name, paths)], args.strict, args.jobs)
+    _emit({key: report[tally] for key, tally in summary.items()})
     return 0
+
+
+def _cmd_filter_lang(args) -> int:
+    return _run_stage(
+        args,
+        "filter-lang",
+        {"in": "in", "kept": "out", "rejected": "rejected"},
+        rejected=args.rejected or args.output + ".rejected.jsonl",
+        language=args.language,
+        threshold=args.threshold,
+        profiles_path=args.profiles,
+    )
 
 
 def _cmd_clean(args) -> int:
@@ -139,69 +128,24 @@ def _cmd_clean(args) -> int:
         strip_control=not args.keep_control,
         trim_ends=not args.keep_ends,
     )
-    count = 0
-    with open(args.output, "w", encoding="utf-8") as out:
-        for doc in read_documents(args.input, strict=args.strict):
-            cleaned = doc.replace_text(clean_text(doc.text, policy))
-            out.write(document_to_line(cleaned) + "\n")
-            count += 1
-    _emit({"documents": count})
-    return 0
+    return _run_stage(args, "clean", {"documents": "out"}, clean_policy=policy)
 
 
 def _cmd_chunk(args) -> int:
-    tokenizer = _load_tokenizer(args.tokenizer)
-    docs = chunks = empty = tokens_total = 0
-    with open(args.output, "w", encoding="utf-8") as out:
-        for doc in read_documents(args.input, strict=args.strict):
-            docs += 1
-            produced = chunk_document(doc, tokenizer, max_tokens=args.max_tokens)
-            if not produced:
-                empty += 1
-                continue
-            for chunk in produced:
-                out.write(json.dumps(chunk.to_record(), ensure_ascii=False) + "\n")
-                chunks += 1
-                tokens_total += chunk.token_count
-    _emit(
-        {
-            "documents": docs,
-            "chunks": chunks,
-            "empty_documents": empty,
-            "tokens_total": tokens_total,
-        }
+    # An empty document is counted, not written to a rejection file.
+    summary = {
+        "documents": "in",
+        "chunks": "out",
+        "empty_documents": "rejected",
+        "tokens_total": "tokens_total",
+    }
+    return _run_stage(
+        args,
+        "chunk",
+        summary,
+        max_tokens=args.max_tokens,
+        tokenizer_path=args.tokenizer,
     )
-    return 0
-
-
-_MASK_WORKER: dict = {}
-
-
-def _init_mask_worker(tokenizer_path: str | None, config: MaskingConfig) -> None:
-    _MASK_WORKER["tokenizer"] = _load_tokenizer(tokenizer_path)
-    _MASK_WORKER["config"] = config
-
-
-def _mask_one_record(record: dict) -> tuple[str, int]:
-    tokenizer = _MASK_WORKER["tokenizer"]
-    config = _MASK_WORKER["config"]
-    chunk = chunk_from_record(record, tokenizer)
-    example = mask_chunk(chunk, tokenizer, config)
-    selected = sum(1 for label in example.labels if label != IGNORE_LABEL)
-    return json.dumps(example.to_record(), ensure_ascii=False), selected
-
-
-def _chunk_record(record: object) -> dict:
-    """The record itself if it has the fields of a chunk record."""
-    if not isinstance(record, dict):
-        raise ValueError("record must be a JSON object")
-    for name, kind in (("doc_id", str), ("seq", int), ("text", str)):
-        if not isinstance(record.get(name), kind):
-            raise ValueError(f"field {name!r} must be a {kind.__name__}")
-    token_count = record.get("token_count")
-    if token_count is not None and not isinstance(token_count, int):
-        raise ValueError("field 'token_count' must be an int")
-    return record
 
 
 def _cmd_mask(args) -> int:
@@ -210,49 +154,15 @@ def _cmd_mask(args) -> int:
         mask_prob=args.mask_prob,
         random_prob=args.random_prob,
         keep_prob=args.keep_prob,
-        seed=args.seed,
     )
-    errors: list[MalformedRecord] = []
-    examples = masked_positions = 0
-    with open(args.input, encoding="utf-8") as lines, open(
-        args.output, "w", encoding="utf-8"
-    ) as out:
-        records = (
-            record
-            for _, record in parse_records(lines, _chunk_record, args.strict, errors)
-        )
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Per-chunk RNG derivation makes parallel output identical to
-            # serial, so workers can mask independently in input order.
-            with ProcessPoolExecutor(
-                max_workers=args.jobs,
-                initializer=_init_mask_worker,
-                initargs=(args.tokenizer, config),
-            ) as pool:
-                results = pool.map(_mask_one_record, records, chunksize=64)
-                for line, selected in results:
-                    out.write(line + "\n")
-                    examples += 1
-                    masked_positions += selected
-        else:
-            _init_mask_worker(args.tokenizer, config)
-            for record in records:
-                line, selected = _mask_one_record(record)
-                out.write(line + "\n")
-                examples += 1
-                masked_positions += selected
-    for err in errors:
-        LOG.warning("skipped line %d: %s", err.line_number, err.reason)
-    _emit(
-        {
-            "examples": examples,
-            "masked_positions": masked_positions,
-            "skipped": len(errors),
-        }
+    summary = {
+        "examples": "out",
+        "masked_positions": "masked_positions",
+        "skipped": "malformed",
+    }
+    return _run_stage(
+        args, "mask", summary, tokenizer_path=args.tokenizer, masking=config
     )
-    return 0
 
 
 def _cmd_split_validation(args) -> int:
@@ -330,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort on the first malformed record instead of skipping it",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes for mask"
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for filter-lang, clean, chunk and mask",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -354,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--language", default="es", help="language code to keep")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--profiles", help="profiles JSONL (default: bundled)")
+    p.add_argument("--profiles", type=Path, help="profiles JSONL (default: bundled)")
     p.add_argument("--rejected", help="audit stream path (default: OUTPUT.rejected.jsonl)")
     p.set_defaults(func=_cmd_filter_lang)
 
@@ -371,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
-    p.add_argument("--tokenizer", help="vocabulary file (default: bundled)")
+    p.add_argument("--tokenizer", type=Path, help="vocabulary file (default: bundled)")
     p.set_defaults(func=_cmd_chunk)
 
     p = sub.add_parser("mask", help="whole-word masking over chunks")
@@ -381,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-prob", type=float, default=DEFAULT_MASK_PROB)
     p.add_argument("--random-prob", type=float, default=DEFAULT_RANDOM_PROB)
     p.add_argument("--keep-prob", type=float, default=DEFAULT_KEEP_PROB)
-    p.add_argument("--tokenizer", help="vocabulary file (default: bundled)")
+    p.add_argument("--tokenizer", type=Path, help="vocabulary file (default: bundled)")
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("split-validation", help="reserve a uniform validation sample")
@@ -423,6 +337,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except (LexprepError, OSError, ValueError, KeyError) as exc:

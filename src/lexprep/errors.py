@@ -83,3 +83,7 @@ class StageFailure(LexprepError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # Rebuilt from its fields when a worker process sends it back.
+        return type(self), (self.stage, self.cause)

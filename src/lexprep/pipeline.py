@@ -9,6 +9,8 @@ rejection lines (one numbered file each) as it produces them. The files
 are written under temporary names and renamed into place together once
 the pass has finished, so a run that fails publishes no stage file.
 Re-running a manifest over the same input writes byte-identical files.
+Each stage subcommand of the CLI is the same pass over one stage, with
+the paths it is given (`run_stages`).
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-# bench/trace_run.py rebinds each layer's functions by their names in this
-# module, chunk_from_record among them, although the run no longer calls it.
-from .chunking import (  # noqa: F401
+from .chunking import (
     DEFAULT_MAX_TOKENS,
     Chunk,
     chunk_document,
     chunk_from_record,
+    read_chunk_records,
 )
 from .cleaning import CleanPolicy, clean_text
 from .corpus import (
@@ -223,11 +224,13 @@ def _chunk(
 def _mask(
     manifest: PipelineManifest,
     masker: tuple[VocabTokenizer, MaskingConfig],
-    chunk: Chunk,
+    chunk: Chunk | dict,
 ) -> _StageResult:
-    # The chunk comes from the chunk stage in memory and carries its token
-    # ids, so it is neither decoded nor tokenized again.
+    # A chunk from the chunk stage in memory carries its token ids, so it is
+    # neither decoded nor tokenized again; a record read from a chunk file is.
     tokenizer, config = masker
+    if isinstance(chunk, dict):
+        chunk = chunk_from_record(chunk, tokenizer)
     return [mask_chunk(chunk, tokenizer, config)], None
 
 
@@ -256,6 +259,13 @@ _OUTPUT_TALLIES = {
 }
 
 
+def _temp_path(path: Path) -> Path:
+    # A symlink, device or pipe is written through, not replaced by a rename.
+    if path.is_symlink() or path.exists() and not path.is_file():
+        return path
+    return path.with_name(f".{path.name}.tmp")
+
+
 def _to_line(record) -> str:
     if isinstance(record, RawDocument):
         return document_to_line(record)
@@ -263,13 +273,14 @@ def _to_line(record) -> str:
 
 
 class _StagePass:
-    """One stage during a run: its runner, set-up, open files and tallies.
+    """One stage during a run: its runner, set-up, files and tallies.
 
-    Both files are written under temporary names in the output directory;
-    `publish` renames them into place.
+    Calling it runs the stage on one record. `paths` holds the output and
+    the rejection file (os.devnull to only count rejections); `_temp_path`
+    says where each is written until `publish`.
     """
 
-    def __init__(self, manifest: PipelineManifest, index: int, name: str):
+    def __init__(self, manifest: PipelineManifest, name: str, paths=()):
         self.manifest = manifest
         self.name = name
         # Looked up when the run starts, so a runner replaced in the map
@@ -279,14 +290,20 @@ class _StagePass:
             self.setup = _STAGE_SETUP[name](manifest)
         except Exception as exc:
             raise StageFailure(name, exc) from exc
-        self.output = manifest.output_dir / f"{index:02d}-{name}.jsonl"
-        rejected = manifest.output_dir / f"{index:02d}-{name}.rejected.jsonl"
-        self.finals = (self.output, rejected)
-        self.temps = tuple(path.with_name(f".{path.name}.tmp") for path in self.finals)
+        self.finals = paths
+        self.temps = tuple(map(_temp_path, paths))
         self.tallies = {"in": 0, "out": 0, "rejected": 0}
         self.extra = _OUTPUT_TALLIES.get(name)
         if self.extra is not None:
             self.tallies[self.extra[0]] = 0
+        # Set on the last document stage of a run, to count what it keeps.
+        self.stats: CorpusStats | None = None
+
+    def __call__(self, record) -> _StageResult:
+        try:
+            return self.runner(self.manifest, self.setup, record)
+        except Exception as exc:
+            raise StageFailure(self.name, exc) from exc
 
     def open(self, stack: ExitStack) -> None:
         self.out_handle, self.rej_handle = (
@@ -294,63 +311,99 @@ class _StagePass:
             for path in self.temps
         )
 
+    def write(self, result: _StageResult) -> list:
+        """Write and count one record's result; return its outputs."""
+        outputs, rejection = result
+        self.tallies["in"] += 1
+        for output in outputs:
+            self.out_handle.write(_to_line(output) + "\n")
+        self.tallies["out"] += len(outputs)
+        if self.extra is not None:
+            key, amount = self.extra
+            self.tallies[key] += sum(map(amount, outputs))
+        if self.stats is not None:
+            for doc in outputs:
+                self.stats.add(doc)
+        if rejection is not None:
+            self.rej_handle.write(json.dumps(rejection, ensure_ascii=False) + "\n")
+            self.tallies["rejected"] += 1
+        return outputs
+
     def feed(self, records: list) -> list:
         """Run the stage on each record, write its lines, return its outputs."""
         passed = []
-        tallies = self.tallies
-        try:
-            for record in records:
-                outputs, rejection = self.runner(self.manifest, self.setup, record)
-                tallies["in"] += 1
-                for output in outputs:
-                    self.out_handle.write(_to_line(output) + "\n")
-                if self.extra is not None:
-                    key, amount = self.extra
-                    tallies[key] += sum(amount(output) for output in outputs)
-                tallies["out"] += len(outputs)
-                passed += outputs
-                if rejection is not None:
-                    line = json.dumps(rejection, ensure_ascii=False)
-                    self.rej_handle.write(line + "\n")
-                    tallies["rejected"] += 1
-        except Exception as exc:
-            raise StageFailure(self.name, exc) from exc
+        for record in records:
+            passed += self.write(self(record))
         return passed
 
     def discard(self) -> None:
-        for path in self.temps:
-            path.unlink(missing_ok=True)
+        for temp, final in zip(self.temps, self.finals):
+            if temp != final:
+                temp.unlink(missing_ok=True)
 
     def publish(self) -> None:
         for temp, final in zip(self.temps, self.finals):
-            os.replace(temp, final)
+            if temp != final:
+                os.replace(temp, final)
 
 
-def _run_stages(
-    manifest: PipelineManifest, strict: bool, stats_before: CorpusStats
-) -> tuple[list[dict], CorpusStats]:
-    """The single pass: every document through every stage, then publish."""
-    stages = [
-        _StagePass(manifest, index, name)
-        for index, name in enumerate(manifest.stages, start=1)
-    ]
-    # validate_stages puts the document stages first.
-    last_doc_stage = sum(name in _DOC_STAGES for name in manifest.stages) - 1
-    stats_after = CorpusStats() if last_doc_stage >= 0 else stats_before
+# Set only in a `jobs > 1` worker process, by its initializer: the first stage.
+_worker_stage: _StagePass | None = None
+
+
+def _start_worker(manifest: PipelineManifest, name: str) -> None:
+    global _worker_stage
+    _worker_stage = _StagePass(manifest, name)
+
+
+def _run_in_worker(record) -> _StageResult:
+    return _worker_stage(record)
+
+
+def run_stages(
+    manifest: PipelineManifest,
+    plan: list[tuple[str, tuple[Path, ...]]],
+    strict: bool = False,
+    jobs: int = 1,
+) -> tuple[list[dict], CorpusStats | None]:
+    """The single pass: every input record through every stage, then publish.
+
+    `plan` lists each stage with its paths (see `_StagePass`); the manifest
+    gives the input and the settings. Returns the stage reports and the
+    stats of what the last document stage kept (None without one).
+    """
+    stages = [_StagePass(manifest, name, paths) for name, paths in plan]
+    doc_stages = [stage for stage in stages if stage.name in _DOC_STAGES]
+    stats = None
+    if doc_stages:
+        stats = doc_stages[-1].stats = CorpusStats()
+    first = stages[0]
     malformed: list[MalformedRecord] = []
     try:
         with ExitStack() as stack:
             for stage in stages:
                 stage.open(stack)
-            for doc in read_documents(
-                manifest.input_path, strict=strict, error_sink=malformed
-            ):
-                records = [doc]
-                for position, stage in enumerate(stages):
-                    records = stage.feed(records)
-                    if position == last_doc_stage:
-                        for kept in records:
-                            stats_after.add(kept)
+            read = read_chunk_records if first.name == "mask" else read_documents
+            records = read(manifest.input_path, strict=strict, error_sink=malformed)
+            results = map(first, records)
+            if jobs > 1:
+                # Imported here so that a serial run never loads the pool.
+                # Each record is mapped alone (masking seeds its RNG per
+                # chunk), so the workers' results equal the serial ones.
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(
+                    jobs, initializer=_start_worker, initargs=(manifest, first.name)
+                )
+                results = stack.enter_context(pool).map(
+                    _run_in_worker, records, chunksize=64
+                )
+            for result in results:
+                batch = first.write(result)
+                for stage in stages[1:]:
+                    batch = stage.feed(batch)
+                # Keep peak memory at one record's: drop its outputs first.
+                del result, batch
     except BaseException:
         for stage in stages:
             stage.discard()
@@ -360,11 +413,11 @@ def _run_stages(
     for err in malformed:
         LOG.warning("skipped line %d: %s", err.line_number, err.reason)
     reports = [
-        {"name": stage.name, "output": stage.output.name, **stage.tallies}
+        {"name": stage.name, "output": stage.finals[0].name, **stage.tallies}
         for stage in stages
     ]
     reports[0]["malformed"] = len(malformed)
-    return reports, stats_after
+    return reports, stats
 
 
 def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
@@ -381,7 +434,13 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
     stats_before = compute_stats(read_documents(manifest.input_path, strict=strict))
 
     if manifest.stages:
-        stage_reports, stats_after = _run_stages(manifest, strict, stats_before)
+        plan = []
+        for index, name in enumerate(manifest.stages, start=1):
+            stem = f"{index:02d}-{name}"
+            names = (f"{stem}.jsonl", f"{stem}.rejected.jsonl")
+            plan.append((name, tuple(manifest.output_dir / n for n in names)))
+        stage_reports, stats_after = run_stages(manifest, plan, strict)
+        stats_after = stats_after or stats_before
         final_output = stage_reports[-1]["output"]
     else:
         final_output = "00-input.jsonl"

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior and exit-code contract."""
 
 import json
+import logging
 import math
 import random
 
@@ -47,6 +48,8 @@ class TestUsageErrors:
             ["eval", "--curves", "x", "--predictions", "y"],
             ["eval", "--curves", "x", "--format", "xml"],
             ["--jobs", "two", "ingest", "a", "b"],
+            ["--jobs", "0", "ingest", "a", "b"],
+            ["--jobs", "-3", "ingest", "a", "b"],
         ],
     )
     def test_exit_code_one(self, argv):
@@ -647,3 +650,101 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+class TestStageCommandsShareTheRunPass:
+    """filter-lang, clean, chunk and mask are one-stage runs of `lexprep run`."""
+
+    _DOC_COMMANDS = ["filter-lang", "clean", "chunk"]
+
+    @pytest.mark.parametrize("command", _DOC_COMMANDS)
+    def test_lenient_run_warns_once_per_skipped_line(
+        self, tmp_path, capsys, caplog, command
+    ):
+        path = tmp_path / "in.jsonl"
+        lines = [json.dumps(doc_record("a", ES_SNIPPETS[0])), "not json", "[1]"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="lexprep"):
+            code, out = run_cli(capsys, command, str(path), str(tmp_path / "out.jsonl"))
+        assert code == 0
+        messages = [record.getMessage() for record in caplog.records]
+        assert [message.split(":")[0] for message in messages] == [
+            "skipped line 2",
+            "skipped line 3",
+        ]
+        assert "malformed" not in last_json(out)
+
+    @pytest.mark.parametrize("command", _DOC_COMMANDS)
+    def test_strict_run_rejects_a_duplicate_id(
+        self, tmp_path, capsys, caplog, command
+    ):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record("a", ES_SNIPPETS[0]), doc_record("a", "Otro.")])
+        out_path = tmp_path / "out.jsonl"
+        code, _ = run_cli(capsys, "--strict", command, str(path), str(out_path))
+        assert code == 2
+        assert "duplicate document id 'a' at line 2" in caplog.text
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_mask_publishes_nothing(self, tmp_path, capsys, caplog, jobs):
+        chunks = TestMask()._chunks_file(tmp_path, capsys)
+        lines = chunks.read_text("utf-8").splitlines()
+        assert len(lines) >= 3
+        record = json.loads(lines[2])
+        record["token_count"] += 1
+        lines[2] = json.dumps(record, ensure_ascii=False)
+        chunks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_path = tmp_path / "examples.jsonl"
+        code, _ = run_cli(capsys, "--jobs", jobs, "mask", str(chunks), str(out_path))
+        assert code == 2
+        assert "stage 'mask' failed: chunk d" in caplog.text
+        assert not out_path.exists()
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+    def test_chunk_counts_empty_documents_without_a_rejection_file(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record("full", ES_SNIPPETS[0]), doc_record("e", "  ")])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out = run_cli(capsys, "chunk", str(path), str(out_dir / "chunks.jsonl"))
+        assert code == 0
+        tallies = last_json(out)
+        assert (tallies["documents"], tallies["empty_documents"]) == (2, 1)
+        assert [p.name for p in out_dir.iterdir()] == ["chunks.jsonl"]
+
+    def test_symlinked_output_is_written_through_the_link(self, tmp_path, capsys):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record("a", "Hola   mundo.")])
+        target = tmp_path / "target.jsonl"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        code, _ = run_cli(capsys, "clean", str(path), str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text("utf-8"))["text"] == "Hola mundo."
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+    def test_stage_commands_match_across_jobs(self, corpus_path, tmp_path):
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs-{jobs}"
+            out.mkdir()
+            gated, cleaned = out / "gated.jsonl", out / "clean.jsonl"
+            chunks, examples = out / "chunks.jsonl", out / "examples.jsonl"
+            commands = [
+                ["filter-lang", corpus_path, gated],
+                ["clean", corpus_path, cleaned],
+                ["chunk", cleaned, chunks, "--max-tokens", "48"],
+                ["mask", chunks, examples],
+            ]
+            for argv in commands:
+                assert main(["--jobs", jobs, *map(str, argv)]) == 0
+
+        def files(root):
+            return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+        serial = files(tmp_path / "jobs-1")
+        assert "gated.jsonl.rejected.jsonl" in serial
+        assert files(tmp_path / "jobs-2") == serial
