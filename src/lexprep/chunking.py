@@ -22,7 +22,8 @@ from typing import TypeVar
 
 from .corpus import RawDocument, parse_records
 from .errors import MalformedRecord, TokenizerFailure
-from .tokenizers import Token, TokenizerInterface
+from .tokenizers import Token, TokenizerInterface, encoder, word_ids
+from .tokenizers import word_ranges  # noqa: F401  (re-exported)
 
 _T = TypeVar("_T")
 
@@ -133,35 +134,6 @@ class Chunk:
         }
 
 
-def word_ranges(tokens: list[Token]) -> tuple[tuple[int, int], ...]:
-    """Group token indices into word ranges via the word-start flags.
-
-    A leading continuation token (possible after a hard split) counts as
-    starting its own word.
-    """
-    if not tokens:
-        return ()
-    starts = [i for i, tok in enumerate(tokens) if tok.is_word_start]
-    if not starts or starts[0] != 0:
-        starts.insert(0, 0)
-    starts.append(len(tokens))
-    return tuple((starts[i], starts[i + 1]) for i in range(len(starts) - 1))
-
-
-def _word_ids(tokens: list[Token]) -> list[tuple[int, ...]]:
-    """The ids of `tokens`, one tuple per word range."""
-    ids = [tok.id for tok in tokens]
-    return [tuple(ids[start:end]) for start, end in word_ranges(tokens)]
-
-
-def _encoder(tokenizer: TokenizerInterface) -> Callable[[str], list[tuple[int, ...]]]:
-    """text -> per-word id tuples: the tokenizer's `encode`, if it has one."""
-    encode = getattr(tokenizer, "encode", None)
-    if encode is not None:
-        return encode
-    return lambda text: _word_ids(tokenizer.tokenize(text))
-
-
 def _make_chunk(
     doc_id: str, seq: int, text: str, words: list[tuple[int, ...]]
 ) -> Chunk:
@@ -246,7 +218,7 @@ def _hard_split(
                 raise TokenizerFailure(
                     doc_id, f"cannot fit a single token within budget {budget}"
                 )
-        yield piece_text, _word_ids(piece_tokens)
+        yield piece_text, word_ids(piece_tokens)
         del window[:cut]
 
 
@@ -280,7 +252,7 @@ def pack_chunks(
             f"max_tokens={max_tokens} leaves no room after {reserved} reserved tokens"
         )
     concat_stable = getattr(tokenizer, "concat_stable", False)
-    encode = _encoder(tokenizer)
+    encode = encoder(tokenizer)
     # An oversized sentence is cut from its tokens, drawn lazily if possible.
     token_source = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
     chunks: list[Chunk] = []
@@ -379,7 +351,7 @@ def chunk_from_record(record: dict, tokenizer: TokenizerInterface) -> Chunk:
     The stored token_count must match what the supplied tokenizer produces;
     a mismatch means the record was written with a different tokenizer.
     """
-    words = _encoder(tokenizer)(record["text"])
+    words = encoder(tokenizer)(record["text"])
     chunk = _make_chunk(record["doc_id"], int(record["seq"]), record["text"], words)
     stored = record.get("token_count")
     if stored is not None and int(stored) != chunk.token_count:

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .corpus import (
     document_to_line,
     read_documents,
     validation_indices,
+    write_documents,
 )
 from .errors import LexprepError, MalformedRecord
 from .langid import DEFAULT_THRESHOLD, build_profiles_from_dir, save_profiles
@@ -65,11 +67,8 @@ def _emit(record: dict) -> None:
 
 def _cmd_ingest(args) -> int:
     errors: list[MalformedRecord] = []
-    count = 0
-    with open(args.output, "w", encoding="utf-8") as out:
-        for doc in read_documents(args.input, strict=args.strict, error_sink=errors):
-            out.write(document_to_line(doc) + "\n")
-            count += 1
+    docs = read_documents(args.input, strict=args.strict, error_sink=errors)
+    count = write_documents(args.output, docs)
     for err in errors:
         LOG.warning("skipped line %d: %s", err.line_number, err.reason)
     _emit({"written": count, "skipped": len(errors)})
@@ -104,7 +103,7 @@ def _run_stage(args, name: str, summary: dict, rejected=os.devnull, **settings) 
         Path(args.input), output.parent, stages=(), seed=args.seed, **settings
     )
     paths = (output, Path(rejected))
-    (report,), _ = run_stages(manifest, [(name, paths)], args.strict, args.jobs)
+    (report,), _, _ = run_stages(manifest, [(name, paths)], args.strict, args.jobs)
     _emit({key: report[tally] for key, tally in summary.items()})
     return 0
 
@@ -167,7 +166,10 @@ def _cmd_mask(args) -> int:
 
 def _cmd_split_validation(args) -> int:
     # Two passes over the file, so only the sampled positions stay in
-    # memory: the first draws them, the second routes each document.
+    # memory: the first draws them, the second routes each document. A pipe
+    # cannot be read twice, so the input must be a regular file.
+    if not stat.S_ISREG(os.stat(args.input).st_mode):
+        raise ValueError(f"{args.input} is not a regular file; it is read twice")
     chosen = validation_indices(
         read_documents(args.input, strict=args.strict), args.count, args.seed
     )

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import TypeVar
 
 from .errors import DuplicateId, InsufficientDocuments, MalformedRecord
+from .tokenizers import encoder
 
 _T = TypeVar("_T")
 
@@ -250,6 +251,12 @@ class CorpusStats:
         if token_count is not None:
             self.total_tokens = (self.total_tokens or 0) + token_count
 
+    def tally(self, docs: Iterable[RawDocument]) -> Iterator[RawDocument]:
+        """Yield `docs` unchanged, adding each to these totals as it passes."""
+        for doc in docs:
+            self.add(doc)
+            yield doc
+
     def merge(self, other: "CorpusStats") -> "CorpusStats":
         """Combine shard stats; associative and commutative."""
         merged_regions = dict(self.per_region_counts)
@@ -275,25 +282,17 @@ class CorpusStats:
         }
 
 
-def _token_counter(tokenizer) -> Callable[[str], int]:
-    """text -> its token count, without building tokens when `encode` exists."""
-    encode = getattr(tokenizer, "encode", None)
-    if encode is not None:
-        return lambda text: sum(map(len, encode(text)))
-    return lambda text: len(tokenizer.tokenize(text))
-
-
 def compute_stats(docs: Iterable[RawDocument], tokenizer=None) -> CorpusStats:
     """Aggregate CorpusStats over a document stream.
 
     O(1) memory beyond the per-region map. When a tokenizer is given,
-    total_tokens counts tokens of each text, summed over the per-word ids
-    of its `encode` when it has one; otherwise it stays None.
+    total_tokens counts tokens of each text, summed over its per-word ids
+    (see `tokenizers.encoder`); otherwise it stays None.
     """
-    count_tokens = _token_counter(tokenizer) if tokenizer is not None else None
+    encode = encoder(tokenizer) if tokenizer is not None else None
     stats = CorpusStats()
     for doc in docs:
-        stats.add(doc, count_tokens(doc.text) if count_tokens else None)
+        stats.add(doc, sum(map(len, encode(doc.text))) if encode else None)
     return stats
 
 

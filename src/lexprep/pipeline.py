@@ -3,14 +3,14 @@
 A manifest file names the input, the output directory, and an ordered
 subset of stages (filter-lang, clean, chunk, mask) with their settings,
 so a full preparation run is a single auditable artifact. A run is one
-streaming pass: each document read from the input goes through the
-stages in order, in memory, and every stage writes its output and
-rejection lines (one numbered file each) as it produces them. The files
-are written under temporary names and renamed into place together once
-the pass has finished, so a run that fails publishes no stage file.
-Re-running a manifest over the same input writes byte-identical files.
-Each stage subcommand of the CLI is the same pass over one stage, with
-the paths it is given (`run_stages`).
+streaming pass, which reads the input once (it may be a pipe): each
+document goes through the stages in order, in memory, and every stage
+writes its output and rejection lines (one numbered file each) as it
+produces them. The files are written under temporary names and renamed
+into place together once the pass has finished, so a run that fails
+publishes no stage file. Re-running a manifest over the same input
+writes byte-identical files. Each stage subcommand of the CLI is the
+same pass over one stage, with the paths it is given (`run_stages`).
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import json
 import logging
 import os
 import shutil
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -311,8 +313,8 @@ class _StagePass:
             for path in self.temps
         )
 
-    def write(self, result: _StageResult) -> list:
-        """Write and count one record's result; return its outputs."""
+    def write(self, result: _StageResult):
+        """Write and count one record's result; yield its outputs."""
         outputs, rejection = result
         self.tallies["in"] += 1
         for output in outputs:
@@ -327,14 +329,12 @@ class _StagePass:
         if rejection is not None:
             self.rej_handle.write(json.dumps(rejection, ensure_ascii=False) + "\n")
             self.tallies["rejected"] += 1
-        return outputs
+        yield from outputs
 
-    def feed(self, records: list) -> list:
-        """Run the stage on each record, write its lines, return its outputs."""
-        passed = []
-        for record in records:
-            passed += self.write(self(record))
-        return passed
+    def feed(self, results):
+        """Write each result as it is drawn; yield its outputs one by one."""
+        # `chain` drops each finished `write`: one record's outputs are held.
+        yield from chain.from_iterable(map(self.write, results))
 
     def discard(self) -> None:
         for temp, final in zip(self.temps, self.finals):
@@ -356,8 +356,25 @@ def _start_worker(manifest: PipelineManifest, name: str) -> None:
     _worker_stage = _StagePass(manifest, name)
 
 
-def _run_in_worker(record) -> _StageResult:
-    return _worker_stage(record)
+def _run_batch(records: list) -> list[_StageResult]:
+    return list(map(_worker_stage, records))
+
+
+# With N workers, at most 2 * N batches of 64 records are sent out ahead
+# of the result being written.
+_BATCH = 64
+_BATCHES_PER_WORKER = 2
+
+
+def _pooled(pool, jobs: int, records):
+    """The first stage's results from the pool's workers, in input order."""
+    pending = deque()
+    for batch in iter(lambda: list(islice(records, _BATCH)), []):
+        pending.append(pool.submit(_run_batch, batch))
+        if len(pending) == _BATCHES_PER_WORKER * jobs:
+            yield from pending.popleft().result()
+    for future in pending:
+        yield from future.result()
 
 
 def run_stages(
@@ -365,18 +382,18 @@ def run_stages(
     plan: list[tuple[str, tuple[Path, ...]]],
     strict: bool = False,
     jobs: int = 1,
-) -> tuple[list[dict], CorpusStats | None]:
+) -> tuple[list[dict], CorpusStats, CorpusStats]:
     """The single pass: every input record through every stage, then publish.
 
     `plan` lists each stage with its paths (see `_StagePass`); the manifest
-    gives the input and the settings. Returns the stage reports and the
-    stats of what the last document stage kept (None without one).
+    gives the input and the settings. Returns the stage reports and the stats
+    of the documents read and of what the last document stage kept.
     """
     stages = [_StagePass(manifest, name, paths) for name, paths in plan]
     doc_stages = [stage for stage in stages if stage.name in _DOC_STAGES]
-    stats = None
+    stats_before = stats_after = CorpusStats()
     if doc_stages:
-        stats = doc_stages[-1].stats = CorpusStats()
+        stats_after = doc_stages[-1].stats = CorpusStats()
     first = stages[0]
     malformed: list[MalformedRecord] = []
     try:
@@ -385,6 +402,8 @@ def run_stages(
                 stage.open(stack)
             read = read_chunk_records if first.name == "mask" else read_documents
             records = read(manifest.input_path, strict=strict, error_sink=malformed)
+            if first.name != "mask":
+                records = stats_before.tally(records)
             results = map(first, records)
             if jobs > 1:
                 # Imported here so that a serial run never loads the pool.
@@ -395,15 +414,12 @@ def run_stages(
                 pool = ProcessPoolExecutor(
                     jobs, initializer=_start_worker, initargs=(manifest, first.name)
                 )
-                results = stack.enter_context(pool).map(
-                    _run_in_worker, records, chunksize=64
-                )
-            for result in results:
-                batch = first.write(result)
-                for stage in stages[1:]:
-                    batch = stage.feed(batch)
-                # Keep peak memory at one record's: drop its outputs first.
-                del result, batch
+                results = _pooled(stack.enter_context(pool), jobs, records)
+            outputs = first.feed(results)
+            for stage in stages[1:]:
+                outputs = stage.feed(map(stage, outputs))
+            for _ in outputs:
+                pass
     except BaseException:
         for stage in stages:
             stage.discard()
@@ -417,7 +433,7 @@ def run_stages(
         for stage in stages
     ]
     reports[0]["malformed"] = len(malformed)
-    return reports, stats
+    return reports, stats_before, stats_after
 
 
 def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
@@ -428,23 +444,23 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
     stage, the malformed input lines the first stage skipped, and corpus
     stats before and after the document-level stages. A failed run
     publishes no stage file. With zero stages the input is copied through
-    unchanged.
+    unchanged, and the stats are counted from the copy.
     """
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    stats_before = compute_stats(read_documents(manifest.input_path, strict=strict))
-
     if manifest.stages:
         plan = []
         for index, name in enumerate(manifest.stages, start=1):
             stem = f"{index:02d}-{name}"
             names = (f"{stem}.jsonl", f"{stem}.rejected.jsonl")
             plan.append((name, tuple(manifest.output_dir / n for n in names)))
-        stage_reports, stats_after = run_stages(manifest, plan, strict)
-        stats_after = stats_after or stats_before
+        stage_reports, stats_before, stats_after = run_stages(manifest, plan, strict)
         final_output = stage_reports[-1]["output"]
     else:
         final_output = "00-input.jsonl"
-        shutil.copyfile(manifest.input_path, manifest.output_dir / final_output)
+        copy = manifest.output_dir / final_output
+        with open(manifest.input_path, "rb") as source, open(copy, "wb") as target:
+            shutil.copyfileobj(source, target)
+        stats_before = compute_stats(read_documents(copy, strict=strict))
         stage_reports, stats_after = [], stats_before
 
     summary = {

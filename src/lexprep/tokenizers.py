@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import NamedTuple, Protocol, runtime_checkable
 
 
@@ -65,6 +65,39 @@ class TokenizerInterface(Protocol):
     reserved_special_count: int
 
     def tokenize(self, text: str) -> list[Token]: ...
+
+
+def word_ranges(tokens: list[Token]) -> tuple[tuple[int, int], ...]:
+    """Group token indices into word ranges via the word-start flags.
+
+    A leading continuation token (possible after a hard split) counts as
+    starting its own word.
+    """
+    if not tokens:
+        return ()
+    starts = [i for i, tok in enumerate(tokens) if tok.is_word_start]
+    if not starts or starts[0] != 0:
+        starts.insert(0, 0)
+    starts.append(len(tokens))
+    return tuple((starts[i], starts[i + 1]) for i in range(len(starts) - 1))
+
+
+def word_ids(tokens: list[Token]) -> list[tuple[int, ...]]:
+    """The ids of `tokens`, one tuple per word range."""
+    ids = [tok.id for tok in tokens]
+    return [tuple(ids[start:end]) for start, end in word_ranges(tokens)]
+
+
+def encoder(tokenizer: TokenizerInterface) -> Callable[[str], list[tuple[int, ...]]]:
+    """text -> the ids of its tokens, one tuple per word.
+
+    The tokenizer's `encode` when it has one, so no Token is built;
+    otherwise the tokens of its `tokenize`, grouped by their word starts.
+    """
+    encode = getattr(tokenizer, "encode", None)
+    if encode is not None:
+        return encode
+    return lambda text: word_ids(tokenizer.tokenize(text))
 
 
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4

@@ -12,7 +12,7 @@ from lexprep.cli import main
 from lexprep.corpus import document_to_line, read_documents
 from lexprep.langid import load_profiles
 
-from .conftest import doc_record, write_jsonl
+from .conftest import doc_record, run_lexprep, write_jsonl
 from .lang_snippets import CA_SNIPPETS, ES_SNIPPETS
 
 
@@ -343,6 +343,17 @@ class TestSplitValidation:
         )
         assert code == 2
         assert not (tmp_path / "train.jsonl").exists()
+
+    def test_piped_input_is_refused_before_any_output(self, corpus_path, tmp_path):
+        # The command reads its input twice; a pipe would be empty the
+        # second time, so both outputs would be written short.
+        train, valid = tmp_path / "train.jsonl", tmp_path / "valid.jsonl"
+        argv = ["split-validation", "/dev/stdin", train, valid, "--count", "3"]
+        result = run_lexprep(*argv, stdin=corpus_path.read_bytes())
+        assert result.returncode == 2
+        assert b"not a regular file" in result.stderr
+        assert result.stdout == b""
+        assert not train.exists() and not valid.exists()
 
 
 def _reference_split(docs, n, seed):

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import os
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,11 @@ from lexprep.pipeline import (
     SUMMARY_NAME,
     PipelineManifest,
     run_pipeline,
+    run_stages,
     validate_stages,
 )
 
-from .conftest import doc_record, write_jsonl
+from .conftest import doc_record, run_lexprep, write_jsonl
 from .lang_snippets import CA_SNIPPETS, ES_SNIPPETS
 
 
@@ -329,3 +332,89 @@ class TestRunPipeline:
         assert excinfo.value.stage == "clean"
         assert len(calls) == 3
         assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestOneRead:
+    """A run reads its input once, as the pass draws it, so a pipe works."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        paths = []
+        original = pipeline.read_documents
+
+        def recording(path, *args, **kwargs):
+            paths.append(Path(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_documents", recording)
+        return paths
+
+    def test_staged_run_reads_the_input_once(self, tmp_path, opened):
+        bilingual_input(tmp_path / "input.jsonl")
+        summary = run_pipeline(manifest_for(tmp_path, STAGE_NAMES))
+        assert opened == [tmp_path / "input.jsonl"]
+        assert summary["documents_in"] == 10
+        assert summary["stats_before"]["document_count"] == 10
+        assert summary["stats_after"]["document_count"] == 5
+
+    def test_zero_stage_run_counts_its_copy(self, tmp_path, opened):
+        bilingual_input(tmp_path / "input.jsonl")
+        summary = run_pipeline(manifest_for(tmp_path, []))
+        assert opened == [tmp_path / "out" / "00-input.jsonl"]
+        assert summary["documents_in"] == 10
+
+    @pytest.mark.parametrize("stages", [STAGE_NAMES, ("chunk", "mask"), ()])
+    def test_piped_input_writes_what_the_file_input_writes(self, tmp_path, stages):
+        source = bilingual_input(tmp_path / "input.jsonl")
+        with open(source, "a", encoding="utf-8") as handle:
+            handle.write("\nnot json\n")
+        runs = {}
+        for name, input_path in (("file", source), ("pipe", "/dev/stdin")):
+            record = {
+                "input_path": str(input_path),
+                "output_dir": str(tmp_path / name),
+                "stages": list(stages),
+            }
+            manifest = tmp_path / f"{name}.json"
+            manifest.write_text(json.dumps(record), encoding="utf-8")
+            result = run_lexprep("run", manifest, stdin=source.read_bytes())
+            assert result.returncode == 0, result.stderr
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            summary = json.loads(files.pop(SUMMARY_NAME))
+            assert summary.pop("input_path") == str(input_path)
+            runs[name] = files, summary
+        assert runs["pipe"] == runs["file"]
+        assert runs["file"][1]["documents_in"] == 10
+
+
+def test_pool_reads_at_most_two_batches_per_worker_ahead(tmp_path, monkeypatch):
+    """With 2 workers the reader stays within 2 * 2 batches of 64 records."""
+    window = 2 * 2 * 64
+    records = [doc_record(f"d-{i}", f"Texto  número {i}.") for i in range(1000)]
+    write_jsonl(tmp_path / "input.jsonl", records)
+    drawn, lags = [], []
+    read, to_line = pipeline.read_documents, pipeline.document_to_line
+
+    def counted_read(*args, **kwargs):
+        for doc in read(*args, **kwargs):
+            drawn.append(doc.id)
+            yield doc
+
+    def counted_line(doc):
+        # Records read and not yet written, this one included.
+        lags.append(len(drawn) - len(lags))
+        return to_line(doc)
+
+    monkeypatch.setattr(pipeline, "read_documents", counted_read)
+    monkeypatch.setattr(pipeline, "document_to_line", counted_line)
+    manifest = PipelineManifest(tmp_path / "input.jsonl", tmp_path, stages=())
+    outputs = {}
+    for jobs in (1, 2):
+        output = tmp_path / f"jobs-{jobs}.jsonl"
+        drawn.clear()
+        lags.clear()
+        run_stages(manifest, [("clean", (output, Path(os.devnull)))], jobs=jobs)
+        assert len(lags) == 1000
+        assert max(lags) <= window
+        outputs[jobs] = output.read_bytes()
+    assert outputs[2] == outputs[1]
