@@ -20,8 +20,10 @@ from .cleaning import CleanPolicy
 from .corpus import (
     compute_stats,
     document_to_line,
+    published,
     read_documents,
     validation_indices,
+    warn_skipped,
     write_documents,
 )
 from .errors import LexprepError, MalformedRecord
@@ -69,17 +71,17 @@ def _cmd_ingest(args) -> int:
     errors: list[MalformedRecord] = []
     docs = read_documents(args.input, strict=args.strict, error_sink=errors)
     count = write_documents(args.output, docs)
-    for err in errors:
-        LOG.warning("skipped line %d: %s", err.line_number, err.reason)
+    warn_skipped(errors)
     _emit({"written": count, "skipped": len(errors)})
     return 0
 
 
 def _cmd_stats(args) -> int:
     tokenizer = VocabTokenizer.from_file(args.tokenizer) if args.tokenizer else None
-    stats = compute_stats(
-        read_documents(args.input, strict=args.strict), tokenizer=tokenizer
-    )
+    errors: list[MalformedRecord] = []
+    docs = read_documents(args.input, strict=args.strict, error_sink=errors)
+    stats = compute_stats(docs, tokenizer=tokenizer)
+    warn_skipped(errors)
     _emit(stats.to_record())
     return 0
 
@@ -166,20 +168,22 @@ def _cmd_mask(args) -> int:
 
 def _cmd_split_validation(args) -> int:
     # Two passes over the file, so only the sampled positions stay in
-    # memory: the first draws them, the second routes each document. A pipe
-    # cannot be read twice, so the input must be a regular file.
+    # memory: the first draws them, the second routes each document (and
+    # warns of each skipped line). A pipe cannot be read twice, so the input
+    # must be a regular file.
     if not stat.S_ISREG(os.stat(args.input).st_mode):
         raise ValueError(f"{args.input} is not a regular file; it is read twice")
     chosen = validation_indices(
         read_documents(args.input, strict=args.strict), args.count, args.seed
     )
+    errors: list[MalformedRecord] = []
+    docs = read_documents(args.input, strict=args.strict, error_sink=errors)
     written = 0
-    with open(args.train_output, "w", encoding="utf-8") as train, open(
-        args.valid_output, "w", encoding="utf-8"
-    ) as valid:
-        for i, doc in enumerate(read_documents(args.input, strict=args.strict)):
+    with published(args.train_output, args.valid_output) as (train, valid):
+        for i, doc in enumerate(docs):
             (valid if i in chosen else train).write(document_to_line(doc) + "\n")
             written += 1
+    warn_skipped(errors)
     _emit({"train": written - len(chosen), "validation": len(chosen)})
     return 0
 
@@ -194,7 +198,7 @@ def _cmd_lr_curve(args) -> int:
     lines += [f"{step:g},{lr:.12g}" for step, lr in emit_schedule(config, args.resolution)]
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
+        with published(args.output) as (out,):
             out.write(text)
     else:
         sys.stdout.write(text)

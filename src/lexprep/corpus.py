@@ -8,17 +8,23 @@ materializes the corpus; all yielded documents are immutable values.
 from __future__ import annotations
 
 import json
+import logging
+import os
 import random
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from pathlib import Path
 from typing import TypeVar
 
 from .errors import DuplicateId, InsufficientDocuments, MalformedRecord
 from .tokenizers import encoder
 
 _T = TypeVar("_T")
+
+LOG = logging.getLogger("lexprep")
 
 
 class DocKind(Enum):
@@ -179,6 +185,12 @@ def parse_records(
         yield line_number, item
 
 
+def warn_skipped(errors: Iterable[MalformedRecord]) -> None:
+    """Log `skipped line N: reason` for each line a lenient read skipped."""
+    for err in errors:
+        LOG.warning("skipped line %d: %s", err.line_number, err.reason)
+
+
 def ingest_stream(
     lines: Iterable[str],
     strict: bool = False,
@@ -220,10 +232,44 @@ def read_documents(
         yield from ingest_stream(handle, strict=strict, error_sink=error_sink)
 
 
+@contextmanager
+def published(*paths, mode: str = "w") -> Iterator[list]:
+    """Yield one handle per path; publish every file once the block succeeds.
+
+    Each file is written as `.NAME.tmp`; all are closed, then all renamed
+    into place. On error every temp file is removed, so no cut-short file
+    looks complete. A symlink, device or pipe is written through directly.
+    """
+    finals = [Path(path) for path in paths]
+    temps = [
+        final
+        if final.is_symlink() or final.exists() and not final.is_file()
+        else final.with_name(f".{final.name}.tmp")
+        for final in finals
+    ]
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(t, mode, encoding=encoding)) for t in temps]
+        for temp, final in zip(temps, finals):
+            if temp != final:
+                os.replace(temp, final)
+    except BaseException:
+        for temp, final in zip(temps, finals):
+            if temp != final:
+                temp.unlink(missing_ok=True)
+        raise
+
+
 def write_documents(path, docs: Iterable[RawDocument]) -> int:
-    """Write documents to a JSONL file. Returns the number written."""
+    """Write documents to a JSONL file. Returns the number written.
+
+    The file is published only once `docs` is used up (see `published`):
+    an error raised while drawing them, such as a malformed line in a
+    strict read, leaves neither the file nor its temp file.
+    """
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with published(path) as (handle,):
         for doc in docs:
             handle.write(document_to_line(doc) + "\n")
             count += 1

@@ -25,7 +25,7 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
-from .corpus import RawDocument
+from .corpus import RawDocument, published
 from .errors import EmptyText, NoProfiles
 
 NGRAM_MIN = 1
@@ -159,9 +159,24 @@ class LanguageVerdict:
 REJECTED_VERDICT = LanguageVerdict(language=REJECTED_LANGUAGE, confidence=0.0)
 
 
-def _keeps(verdict: LanguageVerdict, language: str, threshold: float) -> bool:
-    """The keep rule: `language` wins with confidence strictly above threshold."""
-    return verdict.language == language and verdict.confidence > threshold
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the gate threshold lies in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+
+
+def _judge(
+    identifier: Callable[[str], LanguageVerdict],
+    text: str,
+    language: str,
+    threshold: float,
+) -> tuple[bool, LanguageVerdict]:
+    """Keep iff `language` wins with confidence > threshold; reject EmptyText."""
+    try:
+        verdict = identifier(text)
+    except EmptyText:
+        return False, REJECTED_VERDICT
+    return verdict.language == language and verdict.confidence > threshold, verdict
 
 
 def identify_language(
@@ -206,11 +221,8 @@ def gate(
     Text without alphabetic content is rejected with a sentinel verdict
     rather than raising, so corpus streams never abort on blank records.
     """
-    try:
-        verdict = identify_language(text, profiles, sharpness=sharpness)
-    except EmptyText:
-        return False, REJECTED_VERDICT
-    return _keeps(verdict, language, threshold), verdict
+    identifier = partial(identify_language, profiles=profiles, sharpness=sharpness)
+    return _judge(identifier, text, language, threshold)
 
 
 def filter_spanish(
@@ -232,20 +244,15 @@ def filter_spanish(
     Any callable from text to LanguageVerdict can replace the default
     rank-distance identifier built on the bundled profiles.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    check_threshold(threshold)
     if identifier is None:
         pool = list(profiles) if profiles is not None else list(builtin_profiles())
         identifier = partial(identify_language, profiles=pool, sharpness=sharpness)
     kept: list[RawDocument] = []
     rejected: list[tuple[RawDocument, LanguageVerdict]] = []
     for doc in docs:
-        try:
-            verdict = identifier(doc.text)
-        except EmptyText:
-            rejected.append((doc, REJECTED_VERDICT))
-            continue
-        if _keeps(verdict, language, threshold):
+        keep, verdict = _judge(identifier, doc.text, language, threshold)
+        if keep:
             kept.append(doc)
         else:
             rejected.append((doc, verdict))
@@ -253,7 +260,8 @@ def filter_spanish(
 
 
 def save_profiles(profiles: list[LanguageProfile], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write one JSON line per profile; the file appears only once complete."""
+    with published(path) as (handle,):
         for profile in profiles:
             record = {
                 "language": profile.language,

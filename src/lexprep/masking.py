@@ -14,7 +14,7 @@ import hashlib
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .chunking import Chunk
 from .errors import VocabularyTooSmall
@@ -190,6 +190,9 @@ def mask_chunk(
     chunk: Chunk, tokenizer: TokenizerInterface, config: MaskingConfig
 ) -> MlmExample:
     """Select and mask one chunk with its derived RNG stream."""
+    if chunk.token_ids is None:
+        # Resolved here once, not by both select_words and apply_mask.
+        chunk = replace(chunk, token_ids=_chunk_token_ids(chunk, tokenizer))
     rng = chunk_rng(config.seed, chunk.doc_id, chunk.seq)
     selection = select_words(chunk, config, rng, tokenizer)
     return apply_mask(chunk, selection, config, tokenizer, rng)

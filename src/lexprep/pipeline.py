@@ -6,18 +6,16 @@ so a full preparation run is a single auditable artifact. A run is one
 streaming pass, which reads the input once (it may be a pipe): each
 document goes through the stages in order, in memory, and every stage
 writes its output and rejection lines (one numbered file each) as it
-produces them. The files are written under temporary names and renamed
-into place together once the pass has finished, so a run that fails
-publishes no stage file. Re-running a manifest over the same input
-writes byte-identical files. Each stage subcommand of the CLI is the
-same pass over one stage, with the paths it is given (`run_stages`).
+produces them. All of a run's files are written as one
+`corpus.published` group, so a run that fails publishes no stage file.
+Re-running a manifest over the same input writes byte-identical files.
+Each stage subcommand of the CLI is the same pass over one stage, with
+the paths it is given (`run_stages`).
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import os
 import shutil
 from collections import deque
 from contextlib import ExitStack
@@ -39,13 +37,16 @@ from .corpus import (
     RawDocument,
     compute_stats,
     document_to_line,
+    published,
     read_documents,
+    warn_skipped,
 )
 from .errors import MalformedRecord, ManifestError, StageFailure
 from .langid import (
     DEFAULT_THRESHOLD,
     LanguageProfile,
     builtin_profiles,
+    check_threshold,
     gate,
     load_profiles,
 )
@@ -56,8 +57,6 @@ STAGE_NAMES = ("filter-lang", "clean", "chunk", "mask")
 _DOC_STAGES = ("filter-lang", "clean")
 
 SUMMARY_NAME = "summary.json"
-
-LOG = logging.getLogger("lexprep")
 
 
 def validate_stages(stages: tuple[str, ...]) -> None:
@@ -103,6 +102,7 @@ class PipelineManifest:
 
     def __post_init__(self):
         validate_stages(self.stages)
+        check_threshold(self.threshold)
 
     @classmethod
     def from_record(cls, record: dict, base: Path | None = None) -> "PipelineManifest":
@@ -261,13 +261,6 @@ _OUTPUT_TALLIES = {
 }
 
 
-def _temp_path(path: Path) -> Path:
-    # A symlink, device or pipe is written through, not replaced by a rename.
-    if path.is_symlink() or path.exists() and not path.is_file():
-        return path
-    return path.with_name(f".{path.name}.tmp")
-
-
 def _to_line(record) -> str:
     if isinstance(record, RawDocument):
         return document_to_line(record)
@@ -278,8 +271,8 @@ class _StagePass:
     """One stage during a run: its runner, set-up, files and tallies.
 
     Calling it runs the stage on one record. `paths` holds the output and
-    the rejection file (os.devnull to only count rejections); `_temp_path`
-    says where each is written until `publish`.
+    the rejection file (os.devnull to only count rejections); `run_stages`
+    opens them and sets `out_handle` and `rej_handle`.
     """
 
     def __init__(self, manifest: PipelineManifest, name: str, paths=()):
@@ -292,26 +285,17 @@ class _StagePass:
             self.setup = _STAGE_SETUP[name](manifest)
         except Exception as exc:
             raise StageFailure(name, exc) from exc
-        self.finals = paths
-        self.temps = tuple(map(_temp_path, paths))
+        self.paths = paths
         self.tallies = {"in": 0, "out": 0, "rejected": 0}
         self.extra = _OUTPUT_TALLIES.get(name)
         if self.extra is not None:
             self.tallies[self.extra[0]] = 0
-        # Set on the last document stage of a run, to count what it keeps.
-        self.stats: CorpusStats | None = None
 
     def __call__(self, record) -> _StageResult:
         try:
             return self.runner(self.manifest, self.setup, record)
         except Exception as exc:
             raise StageFailure(self.name, exc) from exc
-
-    def open(self, stack: ExitStack) -> None:
-        self.out_handle, self.rej_handle = (
-            stack.enter_context(open(path, "w", encoding="utf-8"))
-            for path in self.temps
-        )
 
     def write(self, result: _StageResult):
         """Write and count one record's result; yield its outputs."""
@@ -323,9 +307,6 @@ class _StagePass:
         if self.extra is not None:
             key, amount = self.extra
             self.tallies[key] += sum(map(amount, outputs))
-        if self.stats is not None:
-            for doc in outputs:
-                self.stats.add(doc)
         if rejection is not None:
             self.rej_handle.write(json.dumps(rejection, ensure_ascii=False) + "\n")
             self.tallies["rejected"] += 1
@@ -335,16 +316,6 @@ class _StagePass:
         """Write each result as it is drawn; yield its outputs one by one."""
         # `chain` drops each finished `write`: one record's outputs are held.
         yield from chain.from_iterable(map(self.write, results))
-
-    def discard(self) -> None:
-        for temp, final in zip(self.temps, self.finals):
-            if temp != final:
-                temp.unlink(missing_ok=True)
-
-    def publish(self) -> None:
-        for temp, final in zip(self.temps, self.finals):
-            if temp != final:
-                os.replace(temp, final)
 
 
 # Set only in a `jobs > 1` worker process, by its initializer: the first stage.
@@ -390,46 +361,42 @@ def run_stages(
     of the documents read and of what the last document stage kept.
     """
     stages = [_StagePass(manifest, name, paths) for name, paths in plan]
-    doc_stages = [stage for stage in stages if stage.name in _DOC_STAGES]
-    stats_before = stats_after = CorpusStats()
-    if doc_stages:
-        stats_after = doc_stages[-1].stats = CorpusStats()
+    # Stats after the last document stage, or of the documents read if none.
+    last_doc = next((s for s in reversed(stages) if s.name in _DOC_STAGES), None)
+    stats_before = CorpusStats()
+    stats_after = CorpusStats() if last_doc else stats_before
     first = stages[0]
     malformed: list[MalformedRecord] = []
-    try:
-        with ExitStack() as stack:
-            for stage in stages:
-                stage.open(stack)
-            read = read_chunk_records if first.name == "mask" else read_documents
-            records = read(manifest.input_path, strict=strict, error_sink=malformed)
-            if first.name != "mask":
-                records = stats_before.tally(records)
-            results = map(first, records)
-            if jobs > 1:
-                # Imported here so that a serial run never loads the pool.
-                # Each record is mapped alone (masking seeds its RNG per
-                # chunk), so the workers' results equal the serial ones.
-                from concurrent.futures import ProcessPoolExecutor
-
-                pool = ProcessPoolExecutor(
-                    jobs, initializer=_start_worker, initargs=(manifest, first.name)
-                )
-                results = _pooled(stack.enter_context(pool), jobs, records)
-            outputs = first.feed(results)
-            for stage in stages[1:]:
-                outputs = stage.feed(map(stage, outputs))
-            for _ in outputs:
-                pass
-    except BaseException:
+    with ExitStack() as stack:
+        paths = [path for stage in stages for path in stage.paths]
+        handles = iter(stack.enter_context(published(*paths)))
         for stage in stages:
-            stage.discard()
-        raise
-    for stage in stages:
-        stage.publish()
-    for err in malformed:
-        LOG.warning("skipped line %d: %s", err.line_number, err.reason)
+            stage.out_handle, stage.rej_handle = next(handles), next(handles)
+        read = read_chunk_records if first.name == "mask" else read_documents
+        records = read(manifest.input_path, strict=strict, error_sink=malformed)
+        if first.name != "mask":
+            records = stats_before.tally(records)
+        results = map(first, records)
+        if jobs > 1:
+            # Imported here so that a serial run never loads the pool.
+            # Each record is mapped alone (masking seeds its RNG per
+            # chunk), so the workers' results equal the serial ones.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                jobs, initializer=_start_worker, initargs=(manifest, first.name)
+            )
+            results = _pooled(stack.enter_context(pool), jobs, records)
+        outputs = results
+        for stage in stages:
+            outputs = stage.feed(outputs if stage is first else map(stage, outputs))
+            if stage is last_doc:
+                outputs = stats_after.tally(outputs)
+        for _ in outputs:
+            pass
+    warn_skipped(malformed)
     reports = [
-        {"name": stage.name, "output": stage.finals[0].name, **stage.tallies}
+        {"name": stage.name, "output": stage.paths[0].name, **stage.tallies}
         for stage in stages
     ]
     reports[0]["malformed"] = len(malformed)
@@ -458,9 +425,14 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
     else:
         final_output = "00-input.jsonl"
         copy = manifest.output_dir / final_output
-        with open(manifest.input_path, "rb") as source, open(copy, "wb") as target:
-            shutil.copyfileobj(source, target)
-        stats_before = compute_stats(read_documents(copy, strict=strict))
+        with open(manifest.input_path, "rb") as source:
+            with published(copy, mode="wb") as (target,):
+                shutil.copyfileobj(source, target)
+        malformed: list[MalformedRecord] = []
+        stats_before = compute_stats(
+            read_documents(copy, strict=strict, error_sink=malformed)
+        )
+        warn_skipped(malformed)
         stage_reports, stats_after = [], stats_before
 
     summary = {
@@ -472,9 +444,7 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
         "stats_after": stats_after.to_record(),
         "final_output": final_output,
     }
-    summary_path = manifest.output_dir / SUMMARY_NAME
-    summary_path.write_text(
-        json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2)
+    with published(manifest.output_dir / SUMMARY_NAME) as (handle,):
+        handle.write(text + "\n")
     return summary

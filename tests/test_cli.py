@@ -87,6 +87,54 @@ class TestDataErrors:
         )
         assert code == 2
 
+    def test_strict_ingest_leaves_no_output_after_a_late_malformed_line(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record(f"d-{i}", "hola") for i in range(1000)])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        out_path = tmp_path / "out.jsonl"
+        code, _ = run_cli(capsys, "--strict", "ingest", str(path), str(out_path))
+        assert code == 2
+        assert not out_path.exists()
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+
+class TestEveryReaderWarns:
+    """A lenient read logs each line it skips, once, whatever the command."""
+
+    @pytest.fixture()
+    def one_bad_line(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        lines = [json.dumps(doc_record(name, ES_SNIPPETS[0])) for name in "abc"]
+        lines.insert(1, "not json")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def _warnings(self, caplog, capsys, *argv):
+        with caplog.at_level(logging.WARNING, logger="lexprep"):
+            code, _ = run_cli(capsys, *map(str, argv))
+        assert code == 0
+        return [record.getMessage().split(":")[0] for record in caplog.records]
+
+    def test_stats(self, one_bad_line, caplog, capsys):
+        assert self._warnings(caplog, capsys, "stats", one_bad_line) == [
+            "skipped line 2"
+        ]
+
+    def test_split_validation(self, one_bad_line, tmp_path, caplog, capsys):
+        argv = ["split-validation", one_bad_line, tmp_path / "t", tmp_path / "v"]
+        assert self._warnings(caplog, capsys, *argv, "--count", "1") == [
+            "skipped line 2"
+        ]
+
+    def test_zero_stage_run(self, one_bad_line, tmp_path, caplog, capsys):
+        manifest = tmp_path / "run.json"
+        record = {"input_path": str(one_bad_line), "output_dir": "out", "stages": []}
+        manifest.write_text(json.dumps(record), encoding="utf-8")
+        assert self._warnings(caplog, capsys, "run", manifest) == ["skipped line 2"]
+
 
 class TestIngest:
     def test_counts_and_output(self, tmp_path, capsys):
@@ -189,6 +237,24 @@ class TestFilterLang:
         )
         assert code == 0
         assert last_json(out)["kept"] == 0
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-3", "nan"])
+    def test_threshold_outside_unit_interval_is_a_data_error(
+        self, corpus_path, tmp_path, capsys, caplog, threshold
+    ):
+        out_path = tmp_path / "kept.jsonl"
+        code, out = run_cli(
+            capsys,
+            "filter-lang",
+            str(corpus_path),
+            str(out_path),
+            "--threshold",
+            threshold,
+        )
+        assert code == 2
+        assert out == ""
+        assert "threshold must lie in [0, 1]" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 class TestClean:

@@ -14,6 +14,7 @@ from lexprep.corpus import (
     compute_stats,
     document_to_line,
     ingest_stream,
+    published,
     read_documents,
     split_validation,
     write_documents,
@@ -245,6 +246,32 @@ def test_write_read_round_trip(tmp_path):
     path = tmp_path / "docs.jsonl"
     assert write_documents(path, docs) == 2
     assert list(read_documents(path)) == docs
+
+
+def test_published_renames_every_file_once_all_are_written(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    with published(first, second) as (one, two):
+        one.write("señor\n")
+        two.write("ley\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".a.jsonl.tmp",
+            ".b.jsonl.tmp",
+        ]
+    assert first.read_text(encoding="utf-8") == "señor\n"
+    assert second.read_text(encoding="utf-8") == "ley\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl"]
+
+
+def test_published_failure_removes_every_temp_and_keeps_old_files(tmp_path):
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with published(old, new) as (first, second):
+            first.write("cut short\n")
+            second.write("cut short\n")
+            raise RuntimeError("writer broke")
+    assert old.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
 
 
 def test_corpus_stats_invariant_in_to_record():

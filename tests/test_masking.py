@@ -165,7 +165,7 @@ class TestCarriedIds:
         assert counting.calls == 0
         bare = dataclasses.replace(chunk, token_ids=None)
         mask_chunk(bare, counting, MaskingConfig())
-        assert counting.calls == 2
+        assert counting.calls == 1
 
 
 class TestApplyMask:

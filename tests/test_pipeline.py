@@ -100,6 +100,8 @@ class TestManifest:
     def test_bad_setting_value(self, tmp_path):
         with pytest.raises(ManifestError):
             manifest_for(tmp_path, ["filter-lang"], **{"filter-lang": {"threshold": "high"}})
+        with pytest.raises(ManifestError, match="threshold must lie in"):
+            manifest_for(tmp_path, ["filter-lang"], **{"filter-lang": {"threshold": 7}})
         with pytest.raises(ManifestError):
             manifest_for(tmp_path, ["chunk", "mask"], mask={"mask_rate": 2.0})
 
