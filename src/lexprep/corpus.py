@@ -239,6 +239,11 @@ def published(*paths, mode: str = "w") -> Iterator[list]:
     Each file is written as `.NAME.tmp`; all are closed, then all renamed
     into place. On error every temp file is removed, so no cut-short file
     looks complete. A symlink, device or pipe is written through directly.
+
+    Raises:
+        ValueError: before any file is opened, when a path that would be
+            written through a temp file names the same file as another
+            path; the two handles would share one temp file.
     """
     finals = [Path(path) for path in paths]
     temps = [
@@ -247,6 +252,10 @@ def published(*paths, mode: str = "w") -> Iterator[list]:
         else final.with_name(f".{final.name}.tmp")
         for final in finals
     ]
+    targets = [final.resolve() for final in finals]
+    for temp, final, target in zip(temps, finals, targets):
+        if temp != final and targets.count(target) > 1:
+            raise ValueError(f"{final}: the same output file is given twice")
     encoding = None if "b" in mode else "utf-8"
     try:
         with ExitStack() as stack:

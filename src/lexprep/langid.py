@@ -11,6 +11,18 @@ raw relative margin (d2 - d1) / d2 lives in a narrow band even for
 unambiguous text (related languages share most frequent grams), so it is
 sharpened through 1 - (1 - margin) ** sharpness to spread decisive wins
 toward 1.0 where a high-threshold gate can separate them.
+
+Counting grams is most of the gate's time, and the documents of one
+corpus share most of their words. So each process keeps one table from
+each word of at most LONG_WORD letters to the tuple of its grams, bounded
+by the GRAM_TABLE_LIMIT grams it holds. Words are admitted until the next
+one would not fit; after that a new word's grams are listed as if there
+were no table, and the table is never cleared. Clearing it when full
+thrashes on a corpus whose vocabulary outgrows it (the benchmark's
+mixed_zipf counted grams about 1.6x slower that way), while one
+language's vocabulary, such as the Spanish seed text's 13,635 grams, fits
+whole. Admitted words share their gram strings through one dict beside
+the table, which holds a full table to about 0.5 MB instead of 0.8 MB.
 """
 
 from __future__ import annotations
@@ -41,6 +53,15 @@ REJECTED_LANGUAGE = "??"
 # faster; streaming every word measured 20% slower n-gram counting.
 LONG_WORD = 64
 
+# Most grams the word→grams table holds. Per process, not an option, like
+# the tokenizer's word table.
+GRAM_TABLE_LIMIT = 16384
+
+# The table, the gram strings its words share, and how many grams it holds.
+_word_grams: dict[str, tuple[str, ...]] = {}
+_gram_strings: dict[str, str] = {}
+_table_grams = 0
+
 # Runs of isalnum characters other than decimal digits. Every letter is
 # one, and so are the rare non-decimal numerics (², ½, Ⅻ) that still have
 # to be cut out of a run.
@@ -70,26 +91,46 @@ def _lazy_grams(word: str, padded: str) -> Iterator[str]:
             yield padded[i : i + n]
 
 
+def _missed_grams(word: str) -> Iterable[str]:
+    """The grams of a word not in the table, in `text_ngrams`' order.
+
+    A word of at most LONG_WORD letters is listed, and admitted to the
+    table while its grams fit; a longer one is streamed and never kept.
+    """
+    global _table_grams
+    padded = f" {word} "
+    if len(word) > LONG_WORD:
+        return _lazy_grams(word, padded)
+    # Words hold no whitespace, so the unigrams (NGRAM_MIN is 1) are the
+    # letters: the two padding spaces are the only all-space grams.
+    grams = [*word]
+    for n in range(NGRAM_MIN + 1, NGRAM_MAX + 1):
+        grams += [padded[i : i + n] for i in range(len(padded) - n + 1)]
+    if _table_grams + len(grams) > GRAM_TABLE_LIMIT:
+        return grams
+    shared = _gram_strings.setdefault
+    admitted = tuple([shared(gram, gram) for gram in grams])
+    _word_grams[word] = admitted
+    _table_grams += len(admitted)
+    return admitted
+
+
 def text_ngrams(text: str) -> Counter:
     """Count word-padded character n-grams of lengths 1 to 5.
 
     Each distinct word is expanded once and its grams weighted by how
-    often the word occurs. A word longer than LONG_WORD letters feeds its
-    grams to the counter one at a time, so a glued run of letters costs
-    memory for its distinct grams only.
+    often the word occurs. A word's grams come from the process's
+    word→grams table when it holds the word (see the module docstring);
+    the table changes how fast grams are listed, never what is counted,
+    so the result depends on the text alone. A word longer than LONG_WORD
+    letters feeds its grams to the counter one at a time, so a glued run
+    of letters costs memory for its distinct grams only.
     """
     counts: Counter = Counter()
     get = counts.get
+    held = _word_grams.get
     for word, times in Counter(_normalize(text)).items():
-        padded = f" {word} "
-        # Words hold no whitespace, so the unigrams (NGRAM_MIN is 1) are the
-        # letters: the two padding spaces are the only all-space grams.
-        if len(word) > LONG_WORD:
-            grams: Iterable[str] = _lazy_grams(word, padded)
-        else:
-            grams = [*word]
-            for n in range(NGRAM_MIN + 1, NGRAM_MAX + 1):
-                grams += [padded[i : i + n] for i in range(len(padded) - n + 1)]
+        grams = held(word) or _missed_grams(word)
         if times == 1:
             counts.update(grams)
         else:

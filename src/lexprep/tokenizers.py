@@ -108,8 +108,11 @@ SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 # and `\s` is isspace.
 _WORD_OR_MARK = re.compile(r"[^\W_]+|\S")
 
-# Most distinct words the tokenizer's word table holds before it is cleared.
-WORD_TABLE_LIMIT = 65536
+# Most characters the words in the tokenizer's word table hold together;
+# the table is cleared when the next word would pass it. 65,536 words of
+# 8 characters fit, and so do 26 glued runs of 20,000. A longer word is
+# segmented but not kept.
+WORD_TABLE_CHARS = 524288
 
 # Token's generated __new__ is a Python function; building the tuple
 # directly saves a call per token.
@@ -163,9 +166,10 @@ class VocabTokenizer:
     `encode` is the fast path: one tuple of piece ids per word, looked up
     in a table from each word seen to its ids, so a repeated word is
     segmented once. The table holds ids only (no pieces, offsets or
-    flags) and is cleared when it reaches 65,536 words. `iter_tokens`
-    rebuilds full tokens from the same ids, one at a time, and `tokenize`
-    lists them.
+    flags) and is cleared when its words would pass WORD_TABLE_CHARS
+    characters, so it stays small however long the words are.
+    `iter_tokens` rebuilds full tokens from the same ids, one at a time,
+    and `tokenize` lists them.
     """
 
     reserved_special_count = 0
@@ -187,6 +191,7 @@ class VocabTokenizer:
         self.mask_token_id = MASK
         self.special_token_ids = frozenset(range(len(SPECIAL_PIECES)))
         self._word_ids: dict[str, tuple[int, ...]] = {}
+        self._word_chars = 0
 
     @classmethod
     def from_file(cls, path) -> "VocabTokenizer":
@@ -256,7 +261,10 @@ class VocabTokenizer:
                 ids.append(UNK)
                 i += 1
         result = tuple(ids)
-        if len(self._word_ids) >= WORD_TABLE_LIMIT:
-            self._word_ids.clear()
-        self._word_ids[word] = result
+        if n <= WORD_TABLE_CHARS:
+            if self._word_chars + n > WORD_TABLE_CHARS:
+                self._word_ids.clear()
+                self._word_chars = 0
+            self._word_ids[word] = result
+            self._word_chars += n
         return result

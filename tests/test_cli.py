@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import os
 import random
 
 import pytest
@@ -238,6 +239,24 @@ class TestFilterLang:
         assert code == 0
         assert last_json(out)["kept"] == 0
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_output_given_as_rejected_path_is_refused(
+        self, corpus_path, tmp_path, capsys, caplog, existing
+    ):
+        out_path = tmp_path / "kept.jsonl"
+        if existing:
+            out_path.write_text("earlier output\n", encoding="utf-8")
+        same = tmp_path / "." / "kept.jsonl"
+        argv = [str(corpus_path), str(out_path), "--rejected", str(same)]
+        code, out = run_cli(capsys, "filter-lang", *argv)
+        assert code == 2
+        assert out == ""
+        assert "kept.jsonl: the same output file is given twice" in caplog.text
+        names = ["corpus.jsonl", "kept.jsonl"] if existing else ["corpus.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        if existing:
+            assert out_path.read_text(encoding="utf-8") == "earlier output\n"
+
     @pytest.mark.parametrize("threshold", ["1.5", "-3", "nan"])
     def test_threshold_outside_unit_interval_is_a_data_error(
         self, corpus_path, tmp_path, capsys, caplog, threshold
@@ -267,6 +286,14 @@ class TestClean:
         assert last_json(out) == {"documents": 1}
         (doc,) = read_documents(out_path)
         assert doc.text == "a b c"
+
+    def test_output_written_through_to_a_device(self, tmp_path, capsys):
+        # The rejection path is os.devnull too, so the device is given twice.
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record("a", "a  b")])
+        code, out = run_cli(capsys, "clean", str(path), os.devnull)
+        assert code == 0
+        assert last_json(out) == {"documents": 1}
 
     def test_keep_space_runs(self, tmp_path, capsys):
         path = tmp_path / "in.jsonl"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 
 import pytest
 from hypothesis import given
@@ -272,6 +273,27 @@ def test_published_failure_removes_every_temp_and_keeps_old_files(tmp_path):
             raise RuntimeError("writer broke")
     assert old.read_text(encoding="utf-8") == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+
+
+def test_published_refuses_one_file_given_twice_before_opening_it(tmp_path):
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "a.jsonl"
+    with pytest.raises(ValueError, match="a.jsonl"):
+        with published(path, tmp_path / "sub" / ".." / "a.jsonl"):
+            pass
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+    # A link to a published file names that file too.
+    (tmp_path / "link").symlink_to(path)
+    with pytest.raises(ValueError, match="a.jsonl"):
+        with published(path, tmp_path / "link"):
+            pass
+    assert not path.exists()
+
+
+def test_published_writes_through_one_device_given_twice():
+    with published(os.devnull, os.devnull) as (one, two):
+        one.write("a\n")
+        two.write("b\n")
 
 
 def test_corpus_stats_invariant_in_to_record():

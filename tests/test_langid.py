@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexprep import langid
 from lexprep.errors import EmptyText, NoProfiles
 from lexprep.langid import (
     DEFAULT_THRESHOLD,
+    GRAM_TABLE_LIMIT,
     LONG_WORD,
     NGRAM_MAX,
     NGRAM_MIN,
@@ -118,6 +120,85 @@ class TestNgramsMatchReference:
             save_profiles(build_profiles_from_dir(seed_dir), rebuilt)
         shipped = package.joinpath("data/profiles.jsonl").read_bytes()
         assert rebuilt.read_bytes() == shipped
+
+
+@pytest.fixture()
+def empty_gram_table(monkeypatch):
+    """A fresh word→grams table for one test; the process's own is restored."""
+    monkeypatch.setattr(langid, "_word_grams", {})
+    monkeypatch.setattr(langid, "_gram_strings", {})
+    monkeypatch.setattr(langid, "_table_grams", 0)
+
+
+def _table_crossing_texts() -> list[str]:
+    """Texts whose distinct short words pass the table's bound in the middle
+    of the third one, with repeats, glued runs and words seen before."""
+    rng = random.Random(17)
+    letters = "abcdeilmnoprstuñéá"
+    vocabulary = sorted(
+        {"".join(rng.choices(letters, k=rng.randint(1, 12))) for _ in range(3000)}
+    )
+    # A word of n letters has 5n - 2 grams; find the word that first
+    # overflows the bound, and cut the third text around it.
+    total = 0
+    for crossing, word in enumerate(vocabulary):
+        total += 5 * len(word) - 2
+        if total > GRAM_TABLE_LIMIT:
+            break
+    first, second = crossing // 3, 2 * crossing // 3
+    pieces = [
+        vocabulary[:first],
+        vocabulary[first:second] + vocabulary[:50],
+        vocabulary[second : crossing + 300],
+        vocabulary[crossing - 100 : crossing + 600],
+    ]
+    texts = []
+    for words in pieces:
+        words = words + rng.choices(words, k=len(words) // 2)
+        rng.shuffle(words)
+        words.insert(len(words) // 2, "".join(rng.choices(letters, k=LONG_WORD + 7)))
+        texts.append(" ".join(words) + ".")
+    return texts
+
+
+@pytest.mark.usefixtures("empty_gram_table")
+class TestGramTable:
+    def test_counts_match_reference_across_the_bound(self):
+        texts = _table_crossing_texts()
+        for i, text in enumerate(texts):
+            held_before = langid._table_grams
+            counts = text_ngrams(text)
+            assert list(counts.items()) == list(_reference_ngrams(text).items())
+            if i == 2:
+                # The bound is passed within this text: some of its words
+                # were admitted and some were listed without the table.
+                assert held_before < langid._table_grams
+                short = {w for w in _normalize(text) if len(w) <= LONG_WORD}
+                assert short - set(langid._word_grams)
+        # Every text again, now from a full table.
+        for text in texts:
+            assert list(text_ngrams(text).items()) == list(
+                _reference_ngrams(text).items()
+            )
+
+    def test_table_holds_at_most_the_bound_and_no_long_word(self):
+        for text in _table_crossing_texts():
+            text_ngrams(text)
+        table = langid._word_grams
+        held = sum(map(len, table.values()))
+        assert held == langid._table_grams
+        assert GRAM_TABLE_LIMIT - 5 * LONG_WORD < held <= GRAM_TABLE_LIMIT
+        assert all(len(word) <= LONG_WORD for word in table)
+        for word, grams in table.items():
+            assert Counter(grams) == _reference_ngrams(word)
+
+    def test_words_share_equal_grams(self):
+        text_ngrams("la ley de las leyes del estado; la ley")
+        by_value: dict[str, str] = {}
+        for grams in langid._word_grams.values():
+            for gram in grams:
+                assert by_value.setdefault(gram, gram) is gram
+        assert langid._word_grams["la"][0] is langid._word_grams["las"][0]
 
 
 class TestNgrams:

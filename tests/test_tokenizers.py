@@ -1,5 +1,6 @@
 """Reference tokenizer behavior and vocabulary persistence."""
 
+import random
 from itertools import groupby
 
 import pytest
@@ -12,7 +13,7 @@ from lexprep.tokenizers import (
     Token,
     TokenizerInterface,
     UNK,
-    WORD_TABLE_LIMIT,
+    WORD_TABLE_CHARS,
     VocabTokenizer,
     _WORD_OR_MARK,
     default_pieces,
@@ -230,10 +231,12 @@ def test_encode_marks_digits_underscores_and_unknowns(tokenizer):
 
 def test_word_table_holds_id_tuples_and_clears_when_full():
     tok = VocabTokenizer()
-    words = [f"w{i}" for i in range(WORD_TABLE_LIMIT)]
+    # Words of 8 characters that fill the table exactly.
+    words = [f"w{i:07d}" for i in range(WORD_TABLE_CHARS // 8)]
     encoded = tok.encode(" ".join(words))
     table = tok._word_ids
-    assert len(table) == WORD_TABLE_LIMIT
+    assert len(table) == WORD_TABLE_CHARS // 8
+    assert sum(map(len, table)) == WORD_TABLE_CHARS
     assert all(
         type(ids) is tuple and ids and all(type(i) is int for i in ids)
         for ids in table.values()
@@ -241,3 +244,17 @@ def test_word_table_holds_id_tuples_and_clears_when_full():
     assert tok.encode("palabra") == _word_groups(tok.tokenize("palabra"))
     assert list(table) == ["palabra"]
     assert tok.encode(" ".join(words)) == encoded
+
+
+def test_word_table_bounded_by_characters_for_glued_runs():
+    tok = VocabTokenizer()
+    rng = random.Random(9)
+    for _ in range(30):
+        word = "".join(rng.choices("abcdelmnoprstuñé", k=20_000))
+        assert tok.encode(word) == VocabTokenizer().encode(word)
+        assert sum(map(len, tok._word_ids)) <= WORD_TABLE_CHARS
+    # A word longer than the bound is segmented but never kept.
+    word = "ab" * (WORD_TABLE_CHARS // 2) + "c"
+    assert tok.encode(word) == VocabTokenizer().encode(word)
+    assert word not in tok._word_ids
+    assert sum(map(len, tok._word_ids)) <= WORD_TABLE_CHARS
