@@ -15,7 +15,6 @@ import stat
 import sys
 from pathlib import Path
 
-from .chunking import DEFAULT_MAX_TOKENS
 from .cleaning import CleanPolicy
 from .corpus import (
     compute_stats,
@@ -27,14 +26,8 @@ from .corpus import (
     write_documents,
 )
 from .errors import LexprepError, MalformedRecord
-from .langid import DEFAULT_THRESHOLD, build_profiles_from_dir, save_profiles
-from .masking import (
-    DEFAULT_KEEP_PROB,
-    DEFAULT_MASK_PROB,
-    DEFAULT_MASK_RATE,
-    DEFAULT_RANDOM_PROB,
-    MaskingConfig,
-)
+from .langid import build_profiles_from_dir, save_profiles
+from .masking import MaskingConfig
 from .metrics import (
     build_report,
     f1_scores,
@@ -44,12 +37,7 @@ from .metrics import (
     write_report_csv,
 )
 from .pipeline import PipelineManifest, run_pipeline, run_stages
-from .schedule import (
-    DEFAULT_LR_PEAK,
-    DEFAULT_WARMUP_FRAC,
-    TrainConfig,
-    emit_schedule,
-)
+from .schedule import TrainConfig, emit_schedule
 from .tokenizers import VocabTokenizer
 
 LOG = logging.getLogger("lexprep")
@@ -65,6 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(record: dict) -> None:
     print(json.dumps(record, ensure_ascii=False))
+
+
+def _given(**settings) -> dict:
+    """The settings whose flag was given; the rest keep their owner's default."""
+    return {name: value for name, value in settings.items() if value is not None}
 
 
 def _cmd_ingest(args) -> int:
@@ -102,7 +95,7 @@ def _run_stage(args, name: str, summary: dict, rejected=os.devnull, **settings) 
     # The manifest carries the settings; its stage list stays empty, since
     # a lone mask stage is no valid manifest.
     manifest = PipelineManifest(
-        Path(args.input), output.parent, stages=(), seed=args.seed, **settings
+        Path(args.input), output.parent, stages=(), seed=args.seed, **_given(**settings)
     )
     paths = (output, Path(rejected))
     (report,), _, _ = run_stages(manifest, [(name, paths)], args.strict, args.jobs)
@@ -151,10 +144,12 @@ def _cmd_chunk(args) -> int:
 
 def _cmd_mask(args) -> int:
     config = MaskingConfig(
-        mask_rate=args.mask_rate,
-        mask_prob=args.mask_prob,
-        random_prob=args.random_prob,
-        keep_prob=args.keep_prob,
+        **_given(
+            mask_rate=args.mask_rate,
+            mask_prob=args.mask_prob,
+            random_prob=args.random_prob,
+            keep_prob=args.keep_prob,
+        )
     )
     summary = {
         "examples": "out",
@@ -190,12 +185,10 @@ def _cmd_split_validation(args) -> int:
 
 def _cmd_lr_curve(args) -> int:
     config = TrainConfig(
-        total_steps=args.total_steps,
-        lr_peak=args.peak_lr,
-        warmup_frac=args.warmup_frac,
+        args.total_steps, **_given(lr_peak=args.peak_lr, warmup_frac=args.warmup_frac)
     )
-    lines = ["step,lr"]
-    lines += [f"{step:g},{lr:.12g}" for step, lr in emit_schedule(config, args.resolution)]
+    schedule = emit_schedule(config, **_given(resolution=args.resolution))
+    lines = ["step,lr"] + [f"{step:g},{lr:.12g}" for step, lr in schedule]
     text = "\n".join(lines) + "\n"
     if args.output:
         with published(args.output) as (out,):
@@ -272,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter-lang", help="keep documents passing the language gate")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--language", default="es", help="language code to keep")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--language", help="language code to keep")
+    p.add_argument("--threshold", type=float)
     p.add_argument("--profiles", type=Path, help="profiles JSONL (default: bundled)")
     p.add_argument("--rejected", help="audit stream path (default: OUTPUT.rejected.jsonl)")
     p.set_defaults(func=_cmd_filter_lang)
@@ -290,17 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chunk", help="pack sentences into token-budgeted chunks")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
+    p.add_argument("--max-tokens", type=int)
     p.add_argument("--tokenizer", type=Path, help="vocabulary file (default: bundled)")
     p.set_defaults(func=_cmd_chunk)
 
     p = sub.add_parser("mask", help="whole-word masking over chunks")
     p.add_argument("input", help="chunks JSONL")
     p.add_argument("output", help="examples JSONL")
-    p.add_argument("--mask-rate", type=float, default=DEFAULT_MASK_RATE)
-    p.add_argument("--mask-prob", type=float, default=DEFAULT_MASK_PROB)
-    p.add_argument("--random-prob", type=float, default=DEFAULT_RANDOM_PROB)
-    p.add_argument("--keep-prob", type=float, default=DEFAULT_KEEP_PROB)
+    p.add_argument("--mask-rate", type=float)
+    p.add_argument("--mask-prob", type=float)
+    p.add_argument("--random-prob", type=float)
+    p.add_argument("--keep-prob", type=float)
     p.add_argument("--tokenizer", type=Path, help="vocabulary file (default: bundled)")
     p.set_defaults(func=_cmd_mask)
 
@@ -313,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lr-curve", help="emit the LR schedule as CSV (step, lr)")
     p.add_argument("--total-steps", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=101, help="number of samples")
-    p.add_argument("--peak-lr", type=float, default=DEFAULT_LR_PEAK)
-    p.add_argument("--warmup-frac", type=float, default=DEFAULT_WARMUP_FRAC)
+    p.add_argument("--resolution", type=int, help="number of samples")
+    p.add_argument("--peak-lr", type=float)
+    p.add_argument("--warmup-frac", type=float)
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_lr_curve)
 

@@ -13,7 +13,7 @@ import os
 import random
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -79,15 +79,7 @@ class RawDocument:
 
     def replace_text(self, text: str) -> "RawDocument":
         """Return a copy with a new body (documents are immutable)."""
-        return RawDocument(
-            id=self.id,
-            source=self.source,
-            region=self.region,
-            doc_kind=self.doc_kind,
-            language_hint=self.language_hint,
-            published_date=self.published_date,
-            text=text,
-        )
+        return replace(self, text=text)
 
     def to_record(self) -> dict:
         return {
@@ -233,12 +225,13 @@ def read_documents(
 
 
 @contextmanager
-def published(*paths, mode: str = "w") -> Iterator[list]:
-    """Yield one handle per path; publish every file once the block succeeds.
+def published(*paths) -> Iterator[list]:
+    """Yield one text handle per path; publish every file once the block succeeds.
 
-    Each file is written as `.NAME.tmp`; all are closed, then all renamed
-    into place. On error every temp file is removed, so no cut-short file
-    looks complete. A symlink, device or pipe is written through directly.
+    Each file is written as `.NAME.tmp`, in UTF-8, with line ends as given;
+    all are closed, then all renamed into place. On error every temp file is
+    removed, so no cut-short file looks complete. A symlink, device or pipe
+    is written through directly.
 
     Raises:
         ValueError: before any file is opened, when a path that would be
@@ -256,10 +249,12 @@ def published(*paths, mode: str = "w") -> Iterator[list]:
     for temp, final, target in zip(temps, finals, targets):
         if temp != final and targets.count(target) > 1:
             raise ValueError(f"{final}: the same output file is given twice")
-    encoding = None if "b" in mode else "utf-8"
     try:
         with ExitStack() as stack:
-            yield [stack.enter_context(open(t, mode, encoding=encoding)) for t in temps]
+            yield [
+                stack.enter_context(open(t, "w", encoding="utf-8", newline=""))
+                for t in temps
+            ]
         for temp, final in zip(temps, finals):
             if temp != final:
                 os.replace(temp, final)

@@ -16,10 +16,9 @@ the paths it is given (`run_stages`).
 from __future__ import annotations
 
 import json
-import shutil
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -37,6 +36,7 @@ from .corpus import (
     RawDocument,
     compute_stats,
     document_to_line,
+    ingest_stream,
     published,
     read_documents,
     warn_skipped,
@@ -60,28 +60,23 @@ SUMMARY_NAME = "summary.json"
 
 
 def validate_stages(stages: tuple[str, ...]) -> None:
-    """Check stage names, uniqueness, and ordering dependencies.
+    """Check the order rule: known stages, each listed once, in order.
 
-    Document-level stages must precede chunk (their input is documents);
-    mask consumes chunks, so it requires chunk and must follow it.
+    Document stages come first (their input is documents), then optionally
+    chunk, then optionally mask, which consumes chunks and so needs chunk
+    right before it.
     """
-    for name in stages:
+    for at, name in enumerate(stages):
         if name not in STAGE_NAMES:
             raise ManifestError(
                 f"unknown stage {name!r}; expected a subset of {STAGE_NAMES}"
             )
-    if len(set(stages)) != len(stages):
-        raise ManifestError(f"stages listed twice in {stages}")
-    if "chunk" in stages:
-        chunk_at = stages.index("chunk")
-        for name in _DOC_STAGES:
-            if name in stages and stages.index(name) > chunk_at:
-                raise ManifestError(f"stage {name!r} must come before 'chunk'")
-    if "mask" in stages:
-        if "chunk" not in stages:
-            raise ManifestError("stage 'mask' requires 'chunk' before it")
-        if stages.index("mask") < stages.index("chunk"):
-            raise ManifestError("stage 'mask' must come after 'chunk'")
+        if name in stages[:at]:
+            raise ManifestError(f"stage {name!r} is listed twice in {stages}")
+        if name in _DOC_STAGES and "chunk" in stages[:at]:
+            raise ManifestError(f"document stage {name!r} comes after 'chunk'")
+        if name == "mask" and stages[at - 1 : at] != ("chunk",):
+            raise ManifestError("stage 'mask' needs 'chunk' right before it")
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,8 @@ class PipelineManifest:
             stages = tuple(record["stages"])
         except KeyError as exc:
             raise ManifestError(f"manifest is missing required key {exc}") from exc
-        seed = int(record.get("seed", 0))
+        default = {setting.name: setting.default for setting in fields(cls)}
+        seed = int(record.get("seed", default["seed"]))
 
         lang_cfg = dict(record.get("filter-lang", {}))
         clean_cfg = dict(record.get("clean", {}))
@@ -143,11 +139,11 @@ class PipelineManifest:
                 output_dir=output_dir,
                 stages=stages,
                 seed=seed,
-                language=lang_cfg.pop("language", "es"),
-                threshold=float(lang_cfg.pop("threshold", DEFAULT_THRESHOLD)),
+                language=lang_cfg.pop("language", default["language"]),
+                threshold=float(lang_cfg.pop("threshold", default["threshold"])),
                 profiles_path=resolve(lang_cfg.pop("profiles", None)),
                 clean_policy=CleanPolicy(**clean_cfg),
-                max_tokens=int(chunk_cfg.pop("max_tokens", DEFAULT_MAX_TOKENS)),
+                max_tokens=int(chunk_cfg.pop("max_tokens", default["max_tokens"])),
                 tokenizer_path=resolve(chunk_cfg.pop("tokenizer", None)),
                 masking=MaskingConfig(seed=seed, **mask_cfg),
             )
@@ -411,7 +407,7 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
     stage, the malformed input lines the first stage skipped, and corpus
     stats before and after the document-level stages. A failed run
     publishes no stage file. With zero stages the input is copied through
-    unchanged, and the stats are counted from the copy.
+    unchanged, and the stats are counted as it is copied.
     """
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
     if manifest.stages:
@@ -424,14 +420,14 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
         final_output = stage_reports[-1]["output"]
     else:
         final_output = "00-input.jsonl"
-        copy = manifest.output_dir / final_output
-        with open(manifest.input_path, "rb") as source:
-            with published(copy, mode="wb") as (target,):
-                shutil.copyfileobj(source, target)
         malformed: list[MalformedRecord] = []
-        stats_before = compute_stats(
-            read_documents(copy, strict=strict, error_sink=malformed)
-        )
+        # Each line is copied as it is read, line end and all, and counted; so
+        # the input is read once and a failed count publishes no copy. (A line
+        # read is never empty, so `write` returns a true length.)
+        with open(manifest.input_path, encoding="utf-8", newline="") as source:
+            with published(manifest.output_dir / final_output) as (copy,):
+                lines = (copy.write(line) and line for line in source)
+                stats_before = compute_stats(ingest_stream(lines, strict, malformed))
         warn_skipped(malformed)
         stage_reports, stats_after = [], stats_before
 

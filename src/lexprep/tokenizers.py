@@ -109,10 +109,12 @@ SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 _WORD_OR_MARK = re.compile(r"[^\W_]+|\S")
 
 # Most characters the words in the tokenizer's word table hold together;
-# the table is cleared when the next word would pass it. 65,536 words of
-# 8 characters fit, and so do 26 glued runs of 20,000. A longer word is
-# segmented but not kept.
+# the table is cleared when the next word would pass it. A word counts as
+# at least WORD_ENTRY_CHARS characters, for its entry's own overhead, so
+# at most 65,536 words fit, and so do 26 glued runs of 20,000. A longer
+# word is segmented but not kept.
 WORD_TABLE_CHARS = 524288
+WORD_ENTRY_CHARS = 8
 
 # Token's generated __new__ is a Python function; building the tuple
 # directly saves a call per token.
@@ -167,7 +169,8 @@ class VocabTokenizer:
     in a table from each word seen to its ids, so a repeated word is
     segmented once. The table holds ids only (no pieces, offsets or
     flags) and is cleared when its words would pass WORD_TABLE_CHARS
-    characters, so it stays small however long the words are.
+    characters, each counted as at least WORD_ENTRY_CHARS, so it stays
+    small however long or short the words are.
     `iter_tokens` rebuilds full tokens from the same ids, one at a time,
     and `tokenize` lists them.
     """
@@ -202,9 +205,12 @@ class VocabTokenizer:
         return cls(data["pieces"])
 
     def save(self, path) -> None:
+        # Imported here: `corpus` imports this module (for `encoder`).
+        from .corpus import published
+
         pieces = list(self._pieces[len(SPECIAL_PIECES) :])
         data = {"special_tokens": list(SPECIAL_PIECES), "pieces": pieces}
-        with open(path, "w", encoding="utf-8") as handle:
+        with published(path) as (handle,):
             json.dump(data, handle, ensure_ascii=False, indent=1)
             handle.write("\n")
 
@@ -261,10 +267,11 @@ class VocabTokenizer:
                 ids.append(UNK)
                 i += 1
         result = tuple(ids)
-        if n <= WORD_TABLE_CHARS:
-            if self._word_chars + n > WORD_TABLE_CHARS:
+        charge = max(n, WORD_ENTRY_CHARS)
+        if charge <= WORD_TABLE_CHARS:
+            if self._word_chars + charge > WORD_TABLE_CHARS:
                 self._word_ids.clear()
                 self._word_chars = 0
             self._word_ids[word] = result
-            self._word_chars += n
+            self._word_chars += charge
         return result

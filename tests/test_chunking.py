@@ -198,6 +198,14 @@ class TestChunkType:
         with pytest.raises(ValueError):
             Chunk("d", 0, "", token_count=0, word_boundaries=())
 
+    def test_word_ranges_starts_a_word_at_a_leading_continuation(self):
+        tokens = [
+            Token(7, False, "ón", 0),
+            Token(8, False, "es", 2),
+            Token(9, True, "de", 5),
+        ]
+        assert word_ranges(tokens) == ((0, 2), (2, 3))
+
     def test_word_ranges_groups_by_start_flags(self, tokenizer):
         tokens = tokenizer.tokenize("información de")
         ranges = word_ranges(tokens)
@@ -483,8 +491,42 @@ class LengthTagged:
 _HUGE_WORD = ("prescripción" * 900)[:10_000]
 
 
+class CharsThenEnd:
+    """One token per character, then an empty end-of-word token per word.
+
+    Not concat-stable, and a piece re-tokenized alone gains an end token,
+    so a mid-word cut must shrink until the piece and its end token fit.
+    """
+
+    reserved_special_count = 0
+
+    def tokenize(self, text):
+        tokens = []
+        for match in re.finditer(r"\S+", text):
+            start, word = match.start(), match.group()
+            tokens += [
+                Token(10 + ord(ch) % 50, i == 0, ch, start + i)
+                for i, ch in enumerate(word)
+            ]
+            tokens.append(Token(5, False, "", match.end()))
+        return tokens
+
+
 class TestHardSplit:
     """Slicing word-aligned pieces gives the pieces that re-tokenizing gives."""
+
+    def test_mid_word_cut_shrinks_until_the_piece_fits(self):
+        tokenizer = CharsThenEnd()
+        tokens = tokenizer.tokenize("abcde")
+        pieces = list(_hard_split("abcde", tokens, 2, tokenizer, "s"))
+        assert [text for text, _ in pieces] == list("abcde")
+        assert [sum(map(len, words)) for _, words in pieces] == [2] * 5
+
+    def test_no_single_token_fits_the_budget(self):
+        tokenizer = CharsThenEnd()
+        tokens = tokenizer.tokenize("abcde")
+        with pytest.raises(TokenizerFailure, match="cannot fit a single token"):
+            list(_hard_split("abcde", tokens, 1, tokenizer, "s"))
 
     @staticmethod
     def _both(tokenizer, sentence, budget):

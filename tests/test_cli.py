@@ -5,9 +5,11 @@ import logging
 import math
 import os
 import random
+from importlib import resources
 
 import pytest
 
+from lexprep import pipeline
 from lexprep.chunking import chunk_from_record
 from lexprep.cli import main
 from lexprep.corpus import document_to_line, read_documents
@@ -193,7 +195,45 @@ class TestBuildProfiles:
         assert [p.language for p in profiles] == ["ca", "es"]
 
 
+@pytest.fixture()
+def built_profiles(tmp_path, capsys):
+    """Profiles built by `build-profiles` from the bundled seed texts."""
+    path = tmp_path / "cfg" / "profiles.jsonl"
+    path.parent.mkdir()
+    seed = resources.files("lexprep").joinpath("data/seed")
+    with resources.as_file(seed) as seed_dir:
+        assert run_cli(capsys, "build-profiles", str(seed_dir), str(path))[0] == 0
+    return path
+
+
+@pytest.fixture()
+def loaded_profiles(monkeypatch):
+    """The paths the stage pass loads profiles from."""
+    paths = []
+
+    def recording(path):
+        paths.append(path)
+        return load_profiles(path)
+
+    monkeypatch.setattr(pipeline, "load_profiles", recording)
+    return paths
+
+
 class TestFilterLang:
+    def test_profiles_flag_loads_the_file(
+        self, corpus_path, tmp_path, capsys, built_profiles, loaded_profiles
+    ):
+        outputs = []
+        for flags in ([], ["--profiles", str(built_profiles)]):
+            out = tmp_path / "kept.jsonl"
+            argv = ["filter-lang", str(corpus_path), str(out), *flags]
+            code, stdout = run_cli(capsys, *argv)
+            assert code == 0
+            rejected = tmp_path / "kept.jsonl.rejected.jsonl"
+            outputs.append((stdout, out.read_bytes(), rejected.read_bytes()))
+        assert loaded_profiles == [built_profiles]
+        assert outputs[0] == outputs[1]
+
     def test_default_gate(self, corpus_path, tmp_path, capsys):
         out_path = tmp_path / "kept.jsonl"
         code, out = run_cli(capsys, "filter-lang", str(corpus_path), str(out_path))
@@ -503,6 +543,89 @@ class TestLrCurve:
         assert path.read_text("utf-8") == out
 
 
+class TestDefaultsStatedOnce:
+    """A setting flag left out takes the default of the type that owns it."""
+
+    # Every setting flag of each command, given at its documented default.
+    EXPLICIT = {
+        "filter-lang": ["--language", "es", "--threshold", "0.95"],
+        "chunk": ["--max-tokens", "512"],
+        "mask": [
+            *("--mask-rate", "0.15", "--mask-prob", "0.8"),
+            *("--random-prob", "0.1", "--keep-prob", "0.1"),
+        ],
+        "lr-curve": [
+            *("--resolution", "101", "--peak-lr", "1e-4", "--warmup-frac", "0.08"),
+        ],
+    }
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        records = [doc_record(f"es-{i}", t) for i, t in enumerate(ES_SNIPPETS[:5])]
+        records += [doc_record(f"ca-{i}", t) for i, t in enumerate(CA_SNIPPETS[:3])]
+        # Spanish wins this one with a confidence below the default threshold.
+        records.append(doc_record("mixed", ES_SNIPPETS[0] + " " + CA_SNIPPETS[0]))
+        write_jsonl(docs, records)
+        chunks = tmp_path / "chunks.jsonl"
+        assert run_cli(capsys, "chunk", str(docs), str(chunks))[0] == 0
+        return {"filter-lang": docs, "chunk": docs, "mask": chunks}
+
+    @staticmethod
+    def _run(capsys, tmp_path, inputs, command, flags):
+        """Exit code, stdout and the bytes of every file the command wrote."""
+        out = tmp_path / "run" / "out"
+        out.parent.mkdir(exist_ok=True)
+        if command == "lr-curve":
+            argv = [command, "--total-steps", "100", "--output", str(out)]
+        else:
+            argv = [command, str(inputs[command]), str(out)]
+        code, stdout = run_cli(capsys, *argv, *flags)
+        files = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+        for path in out.parent.iterdir():
+            path.unlink()
+        return code, stdout, files
+
+    @pytest.mark.parametrize("command", sorted(EXPLICIT))
+    def test_no_setting_flag_writes_what_the_defaults_write(
+        self, capsys, tmp_path, inputs, command
+    ):
+        bare = self._run(capsys, tmp_path, inputs, command, [])
+        assert bare[0] == 0 and bare[2]
+        explicit = self._run(capsys, tmp_path, inputs, command, self.EXPLICIT[command])
+        assert bare == explicit
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("filter-lang", ["--threshold", "0"]),
+            ("mask", ["--random-prob", "0", "--keep-prob", "0.2"]),
+            ("lr-curve", ["--warmup-frac", "0"]),
+        ],
+    )
+    def test_a_zero_is_applied(self, capsys, tmp_path, inputs, command, flags):
+        bare = self._run(capsys, tmp_path, inputs, command, [])
+        zero = self._run(capsys, tmp_path, inputs, command, flags)
+        assert zero[0] == 0
+        assert zero != bare
+        if command == "filter-lang":
+            assert (last_json(bare[1])["kept"], last_json(zero[1])["kept"]) == (5, 6)
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("chunk", ["--max-tokens", "0"]),
+            ("mask", ["--mask-rate", "0"]),
+            ("lr-curve", ["--resolution", "0"]),
+            ("lr-curve", ["--peak-lr", "0"]),
+        ],
+    )
+    def test_an_invalid_zero_is_refused(
+        self, capsys, tmp_path, inputs, command, flags
+    ):
+        assert self._run(capsys, tmp_path, inputs, command, flags) == (2, "", {})
+
+
 class TestEval:
     def _curves_file(self, tmp_path):
         path = tmp_path / "curves.csv"
@@ -609,6 +732,24 @@ class TestRun:
         assert (tmp_path / "out" / "00-input.jsonl").read_bytes() == (
             corpus_path.read_bytes()
         )
+
+    def test_manifest_profiles_resolve_against_its_directory(
+        self, corpus_path, tmp_path, capsys, built_profiles, loaded_profiles
+    ):
+        files = []
+        for settings in ({}, {"profiles": "profiles.jsonl"}):
+            record = {
+                "input_path": str(corpus_path),
+                "output_dir": str(tmp_path / "out"),
+                "stages": ["filter-lang"],
+                "filter-lang": settings,
+            }
+            manifest = built_profiles.parent / "run.json"
+            manifest.write_text(json.dumps(record), encoding="utf-8")
+            assert run_cli(capsys, "run", str(manifest))[0] == 0
+            files.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+        assert loaded_profiles == [built_profiles]
+        assert files[0] == files[1]
 
     def test_full_manifest(self, corpus_path, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"

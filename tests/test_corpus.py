@@ -95,6 +95,32 @@ def test_unknown_doc_kind_maps_to_other():
     assert docs[0].doc_kind is DocKind.OTHER
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("text", 42, "field 'text' must be a string"),
+        ("text", ["uno"], "field 'text' must be a string"),
+        ("language_hint", "spa", "field 'language_hint' must be a 2-letter code"),
+        ("language_hint", 7, "field 'language_hint' must be a 2-letter code"),
+    ],
+)
+def test_ill_typed_field_is_malformed(field, value, reason):
+    record = {**doc_record("a", "uno"), field: value}
+    with pytest.raises(ValueError, match=reason):
+        RawDocument.from_record(record)
+    errors: list[MalformedRecord] = []
+    assert list(ingest_stream([json.dumps(record)], error_sink=errors)) == []
+    assert [err.reason for err in errors] == [reason]
+
+
+def test_replace_text_keeps_every_other_field():
+    extra = {"language_hint": "es", "published_date": "2024-01-31"}
+    doc = RawDocument.from_record({**doc_record("a", "uno"), **extra})
+    assert doc.replace_text("dos") == RawDocument.from_record(
+        {**doc_record("a", "dos"), **extra}
+    )
+
+
 def test_bad_published_date_is_malformed():
     record = doc_record("a", "uno")
     record["published_date"] = "not-a-date"

@@ -1,5 +1,6 @@
 """Manifest validation and end-to-end pipeline runs."""
 
+import builtins
 import json
 import logging
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from lexprep import pipeline
+from lexprep.cli import main
+from lexprep.corpus import compute_stats, read_documents
 from lexprep.errors import ManifestError, StageFailure
 from lexprep.pipeline import (
     STAGE_NAMES,
@@ -69,6 +72,21 @@ class TestValidateStages:
     )
     def test_illegal_orders(self, stages):
         with pytest.raises(ManifestError):
+            validate_stages(stages)
+
+    @pytest.mark.parametrize(
+        "stages, rule",
+        [
+            (("polish",), "unknown stage 'polish'"),
+            (("clean", "clean"), "stage 'clean' is listed twice"),
+            (("chunk", "filter-lang"), "document stage 'filter-lang' comes after"),
+            (("mask",), "'mask' needs 'chunk' right before it"),
+            (("mask", "chunk"), "'mask' needs 'chunk' right before it"),
+            (("clean", "mask", "chunk"), "'mask' needs 'chunk' right before it"),
+        ],
+    )
+    def test_message_names_the_broken_rule(self, stages, rule):
+        with pytest.raises(ManifestError, match=rule):
             validate_stages(stages)
 
     def test_stage_names_are_fixed(self):
@@ -359,11 +377,55 @@ class TestOneRead:
         assert summary["stats_before"]["document_count"] == 10
         assert summary["stats_after"]["document_count"] == 5
 
-    def test_zero_stage_run_counts_its_copy(self, tmp_path, opened):
+    def test_zero_stage_run_counts_its_copy(self, tmp_path, opened, monkeypatch):
         bilingual_input(tmp_path / "input.jsonl")
+        reads = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
         summary = run_pipeline(manifest_for(tmp_path, []))
-        assert opened == [tmp_path / "out" / "00-input.jsonl"]
+        monkeypatch.undo()
+        # Counted as it is copied: the input is opened once, the copy never.
+        assert reads == [tmp_path / "input.jsonl"]
+        assert opened == []
         assert summary["documents_in"] == 10
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_zero_stage_copy_is_the_input_byte_for_byte(
+        self, tmp_path, caplog, newline
+    ):
+        lines = [
+            json.dumps(doc_record(f"d-{i}", text), ensure_ascii=False)
+            for i, text in enumerate(ES_SNIPPETS[:3])
+        ]
+        lines[1:1] = ["not json", "  "]
+        source = tmp_path / "input.jsonl"
+        source.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        with caplog.at_level(logging.WARNING, logger="lexprep"):
+            summary = run_pipeline(manifest_for(tmp_path, []))
+        assert (tmp_path / "out" / "00-input.jsonl").read_bytes() == source.read_bytes()
+        expected = compute_stats(read_documents(source)).to_record()
+        assert summary["stats_before"] == summary["stats_after"] == expected
+        assert summary["documents_in"] == 3
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "skipped line 2"
+        ]
+
+    def test_strict_zero_stage_failure_publishes_nothing(self, tmp_path, capsys):
+        source = tmp_path / "input.jsonl"
+        write_jsonl(source, [doc_record(f"d-{i}", "Hola.") for i in range(5)])
+        with open(source, "a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        manifest = tmp_path / "run.json"
+        record = {"input_path": "input.jsonl", "output_dir": "out", "stages": []}
+        manifest.write_text(json.dumps(record), encoding="utf-8")
+        assert main(["--strict", "run", str(manifest)]) == 2
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("stages", [STAGE_NAMES, ("chunk", "mask"), ()])
     def test_piped_input_writes_what_the_file_input_writes(self, tmp_path, stages):

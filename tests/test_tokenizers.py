@@ -1,5 +1,6 @@
 """Reference tokenizer behavior and vocabulary persistence."""
 
+import json
 import random
 from itertools import groupby
 
@@ -13,6 +14,7 @@ from lexprep.tokenizers import (
     Token,
     TokenizerInterface,
     UNK,
+    WORD_ENTRY_CHARS,
     WORD_TABLE_CHARS,
     VocabTokenizer,
     _WORD_OR_MARK,
@@ -172,6 +174,24 @@ def test_vocab_round_trip(tmp_path, tokenizer):
     assert restored.tokenize(text) == tokenizer.tokenize(text)
 
 
+def test_save_publishes_whole_or_not_at_all(tmp_path, tokenizer, monkeypatch):
+    path = tmp_path / "vocab.json"
+    path.write_text("old", encoding="utf-8")
+
+    def failing_dump(data, handle, **kwargs):
+        handle.write("{")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(RuntimeError):
+        tokenizer.save(path)
+    monkeypatch.undo()
+    assert path.read_text(encoding="utf-8") == "old"
+    tokenizer.save(path)
+    assert VocabTokenizer.from_file(path).vocab_size == tokenizer.vocab_size
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.json"]
+
+
 def test_from_file_rejects_non_vocab(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]", encoding="utf-8")
@@ -244,6 +264,18 @@ def test_word_table_holds_id_tuples_and_clears_when_full():
     assert tok.encode("palabra") == _word_groups(tok.tokenize("palabra"))
     assert list(table) == ["palabra"]
     assert tok.encode(" ".join(words)) == encoded
+
+
+def test_word_table_counts_a_short_word_as_a_full_entry():
+    tok = VocabTokenizer()
+    # 262,144 distinct two-letter words of 518 letters that no piece covers:
+    # by their characters alone they would all fit in the table at once.
+    letters = [chr(0x4E00 + i) for i in range(518)]
+    words = [a + b for a in letters for b in letters][: 4 * 65536]
+    encoded = tok.encode(" ".join(words))
+    assert encoded == [(UNK, UNK)] * len(words)
+    assert len(tok._word_ids) == WORD_TABLE_CHARS // WORD_ENTRY_CHARS
+    assert tok._word_chars == WORD_TABLE_CHARS
 
 
 def test_word_table_bounded_by_characters_for_glued_runs():
