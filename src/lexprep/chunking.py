@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from typing import TypeVar
 
-from .corpus import RawDocument, parse_records
-from .errors import MalformedRecord, TokenizerFailure
+from .corpus import RawDocument
+from .errors import TokenizerFailure
 from .tokenizers import Token, TokenizerInterface, encoder, word_ids
-from .tokenizers import word_ranges  # noqa: F401  (re-exported)
 
 _T = TypeVar("_T")
 
@@ -331,18 +330,6 @@ def validate_chunk_record(record: object) -> dict:
     if token_count is not None and not isinstance(token_count, int):
         raise ValueError("field 'token_count' must be an int")
     return record
-
-
-def read_chunk_records(
-    path,
-    strict: bool = False,
-    error_sink: list[MalformedRecord] | None = None,
-) -> Iterator[dict]:
-    """Stream the checked chunk records of a JSONL file, as `read_documents`."""
-    with open(path, encoding="utf-8") as handle:
-        checked = parse_records(handle, validate_chunk_record, strict, error_sink)
-        for _, record in checked:
-            yield record
 
 
 def chunk_from_record(record: dict, tokenizer: TokenizerInterface) -> Chunk:

@@ -177,6 +177,18 @@ def parse_records(
         yield line_number, item
 
 
+def read_records(
+    path,
+    parse: Callable[[object], _T],
+    strict: bool = False,
+    error_sink: list[MalformedRecord] | None = None,
+) -> Iterator[_T]:
+    """Stream parse(record) for each record of a JSONL file, as `parse_records`."""
+    with open(path, encoding="utf-8") as handle:
+        for _, item in parse_records(handle, parse, strict, error_sink):
+            yield item
+
+
 def warn_skipped(errors: Iterable[MalformedRecord]) -> None:
     """Log `skipped line N: reason` for each line a lenient read skipped."""
     for err in errors:

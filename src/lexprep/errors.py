@@ -9,8 +9,8 @@ class LexprepError(Exception):
     """Base class for all lexprep errors."""
 
 
-class MalformedRecord(LexprepError):
-    """A serialized document line could not be parsed or validated."""
+class MalformedRecord(LexprepError, ValueError):
+    """A line of a JSONL input could not be parsed or validated."""
 
     def __init__(self, line_number: int, reason: str):
         self.line_number = line_number

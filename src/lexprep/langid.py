@@ -37,7 +37,7 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
-from .corpus import RawDocument, published
+from .corpus import RawDocument, published, read_records
 from .errors import EmptyText, NoProfiles
 
 NGRAM_MIN = 1
@@ -171,6 +171,18 @@ class LanguageProfile:
     @cached_property
     def ranks(self) -> dict[str, int]:
         return {gram: i for i, gram in enumerate(self.ngram_ranks)}
+
+    @classmethod
+    def from_record(cls, record: object) -> "LanguageProfile":
+        """Build a profile from its parsed JSON record; ValueError if ill-shaped."""
+        if not isinstance(record, dict):
+            raise ValueError("record must be a JSON object")
+        language, grams = record.get("language"), record.get("ngram_ranks")
+        if not isinstance(language, str) or not language:
+            raise ValueError("field 'language' must be a non-empty string")
+        if not isinstance(grams, list) or not all(isinstance(g, str) for g in grams):
+            raise ValueError("field 'ngram_ranks' must be a list of strings")
+        return cls(language=language, ngram_ranks=tuple(grams))
 
     @classmethod
     def from_text(cls, language: str, text: str, size: int = PROFILE_SIZE):
@@ -311,25 +323,12 @@ def save_profiles(profiles: list[LanguageProfile], path: str | Path) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _parse_profiles(lines: Iterable[str], source: str) -> list[LanguageProfile]:
-    profiles = []
-    for line in lines:
-        if line.strip():
-            record = json.loads(line)
-            profiles.append(
-                LanguageProfile(
-                    language=record["language"],
-                    ngram_ranks=tuple(record["ngram_ranks"]),
-                )
-            )
-    if not profiles:
-        raise NoProfiles(f"no profiles found in {source}")
-    return profiles
-
-
 def load_profiles(path: str | Path) -> list[LanguageProfile]:
-    with open(path, encoding="utf-8") as handle:
-        return _parse_profiles(handle, str(path))
+    """One profile per line; a bad line raises MalformedRecord."""
+    profiles = list(read_records(path, LanguageProfile.from_record, strict=True))
+    if not profiles:
+        raise NoProfiles(f"no profiles found in {path}")
+    return profiles
 
 
 def build_profiles_from_dir(directory: str | Path) -> list[LanguageProfile]:
@@ -353,5 +352,5 @@ def builtin_profiles() -> tuple[LanguageProfile, ...]:
     `lexprep build-profiles src/lexprep/data/seed src/lexprep/data/profiles.jsonl`.
     """
     entry = resources.files("lexprep").joinpath("data/profiles.jsonl")
-    lines = entry.read_text(encoding="utf-8").splitlines()
-    return tuple(_parse_profiles(lines, "the bundled profiles"))
+    with resources.as_file(entry) as path:
+        return tuple(load_profiles(path))

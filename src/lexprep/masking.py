@@ -16,7 +16,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from .chunking import Chunk
+from .chunking import Chunk, chunk_from_record
 from .errors import VocabularyTooSmall
 from .tokenizers import TokenizerInterface
 
@@ -87,16 +87,10 @@ def chunk_rng(seed: int, doc_id: str, seq: int) -> random.Random:
 
 
 def _chunk_token_ids(chunk: Chunk, tokenizer: TokenizerInterface) -> Sequence[int]:
-    """The ids the chunk carries, or else its re-tokenized and checked ids."""
+    """The ids the chunk carries, or else those its record decodes to."""
     if chunk.token_ids is not None:
         return chunk.token_ids
-    token_ids = [tok.id for tok in tokenizer.tokenize(chunk.text)]
-    if len(token_ids) != chunk.token_count:
-        raise ValueError(
-            f"chunk {chunk.doc_id}:{chunk.seq} re-tokenized to {len(token_ids)} "
-            f"tokens, expected {chunk.token_count}; wrong tokenizer?"
-        )
-    return token_ids
+    return chunk_from_record(chunk.to_record(), tokenizer).token_ids
 
 
 def select_words(

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
+from .corpus import parse_records
 from .errors import (
     DuplicateModelName,
     EmptyPredictions,
@@ -30,7 +30,16 @@ class PredictionRecord:
     predicted: frozenset[str]
 
     @classmethod
-    def from_record(cls, record: dict) -> "PredictionRecord":
+    def from_record(cls, record: object) -> "PredictionRecord":
+        """Build one from its parsed JSON record; ValueError if ill-shaped."""
+        if not isinstance(record, dict) or "example_id" not in record:
+            raise ValueError("record must be a JSON object with an 'example_id'")
+        for name in ("gold", "predicted"):
+            labels = record.get(name)
+            if not isinstance(labels, list) or not all(
+                isinstance(label, str) for label in labels
+            ):
+                raise ValueError(f"field {name!r} must be a list of strings")
         return cls(
             example_id=str(record["example_id"]),
             gold=frozenset(record["gold"]),
@@ -263,14 +272,6 @@ def load_curves_csv(lines) -> list[LearningCurve]:
 
 
 def load_predictions_jsonl(lines) -> list[PredictionRecord]:
-    """Parse prediction records from JSONL lines."""
-    records = []
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(PredictionRecord.from_record(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"bad prediction record on line {number}: {exc}") from exc
-    return records
+    """Parse prediction records from JSONL lines; a bad line raises MalformedRecord."""
+    parsed = parse_records(lines, PredictionRecord.from_record, strict=True)
+    return [record for _, record in parsed]

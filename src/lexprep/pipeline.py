@@ -28,7 +28,7 @@ from .chunking import (
     Chunk,
     chunk_document,
     chunk_from_record,
-    read_chunk_records,
+    validate_chunk_record,
 )
 from .cleaning import CleanPolicy, clean_text
 from .corpus import (
@@ -39,9 +39,10 @@ from .corpus import (
     ingest_stream,
     published,
     read_documents,
+    read_records,
     warn_skipped,
 )
-from .errors import MalformedRecord, ManifestError, StageFailure
+from .errors import MalformedRecord, ManifestError, NoProfiles, StageFailure
 from .langid import (
     DEFAULT_THRESHOLD,
     LanguageProfile,
@@ -168,9 +169,20 @@ class PipelineManifest:
 
 
 def _profiles(manifest: PipelineManifest) -> list[LanguageProfile]:
+    """The gate's profiles: at least two, one of them the language kept."""
     if manifest.profiles_path is not None:
-        return load_profiles(manifest.profiles_path)
-    return list(builtin_profiles())
+        profiles = load_profiles(manifest.profiles_path)
+    else:
+        profiles = list(builtin_profiles())
+    if len(profiles) < 2:
+        raise NoProfiles(f"the gate needs two or more profiles, got {len(profiles)}")
+    languages = sorted(profile.language for profile in profiles)
+    if manifest.language not in languages:
+        raise ValueError(
+            f"no profile for language {manifest.language!r}; "
+            f"the profiles are {', '.join(languages)}"
+        )
+    return profiles
 
 
 def _load_tokenizer(manifest: PipelineManifest) -> VocabTokenizer:
@@ -368,10 +380,11 @@ def run_stages(
         handles = iter(stack.enter_context(published(*paths)))
         for stage in stages:
             stage.out_handle, stage.rej_handle = next(handles), next(handles)
-        read = read_chunk_records if first.name == "mask" else read_documents
-        records = read(manifest.input_path, strict=strict, error_sink=malformed)
-        if first.name != "mask":
-            records = stats_before.tally(records)
+        path = manifest.input_path
+        if first.name == "mask":
+            records = read_records(path, validate_chunk_record, strict, malformed)
+        else:
+            records = stats_before.tally(read_documents(path, strict, malformed))
         results = map(first, records)
         if jobs > 1:
             # Imported here so that a serial run never loads the pool.

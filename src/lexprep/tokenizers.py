@@ -199,7 +199,10 @@ class VocabTokenizer:
     @classmethod
     def from_file(cls, path) -> "VocabTokenizer":
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict) or "pieces" not in data:
             raise ValueError(f"{path}: not a serialized vocabulary")
         return cls(data["pieces"])

@@ -17,10 +17,9 @@ from lexprep.chunking import (
     chunk_from_record,
     pack_chunks,
     split_sentences,
-    word_ranges,
 )
 from lexprep.errors import TokenizerFailure
-from lexprep.tokenizers import Token, VocabTokenizer
+from lexprep.tokenizers import Token, VocabTokenizer, word_ranges
 
 from .conftest import make_doc
 

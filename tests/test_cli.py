@@ -219,6 +219,16 @@ def loaded_profiles(monkeypatch):
     return paths
 
 
+_ONE_PROFILE = {"language": "es", "ngram_ranks": ["a", "b"]}
+# A profile line without a language, one that is not JSON, and one whose
+# grams are not a list.
+_BAD_PROFILE_LINES = [
+    '{"ngram_ranks": ["a"]}',
+    'not json',
+    '{"language": "xx", "ngram_ranks": "abc"}',
+]
+
+
 class TestFilterLang:
     def test_profiles_flag_loads_the_file(
         self, corpus_path, tmp_path, capsys, built_profiles, loaded_profiles
@@ -315,6 +325,47 @@ class TestFilterLang:
         assert "threshold must lie in [0, 1]" in caplog.text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
+    @pytest.mark.parametrize("language", ["xx", "ES"])
+    def test_language_without_a_profile_is_a_data_error(
+        self, corpus_path, tmp_path, capsys, caplog, language
+    ):
+        argv = [str(corpus_path), str(tmp_path / "kept.jsonl"), "--language", language]
+        code, out = run_cli(capsys, "filter-lang", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"no profile for language {language!r}" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_one_profile_is_a_data_error_on_empty_input(
+        self, tmp_path, capsys, caplog
+    ):
+        (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+        write_jsonl(tmp_path / "one.jsonl", [_ONE_PROFILE])
+        argv = [tmp_path / "empty.jsonl", tmp_path / "kept.jsonl"]
+        argv += ["--profiles", tmp_path / "one.jsonl"]
+        code, out = run_cli(capsys, "filter-lang", *map(str, argv))
+        assert code == 2
+        assert out == ""
+        assert "two or more profiles, got 1" in caplog.text
+        names = ["empty.jsonl", "one.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    @pytest.mark.parametrize(
+        "line", _BAD_PROFILE_LINES, ids=["no-language", "not-json", "ranks-not-a-list"]
+    )
+    def test_bad_profiles_line_is_reported_by_number(
+        self, corpus_path, tmp_path, line
+    ):
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text(f"{json.dumps(_ONE_PROFILE)}\n{line}\n", encoding="utf-8")
+        out_path = tmp_path / "kept.jsonl"
+        result = run_lexprep(
+            "filter-lang", corpus_path, out_path, "--profiles", profiles
+        )
+        assert result.returncode == 2
+        assert b"line 2: " in result.stderr
+        assert not out_path.exists()
+
 
 class TestClean:
     def test_default_policy(self, tmp_path, capsys):
@@ -368,6 +419,17 @@ class TestChunk:
         assert len(chunks) == tallies["chunks"]
         assert all(chunk.token_count <= 32 for chunk in chunks)
         assert tallies["tokens_total"] == sum(c.token_count for c in chunks)
+
+    def test_tokenizer_that_is_not_json_is_named(self, tmp_path, capsys, caplog):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record("a", "la ley")])
+        vocab = tmp_path / "bad.json"
+        vocab.write_text('{"pieces": [', encoding="utf-8")
+        argv = [str(path), str(tmp_path / "out.jsonl"), "--tokenizer", str(vocab)]
+        code, out = run_cli(capsys, "chunk", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{vocab} is not valid JSON" in caplog.text
 
 
 class TestMask:
@@ -750,6 +812,28 @@ class TestRun:
             files.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
         assert loaded_profiles == [built_profiles]
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize(
+        "settings", [{"language": "xx"}, {"profiles": "one.jsonl"}]
+    )
+    def test_gate_set_up_error_publishes_nothing_on_empty_input(
+        self, tmp_path, capsys, settings
+    ):
+        (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+        write_jsonl(tmp_path / "one.jsonl", [_ONE_PROFILE])
+        record = {
+            "input_path": "empty.jsonl",
+            "output_dir": "out",
+            "stages": ["filter-lang", "clean"],
+            "filter-lang": settings,
+        }
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps(record), encoding="utf-8")
+        code, out = run_cli(capsys, "run", str(manifest))
+        assert code == 2
+        assert out == ""
+        out_dir = tmp_path / "out"
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_full_manifest(self, corpus_path, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"

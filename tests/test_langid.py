@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexprep import langid
-from lexprep.errors import EmptyText, NoProfiles
+from lexprep.errors import EmptyText, MalformedRecord, NoProfiles
 from lexprep.langid import (
     DEFAULT_THRESHOLD,
     GRAM_TABLE_LIMIT,
@@ -272,6 +272,23 @@ class TestProfiles:
         save_profiles(originals, path)
         restored = load_profiles(path)
         assert restored == originals
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"ngram_ranks": ["a"]}',
+            'not json',
+            '{"language": "xx", "ngram_ranks": "abc"}',
+        ],
+        ids=["no-language", "not-json", "ranks-not-a-list"],
+    )
+    def test_load_reports_a_bad_line_by_number(self, tmp_path, line):
+        path = tmp_path / "profiles.jsonl"
+        good = '{"language": "es", "ngram_ranks": ["a", "b"]}'
+        path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as excinfo:
+            load_profiles(path)
+        assert str(excinfo.value).startswith("line 2:")
 
     def test_build_from_dir_uses_stems(self, tmp_path):
         (tmp_path / "aa.txt").write_text("la ley del estado", encoding="utf-8")

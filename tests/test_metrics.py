@@ -13,6 +13,7 @@ from lexprep.errors import (
     DuplicateModelName,
     EmptyPredictions,
     InsufficientPoints,
+    MalformedRecord,
     UnknownLabel,
 )
 from lexprep.metrics import (
@@ -304,3 +305,18 @@ class TestLoaders:
     def test_load_predictions_rejects_bad_lines(self):
         with pytest.raises(ValueError):
             load_predictions_jsonl(['{"example_id": "1"}'])
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"example_id": "2", "gold": ["a"]}',
+            '{"example_id": "2", "gold": ["a"], "predicted": "a"}',
+            '{"gold": ["a"], "predicted": ["a"]}',
+            '["a"]',
+            '{"example_id": "2",',
+        ],
+    )
+    def test_load_predictions_reports_a_bad_line_by_number(self, line):
+        good = json.dumps({"example_id": "1", "gold": ["a"], "predicted": ["a"]})
+        with pytest.raises(MalformedRecord, match="^line 2: "):
+            load_predictions_jsonl([good, line])

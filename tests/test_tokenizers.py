@@ -199,6 +199,13 @@ def test_from_file_rejects_non_vocab(tmp_path):
         VocabTokenizer.from_file(path)
 
 
+def test_from_file_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"pieces": [', encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.json is not valid JSON"):
+        VocabTokenizer.from_file(path)
+
+
 def test_duplicate_pieces_rejected():
     with pytest.raises(ValueError):
         VocabTokenizer(pieces=["ab", "ab"])
