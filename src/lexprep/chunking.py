@@ -323,12 +323,12 @@ def validate_chunk_record(record: object) -> dict:
     """The record itself if it has the fields of a chunk record."""
     if not isinstance(record, dict):
         raise ValueError("record must be a JSON object")
-    for name, kind in (("doc_id", str), ("seq", int), ("text", str)):
-        if not isinstance(record.get(name), kind):
+    # JSON's true and false are no numbers, though Python counts a bool an int.
+    optional = () if record.get("token_count") is None else (("token_count", int),)
+    for name, kind in (("doc_id", str), ("seq", int), ("text", str), *optional):
+        value = record.get(name)
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"field {name!r} must be a {kind.__name__}")
-    token_count = record.get("token_count")
-    if token_count is not None and not isinstance(token_count, int):
-        raise ValueError("field 'token_count' must be an int")
     return record
 
 

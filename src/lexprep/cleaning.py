@@ -8,7 +8,9 @@ characters, and trims the ends. Cleaning is total and idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .errors import check_type
 
 # Horizontal whitespace: any whitespace except the newline. Covers tabs and
 # non-breaking spaces, both common PDF-extraction artifacts.
@@ -27,6 +29,10 @@ class CleanPolicy:
     collapse_newlines: bool = True
     strip_control: bool = True
     trim_ends: bool = True
+
+    def __post_init__(self):
+        for switch in fields(self):
+            check_type(switch.name, getattr(self, switch.name), bool)
 
 
 def _strip_control(text: str) -> str:

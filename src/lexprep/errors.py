@@ -1,8 +1,15 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and its one type check.
 
 Every error raised by lexprep derives from LexprepError so the CLI can
 map any data problem to a single exit code.
 """
+
+
+def check_type(name: str, value: object, *kinds: type) -> None:
+    """Raise TypeError unless `value` is one of `kinds`; a bool counts only as bool."""
+    if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{name} must be {names}, got {value!r}")
 
 
 class LexprepError(Exception):

@@ -38,7 +38,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .corpus import RawDocument, published, read_records
-from .errors import EmptyText, NoProfiles
+from .errors import EmptyText, NoProfiles, check_type
 
 NGRAM_MIN = 1
 NGRAM_MAX = 5
@@ -213,7 +213,8 @@ REJECTED_VERDICT = LanguageVerdict(language=REJECTED_LANGUAGE, confidence=0.0)
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless the gate threshold lies in [0, 1]."""
+    """Raise unless the gate threshold is a number in [0, 1]."""
+    check_type("threshold", threshold, int, float)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
 

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .chunking import Chunk, chunk_from_record
-from .errors import VocabularyTooSmall
+from .errors import VocabularyTooSmall, check_type
 from .tokenizers import TokenizerInterface
 
 IGNORE_LABEL = -100
@@ -41,6 +41,9 @@ class MaskingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mask_rate", "mask_prob", "random_prob", "keep_prob"):
+            check_type(name, getattr(self, name), int, float)
+        check_type("seed", self.seed, int)
         if not 0.0 < self.mask_rate <= 1.0:
             raise ValueError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
         for name in ("mask_prob", "random_prob", "keep_prob"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -42,7 +42,7 @@ from .corpus import (
     read_records,
     warn_skipped,
 )
-from .errors import MalformedRecord, ManifestError, NoProfiles, StageFailure
+from .errors import MalformedRecord, ManifestError, NoProfiles, StageFailure, check_type
 from .langid import (
     DEFAULT_THRESHOLD,
     LanguageProfile,
@@ -80,6 +80,19 @@ def validate_stages(stages: tuple[str, ...]) -> None:
             raise ManifestError("stage 'mask' needs 'chunk' right before it")
 
 
+_REQUIRED = ("input_path", "output_dir", "stages")
+# The field that each `filter-lang` and `chunk` setting of a manifest sets.
+_SECTION_FIELDS = {
+    "filter-lang": {
+        "language": "language",
+        "threshold": "threshold",
+        "profiles": "profiles_path",
+    },
+    "chunk": {"max_tokens": "max_tokens", "tokenizer": "tokenizer_path"},
+}
+_PATH_FIELDS = {"input_path", "output_dir", "profiles_path", "tokenizer_path"}
+
+
 @dataclass(frozen=True)
 class PipelineManifest:
     """Everything that determines a run: input, stages, settings, seed."""
@@ -98,63 +111,44 @@ class PipelineManifest:
 
     def __post_init__(self):
         validate_stages(self.stages)
+        for name, kind in (("seed", int), ("max_tokens", int), ("language", str)):
+            check_type(name, getattr(self, name), kind)
         check_threshold(self.threshold)
 
     @classmethod
-    def from_record(cls, record: dict, base: Path | None = None) -> "PipelineManifest":
+    def from_record(cls, record: object, base: Path | None = None) -> "PipelineManifest":
         """Build a manifest from its JSON record.
 
         Relative paths resolve against `base` (the manifest's directory),
         so a manifest stays valid wherever it is invoked from. Unknown
-        keys are rejected: a typo must not silently change a run.
+        keys and ill-typed values are rejected: a typo must not change a run.
         """
-
-        def resolve(value: str | None) -> Path | None:
-            if value is None:
-                return None
-            path = Path(value)
-            if base is not None and not path.is_absolute():
-                path = base / path
-            return path
-
-        known = {"input_path", "output_dir", "stages", "seed", *STAGE_NAMES}
-        unknown = set(record) - known
-        if unknown:
-            raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
         try:
-            input_path = resolve(record["input_path"])
-            output_dir = resolve(record["output_dir"])
-            stages = tuple(record["stages"])
+            check_type("a manifest", record, dict)
+            if unknown := set(record) - {*_REQUIRED, "seed", *STAGE_NAMES}:
+                raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
+            # The top-level settings: the required ones, and the seed if given.
+            given = {key: record[key] for key in {*_REQUIRED, *record} - {*STAGE_NAMES}}
+            check_type("stages", given["stages"], list)
+            given["stages"] = tuple(given["stages"])
+            sections = {name: record.get(name, {}) for name in STAGE_NAMES}
+            for name, settings in sections.items():
+                check_type(f"the {name} settings", settings, dict)
+            for name, fields_by_key in _SECTION_FIELDS.items():
+                for key, value in sections[name].items():
+                    if key not in fields_by_key:
+                        raise ManifestError(f"unknown {name} setting {key!r}")
+                    given[fields_by_key[key]] = value
+            for key in _PATH_FIELDS & given.keys():
+                check_type(key, given[key], str)
+                given[key] = (base or Path()) / given[key]
+            manifest = cls(**given, clean_policy=CleanPolicy(**sections["clean"]))
+            masking = MaskingConfig(**sections["mask"], seed=manifest.seed)
+            return replace(manifest, masking=masking)
         except KeyError as exc:
             raise ManifestError(f"manifest is missing required key {exc}") from exc
-        default = {setting.name: setting.default for setting in fields(cls)}
-        seed = int(record.get("seed", default["seed"]))
-
-        lang_cfg = dict(record.get("filter-lang", {}))
-        clean_cfg = dict(record.get("clean", {}))
-        chunk_cfg = dict(record.get("chunk", {}))
-        mask_cfg = dict(record.get("mask", {}))
-        try:
-            manifest = cls(
-                input_path=input_path,
-                output_dir=output_dir,
-                stages=stages,
-                seed=seed,
-                language=lang_cfg.pop("language", default["language"]),
-                threshold=float(lang_cfg.pop("threshold", default["threshold"])),
-                profiles_path=resolve(lang_cfg.pop("profiles", None)),
-                clean_policy=CleanPolicy(**clean_cfg),
-                max_tokens=int(chunk_cfg.pop("max_tokens", default["max_tokens"])),
-                tokenizer_path=resolve(chunk_cfg.pop("tokenizer", None)),
-                masking=MaskingConfig(seed=seed, **mask_cfg),
-            )
         except (TypeError, ValueError) as exc:
-            raise ManifestError(f"bad manifest settings: {exc}") from exc
-        if lang_cfg:
-            raise ManifestError(f"unknown filter-lang settings: {sorted(lang_cfg)}")
-        if chunk_cfg:
-            raise ManifestError(f"unknown chunk settings: {sorted(chunk_cfg)}")
-        return manifest
+            raise ManifestError(f"bad manifest: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineManifest":
@@ -163,8 +157,6 @@ class PipelineManifest:
             record = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ManifestError(f"{path} must hold a JSON object")
         return cls.from_record(record, base=path.parent)
 
 

@@ -203,9 +203,11 @@ class VocabTokenizer:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict) or "pieces" not in data:
-            raise ValueError(f"{path}: not a serialized vocabulary")
-        return cls(data["pieces"])
+        pieces = data.get("pieces") if isinstance(data, dict) else None
+        strings = isinstance(pieces, list) and all(isinstance(p, str) for p in pieces)
+        if not strings or "" in pieces:
+            raise ValueError(f"{path}: 'pieces' must be a list of non-empty strings")
+        return cls(pieces)
 
     def save(self, path) -> None:
         # Imported here: `corpus` imports this module (for `encoder`).

@@ -5,7 +5,8 @@ line or the malformed tally), the summary's stats agree with the stage
 tallies, and clean -> chunk -> mask loses no text and no token, over
 corpora that mix in the hostile shapes: blank, punctuation-only,
 non-Spanish and malformed lines, a long unpunctuated line and a word
-longer than the chunk budget.
+longer than the chunk budget. Over the same corpora, `run`, a re-run and
+the chain of single-stage commands write the same bytes.
 """
 
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexprep.cli import main
 from lexprep.pipeline import STAGE_NAMES, PipelineManifest, run_pipeline
 
 from .conftest import doc_record
@@ -66,28 +68,38 @@ def _visible(text: str) -> str:
     return "".join(text.split())
 
 
+def _write_input(path: Path, lines) -> list[str]:
+    """Write the generated lines as a JSONL input; return the lines written."""
+    rendered = [
+        json.dumps(doc_record(f"d-{i}", line), ensure_ascii=False)
+        if kind == "doc"
+        else line
+        for i, (kind, line) in enumerate(lines)
+    ]
+    path.write_text("".join(f"{line}\n" for line in rendered), encoding="utf-8")
+    return rendered
+
+
+def _run(tmp: Path, out: str, max_tokens: int, seed: int = 0) -> dict:
+    manifest = PipelineManifest.from_record(
+        {
+            "input_path": str(tmp / "input.jsonl"),
+            "output_dir": str(tmp / out),
+            "stages": list(STAGE_NAMES),
+            "seed": seed,
+            "chunk": {"max_tokens": max_tokens},
+        }
+    )
+    return run_pipeline(manifest)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lines=_LINES, max_tokens=st.sampled_from([8, 32, 512]))
 def test_every_line_and_token_is_accounted_for(lines, max_tokens):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        rendered = [
-            json.dumps(doc_record(f"d-{i}", line), ensure_ascii=False)
-            if kind == "doc"
-            else line
-            for i, (kind, line) in enumerate(lines)
-        ]
-        text = "".join(f"{line}\n" for line in rendered)
-        (tmp / "input.jsonl").write_text(text, encoding="utf-8")
-        manifest = PipelineManifest.from_record(
-            {
-                "input_path": str(tmp / "input.jsonl"),
-                "output_dir": str(tmp / "out"),
-                "stages": list(STAGE_NAMES),
-                "chunk": {"max_tokens": max_tokens},
-            }
-        )
-        summary = run_pipeline(manifest)
+        rendered = _write_input(tmp / "input.jsonl", lines)
+        summary = _run(tmp, "out", max_tokens)
         stages = {stage["name"]: stage for stage in summary["stages"]}
 
         out = tmp / "out"
@@ -117,3 +129,37 @@ def test_every_line_and_token_is_accounted_for(lines, max_tokens):
         assert stages["mask"]["in"] == stages["chunk"]["out"] == len(examples)
         tokens = sum(len(example["input_ids"]) for example in examples)
         assert tokens == stages["chunk"]["tokens_total"]
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lines=_LINES, max_tokens=st.sampled_from([8, 32, 512]), seed=st.integers(0, 9)
+)
+def test_run_rerun_and_stage_commands_write_the_same_bytes(lines, max_tokens, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_input(tmp / "input.jsonl", lines)
+        _run(tmp, "out", max_tokens, seed)
+        _run(tmp, "again", max_tokens, seed)
+        assert _files(tmp / "again") == _files(tmp / "out")
+
+        chain = tmp / "chain"
+        chain.mkdir()
+        gated, cleaned = chain / "01-filter-lang.jsonl", chain / "02-clean.jsonl"
+        chunks, examples = chain / "03-chunk.jsonl", chain / "04-mask.jsonl"
+        rejected = chain / "01-filter-lang.rejected.jsonl"
+        commands = [
+            ["filter-lang", tmp / "input.jsonl", gated, "--rejected", rejected],
+            ["clean", gated, cleaned],
+            ["chunk", cleaned, chunks, "--max-tokens", max_tokens],
+            ["--seed", seed, "mask", chunks, examples],
+        ]
+        for argv in commands:
+            assert main([str(arg) for arg in argv]) == 0
+        written = _files(chain)
+        assert len(written) == 5
+        assert written == {name: _files(tmp / "out")[name] for name in written}
