@@ -23,6 +23,8 @@ mixed_zipf counted grams about 1.6x slower that way), while one
 language's vocabulary, such as the Spanish seed text's 13,635 grams, fits
 whole. Admitted words share their gram strings through one dict beside
 the table, which holds a full table to about 0.5 MB instead of 0.8 MB.
+The counts go into a plain dict: a store into a dict subclass such as
+Counter misses the interpreter's exact-dict fast path.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from importlib import resources
@@ -115,39 +117,36 @@ def _missed_grams(word: str) -> Iterable[str]:
     return admitted
 
 
-def text_ngrams(text: str) -> Counter:
-    """Count word-padded character n-grams of lengths 1 to 5.
+def text_ngrams(text: str) -> dict[str, int]:
+    """Count word-padded character n-grams of lengths 1 to 5, in a plain dict.
 
     Each distinct word is expanded once and its grams weighted by how
     often the word occurs. A word's grams come from the process's
     word→grams table when it holds the word (see the module docstring);
     the table changes how fast grams are listed, never what is counted,
     so the result depends on the text alone. A word longer than LONG_WORD
-    letters feeds its grams to the counter one at a time, so a glued run
+    letters feeds its grams to the counts one at a time, so a glued run
     of letters costs memory for its distinct grams only.
     """
-    counts: Counter = Counter()
+    counts: dict[str, int] = {}
     get = counts.get
     held = _word_grams.get
     for word, times in Counter(_normalize(text)).items():
-        grams = held(word) or _missed_grams(word)
-        if times == 1:
-            counts.update(grams)
-        else:
-            for gram in grams:
-                counts[gram] = get(gram, 0) + times
+        for gram in held(word) or _missed_grams(word):
+            counts[gram] = get(gram, 0) + times
     return counts
 
 
-def rank_ngrams(counts: Counter, size: int = PROFILE_SIZE) -> tuple[str, ...]:
+def rank_ngrams(counts: Mapping[str, int], size: int = PROFILE_SIZE) -> tuple[str, ...]:
     """Most frequent grams first; count ties break alphabetically."""
     if size <= 0:
         return ()
-    items = list(counts.items())
-    if len(items) > size:
+    if len(counts) > size:
         # Only grams counted at least as often as the size-th one can rank.
         floor = sorted(counts.values(), reverse=True)[size - 1]
-        items = [item for item in items if item[1] >= floor]
+        items = [item for item in counts.items() if item[1] >= floor]
+    else:
+        items = list(counts.items())
     # Grams are unique, so the first sort orders by gram; the second is
     # stable, so count ties keep that order.
     items.sort()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -90,6 +90,13 @@ _SECTION_FIELDS = {
     },
     "chunk": {"max_tokens": "max_tokens", "tokenizer": "tokenizer_path"},
 }
+# The settings each section may give: `clean` and `mask` give their type's
+# fields, less the seed, which a manifest gives once, at the top level.
+_SECTION_KEYS = {
+    **_SECTION_FIELDS,
+    "clean": {f.name for f in fields(CleanPolicy)},
+    "mask": {f.name for f in fields(MaskingConfig)} - {"seed"},
+}
 _PATH_FIELDS = {"input_path", "output_dir", "profiles_path", "tokenizer_path"}
 
 
@@ -134,10 +141,11 @@ class PipelineManifest:
             sections = {name: record.get(name, {}) for name in STAGE_NAMES}
             for name, settings in sections.items():
                 check_type(f"the {name} settings", settings, dict)
+                for key in settings:
+                    if key not in _SECTION_KEYS[name]:
+                        raise ManifestError(f"unknown {name} setting {key!r}")
             for name, fields_by_key in _SECTION_FIELDS.items():
                 for key, value in sections[name].items():
-                    if key not in fields_by_key:
-                        raise ManifestError(f"unknown {name} setting {key!r}")
                     given[fields_by_key[key]] = value
             for key in _PATH_FIELDS & given.keys():
                 check_type(key, given[key], str)
@@ -237,7 +245,7 @@ def _mask(
 
 
 def _masked_positions(example: MlmExample) -> int:
-    return sum(1 for label in example.labels if label != IGNORE_LABEL)
+    return len(example.labels) - example.labels.count(IGNORE_LABEL)
 
 
 # Per stage: what it builds once per run from the manifest, and the

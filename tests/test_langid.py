@@ -104,6 +104,17 @@ class TestNgramsMatchReference:
     def test_rank_matches_full_sort(self, text, size):
         counts = _reference_ngrams(text)
         assert rank_ngrams(counts, size) == _reference_rank(counts, size)
+        assert rank_ngrams(dict(counts), size) == _reference_rank(counts, size)
+
+    @settings(deadline=None)
+    @given(_langid_text, st.integers(0, 5))
+    def test_rank_without_a_floor_keeps_every_gram(self, text, spare):
+        # At most `size` grams: no floor is computed and every gram ranks.
+        counts = text_ngrams(text)
+        size = len(counts) + spare
+        ranked = rank_ngrams(counts, size)
+        assert ranked == _reference_rank(counts, size)
+        assert sorted(ranked) == sorted(counts)
 
     def test_builtin_profiles_match_reference(self):
         seed_dir = resources.files("lexprep").joinpath("data/seed")
@@ -245,6 +256,12 @@ class TestNgrams:
 
         counts = Counter({"b": 5, "aa": 3, "ab": 3})
         assert rank_ngrams(counts) == ("b", "aa", "ab")
+
+    def test_counts_are_a_plain_dict(self):
+        # A store into a dict subclass such as Counter misses the exact-dict
+        # fast path of the counting loop.
+        for text in ("", "la ley de la ley", "véase " + "a" * (LONG_WORD + 1)):
+            assert type(text_ngrams(text)) is dict
 
     def test_rank_truncates_to_size(self):
         counts = text_ngrams("la ley del estado regula el procedimiento general")

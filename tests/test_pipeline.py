@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from lexprep import pipeline
+from lexprep.cleaning import CleanPolicy
 from lexprep.cli import main
 from lexprep.corpus import compute_stats, read_documents
 from lexprep.errors import ManifestError, StageFailure
+from lexprep.masking import MaskingConfig
 from lexprep.pipeline import (
     STAGE_NAMES,
     SUMMARY_NAME,
@@ -114,6 +116,55 @@ class TestManifest:
             manifest_for(tmp_path, ["chunk"], chunk={"budget": 8})
         with pytest.raises(ManifestError):
             manifest_for(tmp_path, ["chunk", "mask"], mask={"rate": 0.5})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("filter-lang", "mode"),
+            ("clean", "polish"),
+            ("chunk", "budget"),
+            ("mask", "rate"),
+            # The top level gives the seed; masking takes it from there.
+            ("mask", "seed"),
+        ],
+    )
+    def test_unknown_stage_setting_named_in_manifest_words(
+        self, tmp_path, caplog, section, key
+    ):
+        message = f"unknown {section} setting {key!r}"
+        with pytest.raises(ManifestError, match=f"^{message}$"):
+            manifest_for(tmp_path, ["clean", "chunk", "mask"], **{section: {key: 1}})
+        path = tmp_path / "run.json"
+        record = {
+            "input_path": "input.jsonl",
+            "output_dir": "out",
+            "stages": ["clean", "chunk", "mask"],
+            section: {key: 1},
+        }
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="lexprep"):
+            assert main(["run", str(path)]) == 2
+        assert [r.getMessage() for r in caplog.records][-1] == message
+        assert not (tmp_path / "out").exists()
+
+    def test_every_clean_and_mask_field_but_the_seed_is_a_setting(self, tmp_path):
+        clean = {
+            "collapse_spaces": False,
+            "collapse_newlines": False,
+            "strip_control": False,
+            "trim_ends": False,
+        }
+        mask = {
+            "mask_rate": 0.2,
+            "mask_prob": 0.5,
+            "random_prob": 0.25,
+            "keep_prob": 0.25,
+        }
+        manifest = manifest_for(
+            tmp_path, ["clean", "chunk", "mask"], seed=7, clean=clean, mask=mask
+        )
+        assert manifest.clean_policy == CleanPolicy(**clean)
+        assert manifest.masking == MaskingConfig(**mask, seed=7)
 
     def test_bad_setting_value(self, tmp_path):
         with pytest.raises(ManifestError):
