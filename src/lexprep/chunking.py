@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from typing import TypeVar
 
-from .corpus import RawDocument
+from .corpus import RawDocument, check_utf8
 from .errors import TokenizerFailure
 from .tokenizers import Token, TokenizerInterface, encoder, word_ids
 
@@ -320,7 +320,11 @@ def chunk_document(
 
 
 def validate_chunk_record(record: object) -> dict:
-    """The record itself if it has the fields of a chunk record."""
+    """The record itself if it has the fields of a chunk record.
+
+    Its strings must be writable as UTF-8, and its text must not be blank:
+    blank text holds no token, so it makes no chunk.
+    """
     if not isinstance(record, dict):
         raise ValueError("record must be a JSON object")
     # JSON's true and false are no numbers, though Python counts a bool an int.
@@ -329,6 +333,11 @@ def validate_chunk_record(record: object) -> dict:
         value = record.get(name)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"field {name!r} must be a {kind.__name__}")
+    for name in ("doc_id", "text"):
+        check_utf8(name, record[name])
+    text = record["text"]
+    if not text or text.isspace():
+        raise ValueError("field 'text' must not be blank")
     return record
 
 

@@ -28,16 +28,7 @@ from .corpus import (
 from .errors import LexprepError, MalformedRecord
 from .langid import build_profiles_from_dir, save_profiles
 from .masking import MaskingConfig
-from .metrics import (
-    build_report,
-    f1_scores,
-    format_report_table,
-    load_curves_csv,
-    load_predictions_jsonl,
-    write_report_csv,
-)
 from .pipeline import PipelineManifest, run_pipeline, run_stages
-from .schedule import TrainConfig, emit_schedule
 from .tokenizers import VocabTokenizer
 
 LOG = logging.getLogger("lexprep")
@@ -184,6 +175,9 @@ def _cmd_split_validation(args) -> int:
 
 
 def _cmd_lr_curve(args) -> int:
+    # Imported here so that no other command loads it.
+    from .schedule import TrainConfig, emit_schedule
+
     config = TrainConfig(
         args.total_steps, **_given(lr_peak=args.peak_lr, warmup_frac=args.warmup_frac)
     )
@@ -199,6 +193,16 @@ def _cmd_lr_curve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # Imported here so that no other command loads scoring (or `csv`).
+    from .metrics import (
+        build_report,
+        f1_scores,
+        format_report_table,
+        load_curves_csv,
+        load_predictions_jsonl,
+        write_report_csv,
+    )
+
     if args.curves:
         with open(args.curves, encoding="utf-8") as handle:
             curves = load_curves_csv(handle)

@@ -100,9 +100,7 @@ class RawDocument:
 
         Raises:
             ValueError: on a missing or ill-typed field, or on a string
-                field that cannot be written as UTF-8 (a lone surrogate
-                escape such as "\\ud800" decodes from JSON but cannot be
-                encoded).
+                field that cannot be written as UTF-8 (`check_utf8`).
         """
         if not isinstance(record, dict):
             raise ValueError("record must be a JSON object")
@@ -135,14 +133,23 @@ class RawDocument:
         )
         for name in ("id", "source", "region", "language_hint", "text"):
             value = getattr(doc, name)
-            if value is None or value.isascii():
-                continue
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                reason = f"field {name!r} is not valid UTF-8 text: {exc}"
-                raise ValueError(reason) from None
+            if value is not None:
+                check_utf8(name, value)
         return doc
+
+
+def check_utf8(name: str, value: str) -> None:
+    """Raise ValueError unless the string field `name` can be written as UTF-8.
+
+    A lone surrogate escape such as "\\ud800" decodes from JSON but cannot
+    be encoded.
+    """
+    if value.isascii():
+        return
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"field {name!r} is not valid UTF-8 text: {exc}") from None
 
 
 def document_to_line(doc: RawDocument) -> str:

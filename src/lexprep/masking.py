@@ -10,11 +10,18 @@ masked words.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+
+try:
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256
 
 from .chunking import Chunk, chunk_from_record
 from .errors import VocabularyTooSmall, check_type
@@ -83,9 +90,10 @@ def chunk_rng(seed: int, doc_id: str, seq: int) -> random.Random:
 
     Every chunk gets an independent stream, so masking a corpus is
     deterministic regardless of the order chunks are processed in and
-    stable under parallel execution.
+    stable under parallel execution. SHA-256 comes from the interpreter's
+    built-in `_sha256` or `_sha2`, since `hashlib` maps all of OpenSSL.
     """
-    digest = hashlib.sha256(f"{seed}\x1f{doc_id}\x1f{seq}".encode()).digest()
+    digest = sha256(f"{seed}\x1f{doc_id}\x1f{seq}".encode()).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 

@@ -17,7 +17,9 @@ from lexprep.chunking import (
     chunk_from_record,
     pack_chunks,
     split_sentences,
+    validate_chunk_record,
 )
+from lexprep.corpus import RawDocument
 from lexprep.errors import TokenizerFailure
 from lexprep.tokenizers import Token, VocabTokenizer, word_ranges
 
@@ -419,6 +421,29 @@ class TestChunkRecords:
         record["token_count"] = record["token_count"] + 1
         with pytest.raises(ValueError):
             chunk_from_record(record, tokenizer)
+
+    def test_unencodable_text_fails_as_in_a_document_record(self):
+        chunk_record = {"doc_id": "a", "seq": 0, "text": "Hola \ud800."}
+        with pytest.raises(ValueError) as chunk_error:
+            validate_chunk_record(chunk_record)
+        with pytest.raises(ValueError) as doc_error:
+            RawDocument.from_record({"id": "a", "text": "Hola \ud800."})
+        assert str(chunk_error.value) == str(doc_error.value)
+        with pytest.raises(ValueError, match="field 'doc_id' is not valid UTF-8"):
+            validate_chunk_record({"doc_id": "b\ud800", "seq": 0, "text": "Hola."})
+
+    @given(st.text(st.sampled_from(" \t\n\x0b\x1f\u00a0\u2003\u3000a.ñ"), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_a_valid_record_has_a_token(self, tokenizer, text):
+        # The blank-text rule is the bundled tokenizer's: a record passes
+        # iff its text makes a chunk.
+        record = {"doc_id": "a", "seq": 0, "text": text}
+        try:
+            validate_chunk_record(record)
+        except ValueError:
+            assert tokenizer.tokenize(text) == []
+        else:
+            assert chunk_from_record(record, tokenizer).token_count > 0
 
 
 def _reference_hard_split(sentence, tokens, budget, tokenizer, doc_id):

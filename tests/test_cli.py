@@ -15,7 +15,7 @@ from lexprep.cli import main
 from lexprep.corpus import document_to_line, read_documents
 from lexprep.langid import load_profiles
 
-from .conftest import doc_record, run_lexprep, write_jsonl
+from .conftest import doc_record, run_lexprep, run_python, write_jsonl
 from .lang_snippets import CA_SNIPPETS, ES_SNIPPETS
 
 
@@ -950,6 +950,44 @@ class TestMaskLenient:
         )
         assert code == 2
 
+    # Records of the right field types that `mask` still cannot take.
+    _UNMASKABLE_LINES = [
+        '{"doc_id": "b\\ud800", "seq": 0, "text": "Hola mundo."}',
+        json.dumps({"doc_id": "e", "seq": 0, "text": ""}),
+        json.dumps({"doc_id": "w", "seq": 0, "text": " \t "}),
+    ]
+
+    def _with_line(self, tmp_path, capsys, line):
+        chunks = TestMask()._chunks_file(tmp_path, capsys)
+        good = chunks.read_text("utf-8").splitlines()
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join([good[0], line, *good[1:]]) + "\n", encoding="utf-8")
+        return chunks, mixed
+
+    @pytest.mark.parametrize("line", _UNMASKABLE_LINES)
+    def test_unmaskable_record_is_a_skipped_line(self, tmp_path, capsys, caplog, line):
+        chunks, mixed = self._with_line(tmp_path, capsys, line)
+        clean_out = tmp_path / "clean.jsonl"
+        mixed_out = tmp_path / "mixed-out.jsonl"
+        assert run_cli(capsys, "mask", str(chunks), str(clean_out))[0] == 0
+        code, out = run_cli(capsys, "mask", str(mixed), str(mixed_out))
+        assert code == 0
+        assert last_json(out)["skipped"] == 1
+        assert "skipped line 2: field " in caplog.text
+        assert mixed_out.read_bytes() == clean_out.read_bytes()
+
+    @pytest.mark.parametrize("line", _UNMASKABLE_LINES)
+    def test_unmaskable_record_stops_a_strict_mask(
+        self, tmp_path, capsys, caplog, line
+    ):
+        _, mixed = self._with_line(tmp_path, capsys, line)
+        out_path = tmp_path / "out.jsonl"
+        code, _ = run_cli(capsys, "--strict", "mask", str(mixed), str(out_path))
+        assert code == 2
+        assert "line 2: field " in caplog.text
+        assert not out_path.exists()
+        assert list(tmp_path.glob(".*.tmp")) == []
+
     def test_token_count_mismatch_still_fails(self, tmp_path, capsys):
         chunks, _ = self._chunks(tmp_path, capsys)
         record = json.loads(chunks.read_text("utf-8").splitlines()[0])
@@ -979,6 +1017,30 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_a_run_loads_no_openssl_and_no_scoring_modules(tmp_path):
+    # A fresh process, as `lexprep run` is: the test process has them all.
+    write_jsonl(
+        tmp_path / "in.jsonl",
+        [doc_record(f"d{i}", text) for i, text in enumerate(ES_SNIPPETS[:3])],
+    )
+    manifest = {
+        "input_path": "in.jsonl",
+        "output_dir": "out",
+        "stages": ["filter-lang", "clean", "chunk", "mask"],
+    }
+    (tmp_path / "run.json").write_text(json.dumps(manifest), encoding="utf-8")
+    unwanted = ["_hashlib", "csv", "hashlib", "lexprep.metrics", "lexprep.schedule"]
+    code = (
+        "import sys; from lexprep.cli import main; "
+        f"code = main(['run', {str(tmp_path / 'run.json')!r}]); "
+        f"print(code, sorted(set({unwanted!r}) & set(sys.modules)), file=sys.stderr)"
+    )
+    result = run_python("-c", code)
+    assert result.stderr.decode().splitlines()[-1] == "0 []"
+    examples = (tmp_path / "out" / "04-mask.jsonl").read_text("utf-8").splitlines()
+    assert examples, "no chunk was masked, so no seed was hashed"
 
 
 class TestStageCommandsShareTheRunPass:

@@ -1,6 +1,7 @@
 """Whole-word selection and the 80/10/10 corruption rules."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -300,6 +301,21 @@ class TestMaskChunk:
         assert chunk_rng(0, "a", 0).random() != chunk_rng(0, "a", 1).random()
         assert chunk_rng(0, "a", 0).random() != chunk_rng(0, "b", 0).random()
         assert chunk_rng(0, "a", 0).random() == chunk_rng(0, "a", 0).random()
+
+    @given(
+        seed=st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200)),
+        # Any text but lone surrogates, which no chunk record may carry.
+        doc_id=st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+        | st.sampled_from(["d0", "ley-ñ", "𝔏𝔢𝔶", "文書\x1f0"]),
+        seq=st.integers(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rng_is_seeded_from_the_hashlib_digest(self, seed, doc_id, seq):
+        # hashlib's SHA-256 seeded every 04-mask.jsonl written so far.
+        key = f"{seed}\x1f{doc_id}\x1f{seq}".encode()
+        digest = hashlib.sha256(key).digest()
+        reference = random.Random(int.from_bytes(digest[:16], "big"))
+        assert chunk_rng(seed, doc_id, seq).getstate() == reference.getstate()
 
     def test_to_record_shape(self, tokenizer):
         chunk = one_chunk(tokenizer, "de la ley", doc_id="r")
