@@ -6,10 +6,13 @@ budget, so sequences are dense without mid-sentence truncation. The
 unit's count is the sum of its sentences' counts when the tokenizer
 declares itself concatenation-stable, and is measured by re-tokenizing
 the joined unit otherwise. A single sentence longer than the whole budget
-is hard-split at token boundaries into maximal pieces rather than dropped.
-The hard split draws the sentence's tokens through a window of at most
-budget + 1 of them, so the tokens held at once are bounded by the budget,
-not by the length of the sentence.
+is cut into maximal pieces rather than dropped. With a concat-stable
+tokenizer its words are packed greedily, as sentences are, from their
+per-word ids, and only a word wider than the whole budget is hard-split
+at token boundaries; otherwise the whole sentence is hard-split. The hard
+split draws its tokens through a window of at most budget + 1 of them, so
+the tokens held at once are bounded by the budget, not by the length of
+the sentence or the word.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TypeVar
 
 from .corpus import RawDocument, check_utf8
 from .errors import TokenizerFailure
-from .tokenizers import Token, TokenizerInterface, encoder, word_ids
+from .tokenizers import Token, TokenizerInterface, encoder, word_ids, word_spans
 
 _T = TypeVar("_T")
 
@@ -221,6 +224,63 @@ def _hard_split(
         del window[:cut]
 
 
+def _cut_words(
+    sentence: str,
+    words: Iterable[tuple[int, int, tuple[int, ...]]],
+    budget: int,
+    tokenizer: TokenizerInterface,
+    doc_id: str,
+) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
+    """Cut an oversized sentence between its words into maximal pieces.
+
+    `words` is the sentence's `(start, end, ids)` per word, in order; it
+    is packed greedily, as sentences are, and each piece's text is sliced
+    from the sentence. Yields each piece's text and its per-word ids.
+    Only a word wider than the whole budget is cut inside, by
+    `_hard_split` over that word's tokens, and its last piece stays open
+    for the words after it. With a concat-stable tokenizer these are the
+    pieces `_hard_split` cuts from the whole sentence's tokens.
+    """
+    token_source = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
+    words = iter(words)
+    piece_start = piece_end = count = 0
+    piece_words: list[tuple[int, ...]] = []
+    while True:
+        try:
+            start, end, ids = next(words)
+        except StopIteration:
+            break
+        except Exception as exc:
+            raise _failure(doc_id, sentence, exc) from exc
+        width = len(ids)
+        if count + width <= budget:
+            if not piece_words:
+                piece_start = start
+            piece_words.append(ids)
+            piece_end = end
+            count += width
+            continue
+        if piece_words:
+            yield sentence[piece_start:piece_end], piece_words
+        if width <= budget:
+            piece_start, piece_end, piece_words, count = start, end, [ids], width
+            continue
+        word = sentence[start:end]
+        pieces = _hard_split(
+            word, _run(token_source, word, doc_id), budget, tokenizer, doc_id
+        )
+        tail = next(pieces)
+        for piece in pieces:
+            yield tail
+            tail = piece
+        # The word's last piece ends where the word does.
+        tail_text, piece_words = tail
+        piece_start, piece_end = end - len(tail_text), end
+        count = sum(map(len, piece_words))
+    if piece_words:
+        yield sentence[piece_start:piece_end], piece_words
+
+
 def pack_chunks(
     sentences: Iterable[str],
     tokenizer: TokenizerInterface,
@@ -237,9 +297,12 @@ def pack_chunks(
     tokenizers are not concatenation-stable in general: the joined text
     is re-tokenized as a whole. Sentence order is preserved and chunks
     never cross document boundaries. Text is encoded to per-word ids with
-    the tokenizer's `encode` when it has one; Token objects are built
-    only for a sentence over the budget, to cut it, and at most
-    budget + 1 of them live at once when the tokenizer has `iter_tokens`.
+    the tokenizer's `encode` when it has one. A sentence over the budget
+    is cut by `_cut_words` from its words (the tokenizer's `iter_words`
+    when it has one) if the tokenizer is concat-stable, and by
+    `_hard_split` from its tokens otherwise. Token objects are built only
+    for a hard split, and at most budget + 1 of them live at once when
+    the tokenizer has `iter_tokens`.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only.
@@ -252,8 +315,12 @@ def pack_chunks(
         )
     concat_stable = getattr(tokenizer, "concat_stable", False)
     encode = encoder(tokenizer)
-    # An oversized sentence is cut from its tokens, drawn lazily if possible.
-    token_source = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
+    # An oversized sentence is cut from its words, or else from its tokens,
+    # each drawn lazily if possible.
+    if concat_stable:
+        words_of = word_spans(tokenizer)
+    else:
+        token_source = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
     chunks: list[Chunk] = []
     current_sents: list[str] = []
     # The joined text's ids, one tuple per word.
@@ -293,8 +360,14 @@ def pack_chunks(
         if count <= budget:
             current_sents, current_words, current_count = [sentence], words, count
             continue
-        tokens = _run(token_source, sentence, doc_id)
-        pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
+        # The cut draws the sentence again; its whole list of ids goes now.
+        del words
+        if concat_stable:
+            spans = _run(words_of, sentence, doc_id)
+            pieces = _cut_words(sentence, spans, budget, tokenizer, doc_id)
+        else:
+            tokens = _run(token_source, sentence, doc_id)
+            pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
         tail = next(pieces)
         for piece in pieces:
             emit(*tail)

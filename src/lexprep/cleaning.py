@@ -13,8 +13,9 @@ from dataclasses import dataclass, fields
 from .errors import check_type
 
 # Horizontal whitespace: any whitespace except the newline. Covers tabs and
-# non-breaking spaces, both common PDF-extraction artifacts.
-_HSPACE_RUN = re.compile(r"[^\S\n]+")
+# non-breaking spaces, both common PDF-extraction artifacts. A lone space,
+# the usual case, already is what a run becomes, so it is not matched.
+_HSPACE_RUN = re.compile(r"[^\S\n]{2,}|[^\S\n ]")
 # A run of two or more newlines, possibly separated by horizontal whitespace.
 _NEWLINE_RUN = re.compile(r"\n(?:[^\S\n]*\n)+")
 # Unicode category Cc (U+0000-U+001F and U+007F-U+009F) without \t and \n.

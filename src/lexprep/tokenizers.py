@@ -50,13 +50,20 @@ class TokenizerInterface(Protocol):
     starting at a word-start token. Chunking and chunk records use it when
     present and build no Token objects; without it they group the
     tokens of `tokenize` by their word-start flags. It may also provide
-    `iter_tokens(text) -> Iterator[Token]`: the tokens of tokenize(text),
-    drawn one at a time. The chunker cuts an oversized sentence from it,
-    holding at most budget + 1 tokens at once; without it the sentence's
-    `tokenize` list goes through the same cut. `reserved_special_count`
-    is how many special tokens the tokenizer adds per sequence (0 for the
-    reference tokenizer); chunk packing budgets content tokens against
-    max_tokens minus this count.
+    `iter_words(text) -> Iterator[tuple[int, int, tuple[int, ...]]]`:
+    `(start, end, ids)` for each word of `encode(text)`, one at a time,
+    where text[start:end] is the word. When the tokenizer is
+    concat-stable, the chunker cuts an oversized sentence between these
+    words; without `iter_words` it groups them from one `tokenize` call.
+    It may also provide `iter_tokens(text) -> Iterator[Token]`: the
+    tokens of tokenize(text), drawn one at a time. The chunker cuts a
+    word wider than the whole budget (or, for a tokenizer that is not
+    concat-stable, an oversized sentence) from it, holding at most
+    budget + 1 tokens at once; without it the `tokenize` list goes
+    through the same cut. `reserved_special_count` is how many special
+    tokens the tokenizer adds per sequence (0 for the reference
+    tokenizer); chunk packing budgets content tokens against max_tokens
+    minus this count.
     """
 
     vocab_size: int
@@ -84,8 +91,31 @@ def word_ranges(tokens: list[Token]) -> tuple[tuple[int, int], ...]:
 
 def word_ids(tokens: list[Token]) -> list[tuple[int, ...]]:
     """The ids of `tokens`, one tuple per word range."""
+    return [ids for _, _, ids in _grouped_words(tokens)]
+
+
+def word_spans(
+    tokenizer: TokenizerInterface,
+) -> Callable[[str], Iterator[tuple[int, int, tuple[int, ...]]]]:
+    """text -> `(start, end, ids)` for each of its words, in order.
+
+    The tokenizer's `iter_words` when it has one, so no Token is built;
+    otherwise the tokens of one `tokenize` call, grouped by their word
+    starts, each word spanning its first token's start to its last
+    token's end.
+    """
+    iter_words = getattr(tokenizer, "iter_words", None)
+    if iter_words is not None:
+        return iter_words
+    return lambda text: _grouped_words(tokenizer.tokenize(text))
+
+
+def _grouped_words(tokens: list[Token]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """`(start, end, ids)` for each word range of `tokens`."""
     ids = [tok.id for tok in tokens]
-    return [tuple(ids[start:end]) for start, end in word_ranges(tokens)]
+    for start, end in word_ranges(tokens):
+        last = tokens[end - 1]
+        yield tokens[start].start, last.start + len(last.piece), tuple(ids[start:end])
 
 
 def encoder(tokenizer: TokenizerInterface) -> Callable[[str], list[tuple[int, ...]]]:
@@ -171,8 +201,9 @@ class VocabTokenizer:
     flags) and is cleared when its words would pass WORD_TABLE_CHARS
     characters, each counted as at least WORD_ENTRY_CHARS, so it stays
     small however long or short the words are.
-    `iter_tokens` rebuilds full tokens from the same ids, one at a time,
-    and `tokenize` lists them.
+    `iter_words` yields the same ids word by word, with each word's span;
+    `iter_tokens` expands its words into full tokens, one at a time, and
+    `tokenize` lists them.
     """
 
     reserved_special_count = 0
@@ -234,22 +265,29 @@ class VocabTokenizer:
                     encoded[i] = segment(words[i])
         return encoded
 
-    def iter_tokens(self, text: str) -> Iterator[Token]:
-        """The tokens of `text`, one at a time, as `tokenize` lists them."""
+    def iter_words(self, text: str) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """`(start, end, ids)` for each word of `text`, one at a time.
+
+        `text[start:end]` is the word and `ids` its tuple of `encode`,
+        looked up in the word table.
+        """
         lookup = self._word_ids.get
-        pieces = self._pieces
         for match in _WORD_OR_MARK.finditer(text):
             word = match.group()
-            pos = match.start()
-            ids = lookup(word) or self._segment(word)
+            yield match.start(), match.end(), lookup(word) or self._segment(word)
+
+    def iter_tokens(self, text: str) -> Iterator[Token]:
+        """The tokens of `text`, one at a time, as `tokenize` lists them."""
+        pieces = self._pieces
+        for start, end, ids in self.iter_words(text):
             if len(ids) == 1:
                 # A one-token word is its own piece, known or [UNK].
-                yield _new_token(Token, (ids[0], True, word, pos))
+                yield _new_token(Token, (ids[0], True, text[start:end], start))
                 continue
-            offset = 0
+            offset = start
             for piece_id in ids:
-                piece = word[offset] if piece_id == UNK else pieces[piece_id]
-                yield _new_token(Token, (piece_id, offset == 0, piece, pos + offset))
+                piece = text[offset] if piece_id == UNK else pieces[piece_id]
+                yield _new_token(Token, (piece_id, offset == start, piece, offset))
                 offset += len(piece)
 
     def tokenize(self, text: str) -> list[Token]:

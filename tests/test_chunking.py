@@ -24,6 +24,7 @@ from lexprep.errors import TokenizerFailure
 from lexprep.tokenizers import Token, VocabTokenizer, word_ranges
 
 from .conftest import make_doc
+from .test_oversized_contract import unpunctuated_line
 
 # Words with known reference-tokenizer behavior: the short ones are one
 # token, the long ones several.
@@ -641,7 +642,15 @@ class TestEncodePacking:
     @settings(deadline=None)
     @given(
         st.lists(
-            st.lists(st.sampled_from(_SENTENCE_WORDS), max_size=40).map(" ".join),
+            # Words glued ("ley,") or spaced, with any number of them wider
+            # than a small budget: two in the pool, and glued runs.
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_SENTENCE_WORDS + ["prescripción" * 9]),
+                    st.sampled_from(["", " "]),
+                ),
+                max_size=40,
+            ).map(lambda words: "".join(word + sep for word, sep in words)),
             max_size=12,
         ),
         st.integers(4, 64),
@@ -668,6 +677,25 @@ class TestEncodePacking:
             pack_chunks(sentences, Delegating(tokenizer), max_tokens=16, doc_id="e")
         )
         assert encoding.calls == 1
+
+    def test_unpunctuated_line_is_cut_without_tokens(self):
+        line = unpunctuated_line()
+        tokenizer = VocabTokenizer()
+
+        def no_tokens(text):
+            raise AssertionError("a Token was asked for")
+
+        tokenizer.tokenize = tokenizer.iter_tokens = no_tokens
+        chunks = pack_chunks([line], tokenizer, max_tokens=512, doc_id="u")
+        assert len(chunks) > 50
+        assert all(0 < chunk.token_count <= 512 for chunk in chunks)
+        # Cuts fall at word starts, so between "Asimismo" and its ",": all
+        # the non-space characters are kept, in order.
+        kept = "".join(chunk.text for chunk in chunks)
+        assert "".join(kept.split()) == "".join(line.split())
+        assert chunk_fields(chunks) == chunk_fields(
+            pack_chunks([line], Counting(VocabTokenizer()), max_tokens=512, doc_id="u")
+        )
 
     def test_record_rebuilt_without_encode(self, tokenizer):
         chunks = pack_chunks(

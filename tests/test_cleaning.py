@@ -1,12 +1,13 @@
 """Cleaning rules: the documented examples and the algebraic properties."""
 
+import re
 import sys
 import unicodedata
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexprep.cleaning import CleanPolicy, _strip_control, clean_text
+from lexprep.cleaning import _HSPACE_RUN, CleanPolicy, _strip_control, clean_text
 
 # Random strings that exercise every rule: letters, horizontal whitespace,
 # newlines, control characters, and non-breaking spaces. Adjacent \r and
@@ -101,3 +102,16 @@ def test_strip_control_matches_category_scan_on_every_code_point():
     # code points are dropped.
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     assert _strip_control(everything) == reference(everything)
+
+
+# Every whitespace code point, among letters and a mark.
+_WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+
+
+@given(
+    st.text(alphabet=st.sampled_from(_WHITESPACE + list("ab.")), max_size=60)
+    | st.text(max_size=60)
+)
+def test_space_collapse_matches_the_pattern_that_also_matched_a_lone_space(text):
+    every_run = re.compile(r"[^\S\n]+")
+    assert _HSPACE_RUN.sub(" ", text) == every_run.sub(" ", text)

@@ -14,6 +14,7 @@ from lexprep.errors import VocabularyTooSmall
 from lexprep.masking import (
     IGNORE_LABEL,
     MaskingConfig,
+    _shuffle,
     apply_mask,
     chunk_rng,
     mask_chunk,
@@ -125,6 +126,20 @@ class TestSelectWords:
         assert first == second
 
 
+class TestShuffle:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 3])
+    def test_same_permutation_and_state_as_random_shuffle(self, seed):
+        for length in range(601):
+            expected = list(range(length))
+            reference = random.Random(f"{seed}-{length}")
+            reference.shuffle(expected)
+            items = list(range(length))
+            rng = random.Random(f"{seed}-{length}")
+            _shuffle(items, rng)
+            assert items == expected
+            assert rng.random() == reference.random()
+
+
 class TestCarriedIds:
     @settings(deadline=None)
     @given(
@@ -135,8 +150,12 @@ class TestCarriedIds:
     def test_select_matches_reference(self, tokenizer, text, rate, seed):
         chunk = one_chunk(tokenizer, text)
         config = MaskingConfig(mask_rate=rate)
-        expected = _reference_select(chunk, config, random.Random(seed), tokenizer)
-        assert select_words(chunk, config, random.Random(seed), tokenizer) == expected
+        reference = random.Random(seed)
+        expected = _reference_select(chunk, config, reference, tokenizer)
+        rng = random.Random(seed)
+        assert select_words(chunk, config, rng, tokenizer) == expected
+        # apply_mask draws on from the same state.
+        assert rng.random() == reference.random()
 
     @settings(deadline=None)
     @given(st.lists(_MASK_WORDS, min_size=1, max_size=80).map(" ".join))

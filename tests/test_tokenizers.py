@@ -244,6 +244,22 @@ def test_encode_groups_the_ids_of_tokenize(text):
     assert tokens == _reference_tokenize(text)
 
 
+@settings(deadline=None)
+@given(_awkward_text)
+def test_iter_words_yields_the_words_of_encode_with_their_spans(text):
+    fresh = VocabTokenizer()
+    # The first pass segments every word, the second looks them up.
+    for words in (list(fresh.iter_words(text)), list(fresh.iter_words(text))):
+        assert [ids for _, _, ids in words] == fresh.encode(text)
+        # Each span slices out its word: the pieces of the word's tokens.
+        tokens = iter(_reference_tokenize(text))
+        for start, end, ids in words:
+            pieces = [next(tokens) for _ in ids]
+            assert pieces[0].start == start
+            assert text[start:end] == "".join(token.piece for token in pieces)
+        assert next(tokens, None) is None
+
+
 def test_encode_marks_digits_underscores_and_unknowns(tokenizer):
     text = "art_5 12º, ¿x²? правило…"
     encoded = tokenizer.encode(text)
