@@ -6,28 +6,32 @@ budget, so sequences are dense without mid-sentence truncation. The
 unit's count is the sum of its sentences' counts when the tokenizer
 declares itself concatenation-stable, and is measured by re-tokenizing
 the joined unit otherwise. A single sentence longer than the whole budget
-is cut into maximal pieces rather than dropped. With a concat-stable
-tokenizer its words are packed greedily, as sentences are, from their
-per-word ids, and only a word wider than the whole budget is hard-split
-at token boundaries; otherwise the whole sentence is hard-split. The hard
-split draws its tokens through a window of at most budget + 1 of them, so
-the tokens held at once are bounded by the budget, not by the length of
-the sentence or the word.
+is cut into maximal pieces rather than dropped: with a concat-stable
+tokenizer by the same greedy function over its words, from their per-word
+ids, so only a word wider than the whole budget is hard-split at token
+boundaries; otherwise the whole sentence is hard-split. The hard split
+draws its tokens through a window of at most budget + 1 of them, so the
+tokens held at once are bounded by the budget, not by the length of the
+sentence or the word, and tokenizes every piece again.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from typing import TypeVar
 
 from .corpus import RawDocument, check_utf8
 from .errors import TokenizerFailure
-from .tokenizers import Token, TokenizerInterface, encoder, word_ids, word_spans
+from .tokenizers import Token, TokenizerInterface, encoder, group_words
 
 _T = TypeVar("_T")
+_K = TypeVar("_K")
+# A piece's text and ids, one tuple per word; a word's span and ids.
+_Piece = tuple[str, list[tuple[int, ...]]]
+_Word = tuple[int, int, tuple[int, ...]]
 
 DEFAULT_MAX_TOKENS = 512
 
@@ -167,21 +171,17 @@ def _hard_split(
     budget: int,
     tokenizer: TokenizerInterface,
     doc_id: str,
-) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
-    """Cut an oversized sentence at token boundaries into maximal pieces.
+) -> Iterator[_Piece]:
+    """Cut an oversized text at token boundaries into maximal pieces.
 
     Yields each piece's text and its per-word ids. A cut never looks
     more than budget + 1 tokens past the start of its piece, so `tokens`
-    (the sentence's tokens, in order) is drawn through a window of at
-    most budget + 1 of them; a lazy iterator keeps memory bounded by the
+    (the text's tokens, in order) is drawn through a window of at most
+    budget + 1 of them; a lazy iterator keeps memory bounded by the
     budget. Cuts land on word starts whenever one exists within the
-    budget. With a concat-stable tokenizer a piece that begins and ends
-    at word starts keeps its slice of the window. Any other piece is
-    re-tokenized: only a single word wider than the whole budget forces
-    a mid-word cut, where the re-tokenized piece is authoritative and
-    shrinks until it fits.
+    budget. Every piece is tokenized again, and its tokens are
+    authoritative: a piece that does not fit shrinks until it does.
     """
-    concat_stable = getattr(tokenizer, "concat_stable", False)
     tokens = iter(tokens)
     window: list[Token] = []
     while True:
@@ -191,7 +191,7 @@ def _hard_split(
             raise _failure(doc_id, sentence, exc) from exc
         if not window:
             return
-        # A window short of budget + 1 tokens holds the sentence's last ones.
+        # A window short of budget + 1 tokens holds the text's last ones.
         size = len(window)
         take = min(budget, size)
         cut = take
@@ -200,85 +200,158 @@ def _hard_split(
         if cut == 0:
             cut = take
         begin = window[0].start
-        if (
-            concat_stable
-            and window[0].is_word_start
-            and (cut == size or window[cut].is_word_start)
-        ):
-            piece_tokens = window[:cut]
-            last = piece_tokens[-1]
+        while cut > 0:
+            last = window[cut - 1]
             piece_text = sentence[begin : last.start + len(last.piece)]
-        else:
-            while cut > 0:
-                last = window[cut - 1]
-                piece_text = sentence[begin : last.start + len(last.piece)]
-                piece_tokens = _run(tokenizer.tokenize, piece_text, doc_id)
-                if len(piece_tokens) <= budget:
-                    break
-                cut -= 1
-            if cut == 0:
-                raise TokenizerFailure(
-                    doc_id, f"cannot fit a single token within budget {budget}"
-                )
-        yield piece_text, word_ids(piece_tokens)
+            piece_tokens = _run(tokenizer.tokenize, piece_text, doc_id)
+            if len(piece_tokens) <= budget:
+                break
+            cut -= 1
+        if cut == 0:
+            raise TokenizerFailure(
+                doc_id, f"cannot fit a single token within budget {budget}"
+            )
+        yield piece_text, [ids for _, _, ids in group_words(piece_tokens)]
         del window[:cut]
 
 
-def _cut_words(
-    sentence: str,
-    words: Iterable[tuple[int, int, tuple[int, ...]]],
+def _pack(
+    units: Iterable[tuple[_K, Sequence[tuple[int, ...]], int]],
     budget: int,
-    tokenizer: TokenizerInterface,
-    doc_id: str,
-) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
-    """Cut an oversized sentence between its words into maximal pieces.
+    cut: Callable[[_K], Iterator[_Piece]],
+    close: Callable[[list[_K]], str],
+    reopen: Callable[[_K, str], _K],
+) -> Iterator[_Piece]:
+    """Pack units greedily, left to right, into pieces of at most budget tokens.
 
-    `words` is the sentence's `(start, end, ids)` per word, in order; it
-    is packed greedily, as sentences are, and each piece's text is sliced
-    from the sentence. Yields each piece's text and its per-word ids.
-    Only a word wider than the whole budget is cut inside, by
-    `_hard_split` over that word's tokens, and its last piece stays open
-    for the words after it. With a concat-stable tokenizer these are the
-    pieces `_hard_split` cuts from the whole sentence's tokens.
+    A unit is a key, its ids (one tuple per word) and its token count;
+    `close` makes a piece's text from the keys of its units. A unit joins
+    the open piece iff the summed count stays within the budget, but a
+    unit with no token never opens a piece. A unit wider than the whole
+    budget closes the open piece and is cut by `cut(key)` into pieces of
+    text and ids: every piece but the last is emitted, and the last stays
+    open, as the key `reopen(key, text)`, for the units after it. Yields
+    each piece's text and ids.
     """
-    token_source = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
-    words = iter(words)
-    piece_start = piece_end = count = 0
-    piece_words: list[tuple[int, ...]] = []
-    while True:
-        try:
-            start, end, ids = next(words)
-        except StopIteration:
-            break
-        except Exception as exc:
-            raise _failure(doc_id, sentence, exc) from exc
-        width = len(ids)
+    keys: list[_K] = []
+    words: list[tuple[int, ...]] = []
+    count = 0
+    for key, ids, width in units:
         if count + width <= budget:
-            if not piece_words:
-                piece_start = start
-            piece_words.append(ids)
-            piece_end = end
-            count += width
+            if keys or width:
+                keys.append(key)
+                words += ids
+                count += width
             continue
-        if piece_words:
-            yield sentence[piece_start:piece_end], piece_words
+        if keys:
+            yield close(keys), words
         if width <= budget:
-            piece_start, piece_end, piece_words, count = start, end, [ids], width
+            keys, words, count = [key], [*ids], width
             continue
-        word = sentence[start:end]
-        pieces = _hard_split(
-            word, _run(token_source, word, doc_id), budget, tokenizer, doc_id
-        )
-        tail = next(pieces)
+        # The cut draws the unit again; its ids go now.
+        del ids
+        pieces = cut(key)
+        text, words = next(pieces)
         for piece in pieces:
-            yield tail
-            tail = piece
-        # The word's last piece ends where the word does.
-        tail_text, piece_words = tail
-        piece_start, piece_end = end - len(tail_text), end
-        count = sum(map(len, piece_words))
-    if piece_words:
-        yield sentence[piece_start:piece_end], piece_words
+            yield text, words
+            text, words = piece
+        keys, count = [reopen(key, text)], sum(map(len, words))
+    if keys:
+        yield close(keys), words
+
+
+def _word_units(words: Iterable[_Word], sentence: str, doc_id: str) -> Iterator:
+    """`_pack` units of a sentence's words, each keyed by its `(start, end, ids)`."""
+    try:
+        for word in words:
+            ids = word[2]
+            yield word, (ids,), len(ids)
+    except Exception as exc:
+        raise _failure(doc_id, sentence, exc) from exc
+
+
+def _packed_by_counts(
+    sentences: Iterable[str], tokenizer: TokenizerInterface, budget: int, doc_id: str
+) -> Iterator[_Piece]:
+    """`_pack` over the sentences, each encoded once, and an oversized one's words.
+
+    The words are the tokenizer's `iter_words`, or else those of one
+    `tokenize` call, and a piece's text is sliced from the sentence by
+    their spans. Only a word wider than the whole budget is cut by
+    `_hard_split`, from its tokens (`iter_tokens`, or else `tokenize`).
+    """
+    encode = encoder(tokenizer)
+    words_of = getattr(tokenizer, "iter_words", None) or (
+        lambda text: group_words(tokenizer.tokenize(text))
+    )
+    tokens_of = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
+
+    def sentence_unit(sentence: str) -> tuple[str, list[tuple[int, ...]], int]:
+        words = _run(encode, sentence, doc_id)
+        return sentence, words, sum(map(len, words))
+
+    def cut_sentence(sentence: str) -> Iterator[_Piece]:
+        def cut_word(span: _Word) -> Iterator[_Piece]:
+            word = sentence[span[0] : span[1]]
+            tokens = _run(tokens_of, word, doc_id)
+            return _hard_split(word, tokens, budget, tokenizer, doc_id)
+
+        return _pack(
+            _word_units(_run(words_of, sentence, doc_id), sentence, doc_id),
+            budget,
+            cut_word,
+            lambda spans: sentence[spans[0][0] : spans[-1][1]],
+            # The last piece of a word ends where the word does.
+            lambda span, text: (span[1] - len(text), span[1]),
+        )
+
+    units = map(sentence_unit, filter(None, map(str.strip, sentences)))
+    return _pack(units, budget, cut_sentence, " ".join, lambda _, text: text)
+
+
+def _packed_by_retokenizing(
+    sentences: Iterable[str], tokenizer: TokenizerInterface, budget: int, doc_id: str
+) -> Iterator[_Piece]:
+    """Sentences packed by tokenizing each candidate piece whole.
+
+    The next sentence joins iff the joined text fits. An oversized one is
+    cut by `_hard_split` from its tokens (`iter_tokens`, or else
+    `tokenize`), and its last piece stays open.
+    """
+    encode = encoder(tokenizer)
+    tokens_of = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
+    joined: list[str] = []
+    words: list[tuple[int, ...]] = []
+    for sentence in sentences:
+        sentence = sentence.strip()
+        if not sentence:
+            continue
+        candidate = _run(encode, " ".join([*joined, sentence]), doc_id)
+        count = sum(map(len, candidate))
+        if count and count <= budget:
+            joined.append(sentence)
+            words = candidate
+            continue
+        if not count:
+            continue
+        if joined:
+            yield " ".join(joined), words
+            candidate = _run(encode, sentence, doc_id)
+            count = sum(map(len, candidate))
+        if count <= budget:
+            joined, words = [sentence], candidate
+            continue
+        # The cut draws the sentence again; its whole list of ids goes now.
+        del candidate
+        tokens = _run(tokens_of, sentence, doc_id)
+        pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
+        text, words = next(pieces)
+        for piece in pieces:
+            yield text, words
+            text, words = piece
+        joined = [text]
+    if joined:
+        yield " ".join(joined), words
 
 
 def pack_chunks(
@@ -291,18 +364,14 @@ def pack_chunks(
 
     The next sentence joins the current chunk iff the joined text stays
     within budget; otherwise the chunk is emitted and a new one starts.
-    For a tokenizer that declares `concat_stable`, each sentence is
-    encoded once and the joined count is the sum of the sentence counts.
-    Otherwise per-sentence counts are never summed, since subword
-    tokenizers are not concatenation-stable in general: the joined text
-    is re-tokenized as a whole. Sentence order is preserved and chunks
-    never cross document boundaries. Text is encoded to per-word ids with
-    the tokenizer's `encode` when it has one. A sentence over the budget
-    is cut by `_cut_words` from its words (the tokenizer's `iter_words`
-    when it has one) if the tokenizer is concat-stable, and by
-    `_hard_split` from its tokens otherwise. Token objects are built only
-    for a hard split, and at most budget + 1 of them live at once when
-    the tokenizer has `iter_tokens`.
+    For a tokenizer that declares `concat_stable`, the joined count is
+    the sum of the sentence counts, and an oversized sentence is cut by
+    the same greedy rule over its words. Otherwise counts are never
+    summed, since subword tokenizers are not concatenation-stable in
+    general: the joined text is re-tokenized as a whole. Sentence order
+    is preserved and chunks never cross document boundaries. Text is
+    encoded to per-word ids with the tokenizer's `encode` when it has
+    one; Token objects are built only for a hard split.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only.
@@ -313,72 +382,11 @@ def pack_chunks(
         raise ValueError(
             f"max_tokens={max_tokens} leaves no room after {reserved} reserved tokens"
         )
-    concat_stable = getattr(tokenizer, "concat_stable", False)
-    encode = encoder(tokenizer)
-    # An oversized sentence is cut from its words, or else from its tokens,
-    # each drawn lazily if possible.
-    if concat_stable:
-        words_of = word_spans(tokenizer)
+    if getattr(tokenizer, "concat_stable", False):
+        pieces = _packed_by_counts(sentences, tokenizer, budget, doc_id)
     else:
-        token_source = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
-    chunks: list[Chunk] = []
-    current_sents: list[str] = []
-    # The joined text's ids, one tuple per word.
-    current_words: list[tuple[int, ...]] = []
-    current_count = 0
-
-    def emit(text: str, words: list[tuple[int, ...]]) -> None:
-        chunks.append(_make_chunk(doc_id, len(chunks), text, words))
-
-    for sentence in sentences:
-        sentence = sentence.strip()
-        if not sentence:
-            continue
-        if concat_stable:
-            words = _run(encode, sentence, doc_id)
-            count = sum(map(len, words))
-            if current_sents and current_count + count <= budget:
-                current_sents.append(sentence)
-                current_words += words
-                current_count += count
-                continue
-        else:
-            words = _run(encode, " ".join([*current_sents, sentence]), doc_id)
-            count = sum(map(len, words))
-            if count and count <= budget:
-                current_sents.append(sentence)
-                current_words, current_count = words, count
-                continue
-        if not count:
-            continue
-        if current_sents:
-            emit(" ".join(current_sents), current_words)
-            current_sents = []
-            if not concat_stable:
-                words = _run(encode, sentence, doc_id)
-                count = sum(map(len, words))
-        if count <= budget:
-            current_sents, current_words, current_count = [sentence], words, count
-            continue
-        # The cut draws the sentence again; its whole list of ids goes now.
-        del words
-        if concat_stable:
-            spans = _run(words_of, sentence, doc_id)
-            pieces = _cut_words(sentence, spans, budget, tokenizer, doc_id)
-        else:
-            tokens = _run(token_source, sentence, doc_id)
-            pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
-        tail = next(pieces)
-        for piece in pieces:
-            emit(*tail)
-            tail = piece
-        # The final piece stays open so following sentences can pack onto it.
-        tail_text, current_words = tail
-        current_sents = [tail_text]
-        current_count = sum(map(len, current_words))
-    if current_sents:
-        emit(" ".join(current_sents), current_words)
-    return chunks
+        pieces = _packed_by_retokenizing(sentences, tokenizer, budget, doc_id)
+    return [_make_chunk(doc_id, seq, *piece) for seq, piece in enumerate(pieces)]
 
 
 def chunk_document(

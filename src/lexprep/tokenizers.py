@@ -38,32 +38,28 @@ class TokenizerInterface(Protocol):
     text as a whole. A tokenizer class may declare `concat_stable = True`
     when, for any two texts a and b without leading or trailing
     whitespace, tokenize(a + " " + b) has the ids and word-start flags of
-    tokenize(a) followed by those of tokenize(b); the chunker then sums
-    per-sentence counts instead of re-tokenizing. The declaration also
-    means that cutting a text just before a word-start token splits its
-    token stream there, so an oversized sentence cut between words keeps
-    its tokens. Tokenizers that do not declare it keep the whole-text
-    measurement.
+    tokenize(a) followed by those of tokenize(b), and when cutting a text
+    just before a word-start token splits its token stream there. The
+    chunker then packs sentences by their summed counts, and an oversized
+    sentence by the summed counts of its words, with one greedy rule.
+    Tokenizers that do not declare it keep the whole-text measurement.
 
     A tokenizer may also provide `encode(text) -> list[tuple[int, ...]]`:
-    the ids of tokenize(text) grouped into words, one tuple per word, each
-    starting at a word-start token. Chunking and chunk records use it when
-    present and build no Token objects; without it they group the
-    tokens of `tokenize` by their word-start flags. It may also provide
-    `iter_words(text) -> Iterator[tuple[int, int, tuple[int, ...]]]`:
-    `(start, end, ids)` for each word of `encode(text)`, one at a time,
-    where text[start:end] is the word. When the tokenizer is
-    concat-stable, the chunker cuts an oversized sentence between these
-    words; without `iter_words` it groups them from one `tokenize` call.
-    It may also provide `iter_tokens(text) -> Iterator[Token]`: the
-    tokens of tokenize(text), drawn one at a time. The chunker cuts a
-    word wider than the whole budget (or, for a tokenizer that is not
-    concat-stable, an oversized sentence) from it, holding at most
-    budget + 1 tokens at once; without it the `tokenize` list goes
-    through the same cut. `reserved_special_count` is how many special
-    tokens the tokenizer adds per sequence (0 for the reference
-    tokenizer); chunk packing budgets content tokens against max_tokens
-    minus this count.
+    the ids of tokenize(text), one tuple per word, each starting at a
+    word-start token, and `iter_words(text) -> Iterator[tuple[int, int,
+    tuple[int, ...]]]`: `(start, end, ids)` for each word of
+    `encode(text)`, one at a time, where text[start:end] is the word.
+    Chunking and chunk records use them when present and build no Token
+    objects; without them the tokens of one `tokenize` call are grouped
+    by `group_words`. It may also provide `iter_tokens(text) ->
+    Iterator[Token]`: the tokens of tokenize(text), drawn one at a time.
+    The chunker hard-splits a word wider than the whole budget (or, for a
+    tokenizer that is not concat-stable, an oversized sentence) from it,
+    holding at most budget + 1 tokens at once and tokenizing each piece
+    again; without it the `tokenize` list goes through the same cut.
+    `reserved_special_count` is how many special tokens the tokenizer
+    adds per sequence (0 for the reference tokenizer); chunk packing
+    budgets content tokens against max_tokens minus this count.
     """
 
     vocab_size: int
@@ -74,46 +70,16 @@ class TokenizerInterface(Protocol):
     def tokenize(self, text: str) -> list[Token]: ...
 
 
-def word_ranges(tokens: list[Token]) -> tuple[tuple[int, int], ...]:
-    """Group token indices into word ranges via the word-start flags.
+def group_words(tokens: Sequence[Token]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """`(start, end, ids)` for each word of `tokens`, in order.
 
-    A leading continuation token (possible after a hard split) counts as
-    starting its own word.
+    A word runs from a word-start token up to the next one and spans its
+    first token's start to its last token's end. A leading continuation
+    token (possible after a hard split) starts a word of its own.
     """
-    if not tokens:
-        return ()
-    starts = [i for i, tok in enumerate(tokens) if tok.is_word_start]
-    if not starts or starts[0] != 0:
-        starts.insert(0, 0)
-    starts.append(len(tokens))
-    return tuple((starts[i], starts[i + 1]) for i in range(len(starts) - 1))
-
-
-def word_ids(tokens: list[Token]) -> list[tuple[int, ...]]:
-    """The ids of `tokens`, one tuple per word range."""
-    return [ids for _, _, ids in _grouped_words(tokens)]
-
-
-def word_spans(
-    tokenizer: TokenizerInterface,
-) -> Callable[[str], Iterator[tuple[int, int, tuple[int, ...]]]]:
-    """text -> `(start, end, ids)` for each of its words, in order.
-
-    The tokenizer's `iter_words` when it has one, so no Token is built;
-    otherwise the tokens of one `tokenize` call, grouped by their word
-    starts, each word spanning its first token's start to its last
-    token's end.
-    """
-    iter_words = getattr(tokenizer, "iter_words", None)
-    if iter_words is not None:
-        return iter_words
-    return lambda text: _grouped_words(tokenizer.tokenize(text))
-
-
-def _grouped_words(tokens: list[Token]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """`(start, end, ids)` for each word range of `tokens`."""
-    ids = [tok.id for tok in tokens]
-    for start, end in word_ranges(tokens):
+    ids = [token.id for token in tokens]
+    starts = [i for i, token in enumerate(tokens) if token.is_word_start or not i]
+    for start, end in zip(starts, [*starts[1:], len(tokens)]):
         last = tokens[end - 1]
         yield tokens[start].start, last.start + len(last.piece), tuple(ids[start:end])
 
@@ -127,7 +93,7 @@ def encoder(tokenizer: TokenizerInterface) -> Callable[[str], list[tuple[int, ..
     encode = getattr(tokenizer, "encode", None)
     if encode is not None:
         return encode
-    return lambda text: word_ids(tokenizer.tokenize(text))
+    return lambda text: [ids for _, _, ids in group_words(tokenizer.tokenize(text))]
 
 
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4

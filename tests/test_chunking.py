@@ -21,7 +21,7 @@ from lexprep.chunking import (
 )
 from lexprep.corpus import RawDocument
 from lexprep.errors import TokenizerFailure
-from lexprep.tokenizers import Token, VocabTokenizer, word_ranges
+from lexprep.tokenizers import Token, VocabTokenizer, group_words
 
 from .conftest import make_doc
 from .test_oversized_contract import unpunctuated_line
@@ -203,20 +203,20 @@ class TestChunkType:
         with pytest.raises(ValueError):
             Chunk("d", 0, "", token_count=0, word_boundaries=())
 
-    def test_word_ranges_starts_a_word_at_a_leading_continuation(self):
+    def test_group_words_starts_a_word_at_a_leading_continuation(self):
         tokens = [
             Token(7, False, "ón", 0),
             Token(8, False, "es", 2),
             Token(9, True, "de", 5),
         ]
-        assert word_ranges(tokens) == ((0, 2), (2, 3))
+        assert list(group_words(tokens)) == [(0, 4, (7, 8)), (5, 7, (9,))]
 
-    def test_word_ranges_groups_by_start_flags(self, tokenizer):
+    def test_group_words_gives_the_spans_of_words(self, tokenizer):
         tokens = tokenizer.tokenize("información de")
-        ranges = word_ranges(tokens)
-        assert ranges[-1] == (len(tokens) - 1, len(tokens))
-        assert ranges[0][0] == 0
-        assert all(end > start for start, end in ranges)
+        words = list(group_words(tokens))
+        assert [(start, end) for start, end, _ in words] == [(0, 11), (12, 14)]
+        assert [i for _, _, ids in words for i in ids] == [t.id for t in tokens]
+        assert words[-1][2] == (tokens[-1].id,)
 
 
 class TestPackChunks:
@@ -366,6 +366,39 @@ class TestConcatStablePacking:
         assert len(fast) > 1
         assert chunk_fields(fast) == chunk_fields(slow)
 
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 40), min_size=1, max_size=30).map(
+                lambda sizes: " ".join("ab" * size for size in sizes)
+            ),
+            max_size=4,
+        ),
+        st.integers(1, 24),
+    )
+    def test_matches_retokenizing_path_when_inner_cuts_change_tokens(
+        self, sentences, max_tokens
+    ):
+        # No `encode` or `iter_words`: words are grouped from `tokenize`.
+        tokenizer = LengthTagged()
+        fast = pack_chunks(sentences, tokenizer, max_tokens=max_tokens, doc_id="t")
+        slow = pack_chunks(
+            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="t"
+        )
+        assert chunk_fields(fast) == chunk_fields(slow)
+
+    def test_a_sentence_without_tokens_joins_only_an_open_chunk(self):
+        class DropsTildes(LengthTagged):
+            def tokenize(self, text):
+                return [t for t in super().tokenize(text) if t.piece != "~"]
+
+        tokenizer = DropsTildes()
+        sentences = ["~", "ab ab", "~", "ab", "~"]
+        fast = pack_chunks(sentences, tokenizer, max_tokens=4, doc_id="z")
+        slow = pack_chunks(sentences, Delegating(tokenizer), max_tokens=4, doc_id="z")
+        assert [c.text for c in fast] == ["ab ab ~", "ab ~"]
+        assert chunk_fields(fast) == chunk_fields(slow)
+
     def test_chunks_carry_their_token_ids(self, tokenizer):
         chunks = pack_chunks(
             ["Una frase corta.", "Otra frase algo más larga."] * 5,
@@ -476,8 +509,7 @@ def _reference_hard_split(sentence, tokens, budget, tokenizer, doc_id):
 
 
 def _grouped_ids(tokens):
-    ids = [t.id for t in tokens]
-    return [tuple(ids[start:end]) for start, end in word_ranges(tokens)]
+    return [ids for _, _, ids in group_words(tokens)]
 
 
 class Counting:
@@ -493,6 +525,13 @@ class Counting:
     def tokenize(self, text):
         self.calls += 1
         return self.inner.tokenize(text)
+
+
+class Encoding(Counting):
+    """The reference tokenizer with `encode`, counting calls to `tokenize`."""
+
+    def encode(self, text):
+        return self.inner.encode(text)
 
 
 class LengthTagged:
@@ -541,7 +580,7 @@ class CharsThenEnd:
 
 
 class TestHardSplit:
-    """Slicing word-aligned pieces gives the pieces that re-tokenizing gives."""
+    """The hard split cuts the reference's pieces; packing cuts them by words."""
 
     def test_mid_word_cut_shrinks_until_the_piece_fits(self):
         tokenizer = CharsThenEnd()
@@ -561,13 +600,27 @@ class TestHardSplit:
         tokens = tokenizer.tokenize(sentence)
         slow = _reference_hard_split(sentence, tokens, budget, tokenizer, "h")
         expected = [(text, _grouped_ids(piece)) for text, piece in slow]
-        counting = Counting(tokenizer)
-        fast = list(_hard_split(sentence, tokens, budget, counting, "h"))
+        fast = list(_hard_split(sentence, tokens, budget, tokenizer, "h"))
         assert fast == expected
         # A one-shot iterator gives the same pieces: the window never rewinds.
         streamed = _hard_split(sentence, iter(tokens), budget, tokenizer, "h")
         assert list(streamed) == expected
-        return fast, counting.calls
+        return fast
+
+    @staticmethod
+    def _packed(tokenizer, sentence, budget, pieces):
+        """The chunks `pack_chunks` cuts from `sentence`, and its `tokenize` calls.
+
+        The chunks are the hard split's `pieces`, though `pack_chunks` cuts
+        between words without tokenizing them.
+        """
+        encoding = Encoding(tokenizer)
+        chunks = pack_chunks([sentence], encoding, max_tokens=budget, doc_id="h")
+        assert [
+            (c.text, [c.token_ids[start:end] for start, end in c.word_boundaries])
+            for c in chunks
+        ] == pieces
+        return chunks, encoding.calls
 
     @pytest.mark.parametrize("budget", [1, 16, 100, 512])
     def test_draws_at_most_budget_plus_one_tokens_ahead(self, tokenizer, budget):
@@ -603,17 +656,22 @@ class TestHardSplit:
     @pytest.mark.parametrize("budget", [16, 100, 512])
     def test_matches_reference_with_huge_word(self, tokenizer, budget):
         sentence = "Antes de la " + _HUGE_WORD + " y después, " + _sentence_of(600)
-        pieces, calls = self._both(tokenizer, sentence, budget)
+        pieces = self._both(tokenizer, sentence, budget)
         assert len(pieces) > 2
-        # Only pieces cut inside the huge word are tokenized again.
+        _, calls = self._packed(tokenizer, sentence, budget, pieces)
+        # One call groups the sentence's words and one tokenizes the huge
+        # word; only pieces cut inside the huge word are tokenized again.
         huge_tokens = len(tokenizer.tokenize(_HUGE_WORD))
-        assert calls <= huge_tokens // budget + 2
+        assert calls <= huge_tokens // budget + 3
 
     @pytest.mark.parametrize("budget", [16, 100, 512])
     def test_word_aligned_pieces_are_not_retokenized(self, tokenizer, budget):
-        pieces, calls = self._both(tokenizer, _sentence_of(3 * budget + 5), budget)
-        assert [sum(map(len, words)) for _, words in pieces] == [budget] * 3 + [5]
-        assert calls == 0
+        sentence = _sentence_of(3 * budget + 5)
+        pieces = self._both(tokenizer, sentence, budget)
+        chunks, calls = self._packed(tokenizer, sentence, budget, pieces)
+        assert [c.token_count for c in chunks] == [budget] * 3 + [5]
+        # The one call groups the oversized sentence's words.
+        assert calls == 1
 
     @settings(deadline=None)
     @given(
