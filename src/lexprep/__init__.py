@@ -15,7 +15,13 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "chunking": ("Chunk", "chunk_document", "pack_chunks", "split_sentences"),
+    "chunking": (
+        "Chunk",
+        "chunk_document",
+        "iter_chunks",
+        "pack_chunks",
+        "split_sentences",
+    ),
     "cleaning": ("CleanPolicy", "clean_text"),
     "corpus": (
         "CorpusStats",

@@ -12,13 +12,16 @@ ids, so only a word wider than the whole budget is hard-split at token
 boundaries; otherwise the whole sentence is hard-split. The hard split
 draws its tokens through a window of at most budget + 1 of them, so the
 tokens held at once are bounded by the budget, not by the length of the
-sentence or the word, and tokenizes every piece again.
+sentence or the word, and tokenizes every piece again. Chunks are
+yielded as they are cut (`iter_chunks`), and a concat-stable sentence is
+encoded only until its count passes the budget, so the memory of packing
+is bounded by a chunk, not by the document.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from typing import TypeVar
@@ -216,27 +219,34 @@ def _hard_split(
 
 
 def _pack(
-    units: Iterable[tuple[_K, Sequence[tuple[int, ...]], int]],
+    units: Iterable[tuple],
     budget: int,
     cut: Callable[[_K], Iterator[_Piece]],
     close: Callable[[list[_K]], str],
     reopen: Callable[[_K, str], _K],
+    one_word: bool = False,
 ) -> Iterator[_Piece]:
     """Pack units greedily, left to right, into pieces of at most budget tokens.
 
-    A unit is a key, its ids (one tuple per word) and its token count;
-    `close` makes a piece's text from the keys of its units. A unit joins
-    the open piece iff the summed count stays within the budget, but a
-    unit with no token never opens a piece. A unit wider than the whole
-    budget closes the open piece and is cut by `cut(key)` into pieces of
-    text and ids: every piece but the last is emitted, and the last stays
-    open, as the key `reopen(key, text)`, for the units after it. Yields
-    each piece's text and ids.
+    A unit is a key, its ids (one tuple per word) and its token count; or,
+    with `one_word`, a word as `iter_words` yields it, `(start, end, ids)`,
+    which is its own key. `close` makes a piece's text from the keys of
+    its units. A unit joins the open piece iff the summed count stays
+    within the budget, but a unit with no token never opens a piece. A
+    unit wider than the whole budget closes the open piece and is cut by
+    `cut(key)` into pieces of text and ids: every piece but the last is
+    emitted, and the last stays open, as the key `reopen(key, text)`, for
+    the units after it. Yields each piece's text and ids.
     """
     keys: list[_K] = []
     words: list[tuple[int, ...]] = []
     count = 0
-    for key, ids, width in units:
+    for unit in units:
+        if one_word:
+            ids = unit[2]
+            key, width, ids = unit, len(ids), (ids,)
+        else:
+            key, ids, width = unit
         if count + width <= budget:
             if keys or width:
                 keys.append(key)
@@ -249,7 +259,7 @@ def _pack(
             keys, words, count = [key], [*ids], width
             continue
         # The cut draws the unit again; its ids go now.
-        del ids
+        del ids, unit
         pieces = cut(key)
         text, words = next(pieces)
         for piece in pieces:
@@ -260,14 +270,32 @@ def _pack(
         yield close(keys), words
 
 
-def _word_units(words: Iterable[_Word], sentence: str, doc_id: str) -> Iterator:
-    """`_pack` units of a sentence's words, each keyed by its `(start, end, ids)`."""
-    try:
-        for word in words:
-            ids = word[2]
-            yield word, (ids,), len(ids)
-    except Exception as exc:
-        raise _failure(doc_id, sentence, exc) from exc
+# A sentence longer than _ENCODE_SLICE characters is encoded in slices of
+# about that many, each cut at a space between two words; tokens never
+# cross it, so the slices' ids concatenate to the sentence's. Encoding
+# stops once the count passes the budget: such a sentence is cut by its
+# words, so its whole list of ids is never built.
+_ENCODE_SLICE = 4096
+_SLICE_CUT = re.compile(r"(?<=\S) (?=\S)")
+
+
+def _encode_within(
+    encode: Callable[[str], list[tuple[int, ...]]], sentence: str, budget: int
+) -> tuple[list[tuple[int, ...]], int]:
+    """`encode(sentence)` and its count, or a prefix once the count passes budget."""
+    words: list[tuple[int, ...]] = []
+    count = 0
+    start = 0
+    while count <= budget:
+        cut = _SLICE_CUT.search(sentence, start + _ENCODE_SLICE)
+        end = len(sentence) if cut is None else cut.start()
+        part = encode(sentence[start:end])
+        words += part
+        count += sum(map(len, part))
+        if cut is None:
+            break
+        start = end + 1
+    return words, count
 
 
 def _packed_by_counts(
@@ -275,10 +303,12 @@ def _packed_by_counts(
 ) -> Iterator[_Piece]:
     """`_pack` over the sentences, each encoded once, and an oversized one's words.
 
-    The words are the tokenizer's `iter_words`, or else those of one
-    `tokenize` call, and a piece's text is sliced from the sentence by
-    their spans. Only a word wider than the whole budget is cut by
-    `_hard_split`, from its tokens (`iter_tokens`, or else `tokenize`).
+    A sentence is encoded no further than its count passing the budget
+    (`_encode_within`). The words of an oversized one are the tokenizer's
+    `iter_words`, or else those of one `tokenize` call, and a piece's text
+    is sliced from the sentence by their spans. Only a word wider than the
+    whole budget is cut by `_hard_split`, from its tokens (`iter_tokens`,
+    or else `tokenize`).
     """
     encode = encoder(tokenizer)
     words_of = getattr(tokenizer, "iter_words", None) or (
@@ -287,8 +317,10 @@ def _packed_by_counts(
     tokens_of = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
 
     def sentence_unit(sentence: str) -> tuple[str, list[tuple[int, ...]], int]:
-        words = _run(encode, sentence, doc_id)
-        return sentence, words, sum(map(len, words))
+        try:
+            return sentence, *_encode_within(encode, sentence, budget)
+        except Exception as exc:
+            raise _failure(doc_id, sentence, exc) from exc
 
     def cut_sentence(sentence: str) -> Iterator[_Piece]:
         def cut_word(span: _Word) -> Iterator[_Piece]:
@@ -296,14 +328,21 @@ def _packed_by_counts(
             tokens = _run(tokens_of, word, doc_id)
             return _hard_split(word, tokens, budget, tokenizer, doc_id)
 
-        return _pack(
-            _word_units(_run(words_of, sentence, doc_id), sentence, doc_id),
+        pieces = _pack(
+            _run(words_of, sentence, doc_id),
             budget,
             cut_word,
             lambda spans: sentence[spans[0][0] : spans[-1][1]],
             # The last piece of a word ends where the word does.
             lambda span, text: (span[1] - len(text), span[1]),
+            one_word=True,
         )
+        try:
+            yield from pieces
+        except TokenizerFailure:
+            raise
+        except Exception as exc:
+            raise _failure(doc_id, sentence, exc) from exc
 
     units = map(sentence_unit, filter(None, map(str.strip, sentences)))
     return _pack(units, budget, cut_sentence, " ".join, lambda _, text: text)
@@ -354,24 +393,26 @@ def _packed_by_retokenizing(
         yield " ".join(joined), words
 
 
-def pack_chunks(
+def iter_chunks(
     sentences: Iterable[str],
     tokenizer: TokenizerInterface,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     doc_id: str = "",
-) -> list[Chunk]:
+) -> Iterator[Chunk]:
     """Greedily pack sentences left-to-right into token-budgeted chunks.
 
-    The next sentence joins the current chunk iff the joined text stays
-    within budget; otherwise the chunk is emitted and a new one starts.
-    For a tokenizer that declares `concat_stable`, the joined count is
-    the sum of the sentence counts, and an oversized sentence is cut by
-    the same greedy rule over its words. Otherwise counts are never
-    summed, since subword tokenizers are not concatenation-stable in
-    general: the joined text is re-tokenized as a whole. Sentence order
-    is preserved and chunks never cross document boundaries. Text is
-    encoded to per-word ids with the tokenizer's `encode` when it has
-    one; Token objects are built only for a hard split.
+    Yields each chunk as it is cut, so a caller that takes them one at a
+    time holds one chunk of a document, not all of them. The next
+    sentence joins the current chunk iff the joined text stays within
+    budget; otherwise the chunk is emitted and a new one starts. For a
+    tokenizer that declares `concat_stable`, the joined count is the sum
+    of the sentence counts, and an oversized sentence is cut by the same
+    greedy rule over its words. Otherwise counts are never summed, since
+    subword tokenizers are not concatenation-stable in general: the
+    joined text is re-tokenized as a whole. Sentence order is preserved
+    and chunks never cross document boundaries. Text is encoded to
+    per-word ids with the tokenizer's `encode` when it has one; Token
+    objects are built only for a hard split.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only.
@@ -386,7 +427,17 @@ def pack_chunks(
         pieces = _packed_by_counts(sentences, tokenizer, budget, doc_id)
     else:
         pieces = _packed_by_retokenizing(sentences, tokenizer, budget, doc_id)
-    return [_make_chunk(doc_id, seq, *piece) for seq, piece in enumerate(pieces)]
+    return (_make_chunk(doc_id, seq, *piece) for seq, piece in enumerate(pieces))
+
+
+def pack_chunks(
+    sentences: Iterable[str],
+    tokenizer: TokenizerInterface,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
+    doc_id: str = "",
+) -> list[Chunk]:
+    """The chunks of `iter_chunks`, in a list."""
+    return list(iter_chunks(sentences, tokenizer, max_tokens, doc_id))
 
 
 def chunk_document(

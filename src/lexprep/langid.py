@@ -69,6 +69,15 @@ _table_grams = 0
 # to be cut out of a run.
 _LETTER_RUN = re.compile(r"[^\W\d_]+")
 
+# Text is lowercased and its words found one window at a time, each of at
+# least WINDOW characters and cut at whitespace, so a long text is never
+# lowercased whole (CPython's case mapping holds 12 bytes per character
+# of a non-ASCII text while it runs). No letter run crosses whitespace,
+# and whitespace ends the context of a final sigma, so the windows'
+# words are the whole text's.
+WINDOW = 16384
+_SPACE = re.compile(r"\s")
+
 
 def _normalize(text: str) -> list[str]:
     """Lowercase, map non-letters to spaces, return words.
@@ -83,6 +92,16 @@ def _normalize(text: str) -> list[str]:
         else:
             words += "".join(ch if ch.isalpha() else " " for ch in run).split()
     return words
+
+
+def _windows(text: str) -> Iterator[str]:
+    """`text` in whitespace-aligned windows of at least WINDOW characters."""
+    start = 0
+    while start < len(text):
+        cut = _SPACE.search(text, start + WINDOW)
+        end = len(text) if cut is None else cut.start()
+        yield text[start:end]
+        start = end
 
 
 def _lazy_grams(word: str, padded: str) -> Iterator[str]:
@@ -126,12 +145,17 @@ def text_ngrams(text: str) -> dict[str, int]:
     the table changes how fast grams are listed, never what is counted,
     so the result depends on the text alone. A word longer than LONG_WORD
     letters feeds its grams to the counts one at a time, so a glued run
-    of letters costs memory for its distinct grams only.
+    of letters costs memory for its distinct grams only. Words are found
+    one window of the text at a time (see WINDOW), so a long text costs
+    memory for its distinct words and one window's occurrences.
     """
+    occurrences: Counter = Counter()
+    for window in _windows(text):
+        occurrences.update(_normalize(window))
     counts: dict[str, int] = {}
     get = counts.get
     held = _word_grams.get
-    for word, times in Counter(_normalize(text)).items():
+    for word, times in occurrences.items():
         for gram in held(word) or _missed_grams(word):
             counts[gram] = get(gram, 0) + times
     return counts

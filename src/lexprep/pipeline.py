@@ -6,7 +6,9 @@ so a full preparation run is a single auditable artifact. A run is one
 streaming pass, which reads the input once (it may be a pipe): each
 document goes through the stages in order, in memory, and every stage
 writes its output and rejection lines (one numbered file each) as it
-produces them. All of a run's files are written as one
+produces them. The chunk stage cuts a document's chunks one at a time,
+each written and masked before the next is cut, so a run holds one chunk
+of a document, not all of them. All of a run's files are written as one
 `corpus.published` group, so a run that fails publishes no stage file.
 Re-running a manifest over the same input writes byte-identical files.
 Each stage subcommand of the CLI is the same pass over one stage, with
@@ -17,17 +19,19 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
+from . import chunking
 from .chunking import (
     DEFAULT_MAX_TOKENS,
     Chunk,
-    chunk_document,
     chunk_from_record,
+    iter_chunks,
     validate_chunk_record,
 )
 from .cleaning import CleanPolicy, clean_text
@@ -196,8 +200,9 @@ def _masker(manifest: PipelineManifest) -> tuple[VocabTokenizer, MaskingConfig]:
 
 
 # A stage maps one record to the records it passes on and, when it drops
-# the record, the rejection record that says why.
-_StageResult = tuple[list, dict | None]
+# the record, the rejection record that says why. The records passed on
+# may be lazy: the chunk stage cuts each chunk as it is drawn.
+_StageResult = tuple[Iterable, dict | None]
 
 
 def _filter_lang(
@@ -223,9 +228,15 @@ def _clean(
 def _chunk(
     manifest: PipelineManifest, tokenizer: VocabTokenizer, doc: RawDocument
 ) -> _StageResult:
-    chunks = chunk_document(doc, tokenizer, max_tokens=manifest.max_tokens)
-    if chunks:
-        return chunks, None
+    # Split through the module, so that a `split_sentences` replaced there
+    # (to trace it) is the one that runs.
+    sentences = chunking.split_sentences(doc.text)
+    chunks = iter_chunks(sentences, tokenizer, manifest.max_tokens, doc.id)
+    # The first chunk is cut now, to tell a document with none; the rest
+    # are cut as the stage draws them.
+    first = next(chunks, None)
+    if first is not None:
+        return chain((first,), chunks), None
     record = doc.to_record()
     record["reject_reason"] = "no sentences to pack"
     return [], record
@@ -305,24 +316,43 @@ class _StagePass:
         except Exception as exc:
             raise StageFailure(self.name, exc) from exc
 
+    def drawn(self, outputs: Iterable) -> Iterator:
+        """`outputs`, one at a time; a failure to draw one names the stage."""
+        outputs = iter(outputs)
+        while True:
+            try:
+                output = next(outputs)
+            except StopIteration:
+                return
+            except Exception as exc:
+                raise StageFailure(self.name, exc) from exc
+            yield output
+
     def write(self, result: _StageResult):
-        """Write and count one record's result; yield its outputs."""
+        """Write and count one record's result, yielding each output as written.
+
+        An output is drawn, written and passed on before the next one is
+        drawn, so a stage whose outputs are lazy holds one at a time.
+        """
         outputs, rejection = result
-        self.tallies["in"] += 1
-        for output in outputs:
+        tallies = self.tallies
+        tallies["in"] += 1
+        key, amount = self.extra or (None, None)
+        for output in self.drawn(outputs):
             self.out_handle.write(_to_line(output) + "\n")
-        self.tallies["out"] += len(outputs)
-        if self.extra is not None:
-            key, amount = self.extra
-            self.tallies[key] += sum(map(amount, outputs))
+            tallies["out"] += 1
+            if key is not None:
+                tallies[key] += amount(output)
+            yield output
         if rejection is not None:
             self.rej_handle.write(json.dumps(rejection, ensure_ascii=False) + "\n")
-            self.tallies["rejected"] += 1
-        yield from outputs
+            tallies["rejected"] += 1
 
     def feed(self, results):
         """Write each result as it is drawn; yield its outputs one by one."""
-        # `chain` drops each finished `write`: one record's outputs are held.
+        # `chain` drops each finished `write`, and `write` draws an output
+        # only once the one before it has gone through every later stage:
+        # one output of this stage is held at a time.
         yield from chain.from_iterable(map(self.write, results))
 
 
@@ -336,7 +366,13 @@ def _start_worker(manifest: PipelineManifest, name: str) -> None:
 
 
 def _run_batch(records: list) -> list[_StageResult]:
-    return list(map(_worker_stage, records))
+    # Lazy outputs are listed here, in the worker: a generator cannot be
+    # pickled, and a failure to draw one is the worker's to report.
+    stage = _worker_stage
+    return [
+        (list(stage.drawn(outputs)), rejection)
+        for outputs, rejection in map(stage, records)
+    ]
 
 
 # With N workers, at most 2 * N batches of 64 records are sent out ahead

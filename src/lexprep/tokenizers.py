@@ -245,10 +245,14 @@ class VocabTokenizer:
     def iter_tokens(self, text: str) -> Iterator[Token]:
         """The tokens of `text`, one at a time, as `tokenize` lists them."""
         pieces = self._pieces
-        for start, end, ids in self.iter_words(text):
+        lookup = self._word_ids.get
+        for match in _WORD_OR_MARK.finditer(text):
+            word = match.group()
+            start = match.start()
+            ids = lookup(word) or self._segment(word)
             if len(ids) == 1:
                 # A one-token word is its own piece, known or [UNK].
-                yield _new_token(Token, (ids[0], True, text[start:end], start))
+                yield _new_token(Token, (ids[0], True, word, start))
                 continue
             offset = start
             for piece_id in ids:

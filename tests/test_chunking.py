@@ -9,12 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from lexprep import chunking
 from lexprep.chunking import (
     ABBREVIATIONS,
     Chunk,
+    _encode_within,
     _hard_split,
     chunk_document,
     chunk_from_record,
+    iter_chunks,
     pack_chunks,
     split_sentences,
     validate_chunk_record,
@@ -410,6 +415,36 @@ class TestConcatStablePacking:
             assert chunk.token_ids == expected
 
 
+class TestIterChunks:
+    def test_pack_chunks_and_chunk_document_return_lists(self, tokenizer):
+        # Callers take `len()` of them; `iter_chunks` is the lazy form.
+        sentences = ["La ley se publica.", _sentence_of(40)]
+        chunks = pack_chunks(sentences, tokenizer, max_tokens=16, doc_id="d")
+        assert type(chunks) is list and len(chunks) > 2
+        doc = make_doc("d", " ".join(sentences))
+        assert type(chunk_document(doc, tokenizer, max_tokens=16)) is list
+        assert type(pack_chunks([], tokenizer)) is list
+
+    def test_chunks_are_cut_as_they_are_drawn(self, tokenizer):
+        line = unpunctuated_line()
+        lazy = iter_chunks([line], tokenizer, max_tokens=512, doc_id="u")
+        make_chunk = chunking._make_chunk
+        with mock.patch.object(chunking, "_make_chunk", wraps=make_chunk) as made:
+            first = next(lazy)
+            assert made.call_count == 1
+            second = next(lazy)
+            assert made.call_count == 2
+        assert (first.seq, second.seq) == (0, 1)
+        rest = list(lazy)
+        assert chunk_fields([first, second, *rest]) == chunk_fields(
+            pack_chunks([line], tokenizer, max_tokens=512, doc_id="u")
+        )
+
+    def test_budget_checked_before_any_chunk_is_drawn(self, tokenizer):
+        with pytest.raises(ValueError, match="leaves no room"):
+            iter_chunks(["una frase"], tokenizer, max_tokens=0)
+
+
 class TestChunkDocument:
     def test_splits_then_packs(self, tokenizer):
         doc = make_doc("d1", "Una frase corta. Otra frase corta.")
@@ -754,6 +789,45 @@ class TestEncodePacking:
         assert chunk_fields(chunks) == chunk_fields(
             pack_chunks([line], Counting(VocabTokenizer()), max_tokens=512, doc_id="u")
         )
+
+    def test_oversized_sentence_is_encoded_only_past_the_budget(self):
+        line = unpunctuated_line()
+        tokenizer = VocabTokenizer()
+        encoded = []
+
+        def encode(text, whole=tokenizer.encode):
+            encoded.append(len(text))
+            return whole(text)
+
+        tokenizer.encode = encode
+        chunks = pack_chunks([line], tokenizer, max_tokens=512, doc_id="u")
+        # 512 tokens take fewer characters than one slice: the first slice
+        # passes the budget, and the line is then cut from `iter_words`.
+        assert encoded == [line.index(" ", chunking._ENCODE_SLICE)]
+        assert chunk_fields(chunks) == chunk_fields(
+            pack_chunks([line], Counting(VocabTokenizer()), max_tokens=512, doc_id="u")
+        )
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from(_SENTENCE_WORDS), max_size=40).map(" ".join),
+        st.integers(1, 12),
+        st.integers(1, 40),
+    )
+    def test_encoded_slices_are_the_encoded_sentence(
+        self, tokenizer, sentence, slice_chars, budget
+    ):
+        whole = tokenizer.encode(sentence)
+        count = sum(map(len, whole))
+        with mock.patch.object(chunking, "_ENCODE_SLICE", slice_chars):
+            words, counted = _encode_within(tokenizer.encode, sentence, budget)
+        assert counted == sum(map(len, words))
+        if count <= budget:
+            assert (words, counted) == (whole, count)
+        else:
+            # A prefix of the sentence's words, stopped past the budget.
+            assert budget < counted <= count
+            assert words == whole[: len(words)]
 
     def test_record_rebuilt_without_encode(self, tokenizer):
         chunks = pack_chunks(

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -87,7 +88,33 @@ _langid_text = st.one_of(
 _NORMALIZE_CHARS = st.sampled_from(list("aZñÉ_7²½Ⅻ٣\u0301·' \t\nİßﬁΣ"))
 
 
+# Pieces whose lowercase depends on their neighbours (a final sigma), or
+# whose length changes (İ), numerics and digits inside runs, and the
+# whitespace a window may be cut at.
+_WINDOW_PIECES = st.sampled_from(
+    ["ΟΔΟΣ", "Σ", "ΑΣ", "İ", "İstanbul", "x²", "½", "7", "ley", "LEY", "ñ", ".",
+     " ", "  ", "\t", "\n", "\u00a0", "\u2028"]
+)
+
+
 class TestNgramsMatchReference:
+    @settings(deadline=None)
+    @given(st.lists(_WINDOW_PIECES, max_size=40).map("".join), st.integers(1, 8))
+    def test_windowed_counts_match_the_whole_text(self, text, window):
+        # Windows of a few characters put a cut next to every piece.
+        with mock.patch.object(langid, "WINDOW", window):
+            counts = text_ngrams(text)
+        assert list(counts.items()) == list(_reference_ngrams(text).items())
+
+    def test_windows_cut_at_whitespace_and_cover_the_text(self):
+        text = "ΟΔΟΣ\u00a0ΟΔΟΣ\tley  x²½ İstanbul"
+        with mock.patch.object(langid, "WINDOW", 3):
+            windows = list(langid._windows(text))
+        assert "".join(windows) == text
+        assert len(windows) > 3
+        assert all(window[0].isspace() for window in windows[1:])
+        assert "".join(map(str.lower, windows)) == text.lower()
+
     @settings(deadline=None)
     @given(st.one_of(st.text(_NORMALIZE_CHARS, max_size=40), st.text(max_size=80)))
     def test_normalize_matches_per_character_scan(self, text):

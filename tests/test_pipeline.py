@@ -4,16 +4,21 @@ import builtins
 import json
 import logging
 import os
+import random
+import re
+import sys
+import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from lexprep import pipeline
+from lexprep import chunking, pipeline
 from lexprep.cleaning import CleanPolicy
 from lexprep.cli import main
 from lexprep.corpus import compute_stats, read_documents
 from lexprep.errors import ManifestError, StageFailure
-from lexprep.masking import MaskingConfig
+from lexprep.masking import MaskingConfig, MlmExample
 from lexprep.pipeline import (
     STAGE_NAMES,
     SUMMARY_NAME,
@@ -533,3 +538,100 @@ def test_pool_reads_at_most_two_batches_per_worker_ahead(tmp_path, monkeypatch):
         assert max(lags) <= window
         outputs[jobs] = output.read_bytes()
     assert outputs[2] == outputs[1]
+
+
+def _unpunctuated_line(chars: int) -> str:
+    """Words of the Spanish seed text, drawn at random onto one line, no punctuation."""
+    seed = resources.files("lexprep").joinpath("data/seed/es.txt")
+    words = re.findall(r"[^\W\d_]+", seed.read_text(encoding="utf-8"))
+    rng = random.Random(chars)
+    # Seed words average more than 2 letters: 3 per word, space included.
+    return " ".join(rng.choices(words, k=chars // 3))[:chars].strip()
+
+
+class TestOneChunkAtATime:
+    """The chunk stage cuts each chunk as mask draws it, so one is held."""
+
+    def test_each_chunk_is_masked_and_written_before_the_next_is_cut(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        make_chunk, to_line = chunking._make_chunk, pipeline._to_line
+
+        def made(*args):
+            events.append("cut")
+            return make_chunk(*args)
+
+        def written(record):
+            if isinstance(record, MlmExample):
+                events.append("example")
+            return to_line(record)
+
+        monkeypatch.setattr(chunking, "_make_chunk", made)
+        monkeypatch.setattr(pipeline, "_to_line", written)
+        line = _unpunctuated_line(20_000)
+        write_jsonl(tmp_path / "input.jsonl", [doc_record("line", line)])
+        summary = run_pipeline(manifest_for(tmp_path, STAGE_NAMES))
+        chunks = summary["stages"][2]["out"]
+        assert chunks > 5
+        assert events == ["cut", "example"] * chunks
+
+    def test_peak_memory_grows_by_text_copies_not_by_chunks(self, tmp_path):
+        # A document's text is copied a few times as it is read, cleaned,
+        # split and written, so the peak grows with it by a few copies. The
+        # chunks and the ids of the whole line are never held at once:
+        # holding them grew the peak by about 22 copies of the added text.
+        lengths = (50_000, 200_000)
+        texts = {chars: _unpunctuated_line(chars) for chars in lengths}
+        manifest = manifest_for(tmp_path, STAGE_NAMES)
+        # A first run fills the gate's word table, which every run shares.
+        longest = texts[lengths[-1]]
+        write_jsonl(tmp_path / "input.jsonl", [doc_record("line", longest)])
+        run_pipeline(manifest)
+        peaks = {}
+        for chars in lengths:
+            write_jsonl(tmp_path / "input.jsonl", [doc_record("line", texts[chars])])
+            tracemalloc.start()
+            try:
+                summary = run_pipeline(manifest)
+                _, peaks[chars] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert summary["stages"][3]["out"] > chars // 2000
+        short, long = lengths
+        text_growth = sys.getsizeof(texts[long]) - sys.getsizeof(texts[short])
+        assert peaks[long] - peaks[short] < 8 * text_growth
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("stage", ["chunk", "mask"])
+    def test_failure_at_a_later_chunk_names_its_stage(
+        self, tmp_path, monkeypatch, jobs, stage
+    ):
+        def failing(original, seq_of):
+            def run(*args):
+                if seq_of(args) == 2:
+                    raise RuntimeError("third chunk broke")
+                return original(*args)
+
+            return run
+
+        if stage == "chunk":
+            made = failing(chunking._make_chunk, lambda args: args[1])
+            monkeypatch.setattr(chunking, "_make_chunk", made)
+        else:
+            masked = failing(pipeline.mask_chunk, lambda args: args[0].seq)
+            monkeypatch.setattr(pipeline, "mask_chunk", masked)
+        text = " ".join(ES_SNIPPETS)
+        write_jsonl(tmp_path / "input.jsonl", [doc_record("long", text)])
+        manifest = manifest_for(tmp_path, [], chunk={"max_tokens": 16})
+        out = tmp_path / "out"
+        out.mkdir()
+        plan = [
+            (name, (out / f"{name}.jsonl", out / f"{name}.rejected.jsonl"))
+            for name in ("chunk", "mask")
+        ]
+        with pytest.raises(StageFailure) as excinfo:
+            run_stages(manifest, plan, jobs=jobs)
+        assert excinfo.value.stage == stage
+        assert str(excinfo.value.cause) == "third chunk broke"
+        assert list(out.iterdir()) == []
