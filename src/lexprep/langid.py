@@ -23,15 +23,23 @@ mixed_zipf counted grams about 1.6x slower that way), while one
 language's vocabulary, such as the Spanish seed text's 13,635 grams, fits
 whole. Admitted words share their gram strings through one dict beside
 the table, which holds a full table to about 0.5 MB instead of 0.8 MB.
-The counts go into a plain dict: a store into a dict subclass such as
-Counter misses the interpreter's exact-dict fast path.
+
+A word missing from the table is cut into its grams in one C call by its
+slice plan: an `operator.itemgetter` of the slices for its length, whose
+tuple of grams is counted and dropped when the table is full. Plans are
+kept for words of at most PLAN_WORD letters (a bound on their memory,
+see there); a longer word's plan is built each time. The counts go into
+a plain dict: a store into a dict subclass such as Counter misses the
+interpreter's exact-dict fast path. The grams of a word a text holds
+once are counted by `collections._count_elements`, the C loop behind
+`Counter.update`, which keeps that fast path for a plain dict.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -41,6 +49,7 @@ from pathlib import Path
 
 from .corpus import RawDocument, published, read_records
 from .errors import EmptyText, NoProfiles, check_type
+from .tokenizers import LONG_WORD
 
 NGRAM_MIN = 1
 NGRAM_MAX = 5
@@ -50,10 +59,13 @@ DEFAULT_THRESHOLD = 0.95
 
 REJECTED_LANGUAGE = "??"
 
-# Letters in the longest word natural text has; a longer one is a glued run
-# such as PDF extraction leaves. Listing every gram of the short words is
-# faster; streaming every word measured 20% slower n-gram counting.
-LONG_WORD = 64
+# A word of at most LONG_WORD letters has its grams listed; a longer one is
+# a glued run such as PDF extraction leaves, and is streamed. Listing every
+# gram of the short words is faster; streaming every word measured 20%
+# slower n-gram counting. The slice plans of the listed words are kept up
+# to PLAN_WORD letters: about 0.16 MB by tracemalloc, against 0.64 MB up
+# to LONG_WORD, for words too rare in natural text to repay it.
+PLAN_WORD = 32
 
 # Most grams the word→grams table holds. Per process, not an option, like
 # the tokenizer's word table.
@@ -63,6 +75,9 @@ GRAM_TABLE_LIMIT = 16384
 _word_grams: dict[str, tuple[str, ...]] = {}
 _gram_strings: dict[str, str] = {}
 _table_grams = 0
+
+# Word length → the slices that cut its padded form into its grams.
+_plans: dict[int, Callable[[str], tuple[str, ...]]] = {}
 
 # Runs of isalnum characters other than decimal digits. Every letter is
 # one, and so are the rare non-decimal numerics (², ½, Ⅻ) that still have
@@ -112,25 +127,42 @@ def _lazy_grams(word: str, padded: str) -> Iterator[str]:
             yield padded[i : i + n]
 
 
+def _slice_plan(length: int) -> Callable[[str], tuple[str, ...]]:
+    """The slice plan of a word of `length` letters: called on the padded
+    word, it cuts out the word's grams in one C call, in `text_ngrams`'
+    order (the letters, then n = 2 to 5 by start)."""
+    plan = _plans.get(length)
+    if plan is None:
+        # Words hold no whitespace, so the unigrams (NGRAM_MIN is 1) are
+        # the letters: the two padding spaces are the only all-space grams.
+        plan = itemgetter(
+            *[slice(i, i + 1) for i in range(1, length + 1)],
+            *[
+                slice(i, i + n)
+                for n in range(NGRAM_MIN + 1, NGRAM_MAX + 1)
+                for i in range(length + 3 - n)
+            ],
+        )
+        if length <= PLAN_WORD:
+            _plans[length] = plan
+    return plan
+
+
 def _missed_grams(word: str) -> Iterable[str]:
     """The grams of a word not in the table, in `text_ngrams`' order.
 
-    A word of at most LONG_WORD letters is listed, and admitted to the
-    table while its grams fit; a longer one is streamed and never kept.
+    A word of at most LONG_WORD letters is cut by its slice plan, and
+    admitted to the table while its grams fit; a longer one is streamed
+    and never kept.
     """
     global _table_grams
     padded = f" {word} "
     if len(word) > LONG_WORD:
         return _lazy_grams(word, padded)
-    # Words hold no whitespace, so the unigrams (NGRAM_MIN is 1) are the
-    # letters: the two padding spaces are the only all-space grams.
-    grams = [*word]
-    for n in range(NGRAM_MIN + 1, NGRAM_MAX + 1):
-        grams += [padded[i : i + n] for i in range(len(padded) - n + 1)]
+    grams = _slice_plan(len(word))(padded)
     if _table_grams + len(grams) > GRAM_TABLE_LIMIT:
         return grams
-    shared = _gram_strings.setdefault
-    admitted = tuple([shared(gram, gram) for gram in grams])
+    admitted = tuple(map(_gram_strings.setdefault, grams, grams))
     _word_grams[word] = admitted
     _table_grams += len(admitted)
     return admitted
@@ -141,11 +173,14 @@ def text_ngrams(text: str) -> dict[str, int]:
 
     Each distinct word is expanded once and its grams weighted by how
     often the word occurs. A word's grams come from the process's
-    word→grams table when it holds the word (see the module docstring);
-    the table changes how fast grams are listed, never what is counted,
-    so the result depends on the text alone. A word longer than LONG_WORD
-    letters feeds its grams to the counts one at a time, so a glued run
-    of letters costs memory for its distinct grams only. Words are found
+    word→grams table when it holds the word, and from its slice plan
+    otherwise (see the module docstring); neither changes what is
+    counted, so the result depends on the text alone. The grams of a
+    word seen once are counted in C, and every word's grams as the word
+    comes, so grams enter the dict in the order of their first
+    occurrence in the text. A word longer than LONG_WORD letters feeds
+    its grams to the counts one at a time, so a glued run of letters
+    costs memory for its distinct grams only. Words are found
     one window of the text at a time (see WINDOW), so a long text costs
     memory for its distinct words and one window's occurrences.
     """
@@ -156,8 +191,12 @@ def text_ngrams(text: str) -> dict[str, int]:
     get = counts.get
     held = _word_grams.get
     for word, times in occurrences.items():
-        for gram in held(word) or _missed_grams(word):
-            counts[gram] = get(gram, 0) + times
+        grams = held(word) or _missed_grams(word)
+        if times == 1:
+            _count_elements(counts, grams)
+        else:
+            for gram in grams:
+                counts[gram] = get(gram, 0) + times
     return counts
 
 

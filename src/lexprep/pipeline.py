@@ -338,8 +338,11 @@ class _StagePass:
         tallies = self.tallies
         tallies["in"] += 1
         key, amount = self.extra or (None, None)
+        write = self.out_handle.write
         for output in self.drawn(outputs):
-            self.out_handle.write(_to_line(output) + "\n")
+            # Two writes: joining the newline on would copy the line.
+            write(_to_line(output))
+            write("\n")
             tallies["out"] += 1
             if key is not None:
                 tallies[key] += amount(output)

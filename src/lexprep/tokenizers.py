@@ -104,11 +104,16 @@ SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 # and `\s` is isspace.
 _WORD_OR_MARK = re.compile(r"[^\W_]+|\S")
 
+# Letters in the longest word natural text has; a longer one is a glued run
+# such as PDF extraction leaves, or a piece cut from one, which no later
+# text is likely to repeat. The tokenizer's word table admits no longer
+# word, and the language gate streams a longer word's n-grams.
+LONG_WORD = 64
+
 # Most characters the words in the tokenizer's word table hold together;
 # the table is cleared when the next word would pass it. A word counts as
 # at least WORD_ENTRY_CHARS characters, for its entry's own overhead, so
-# at most 65,536 words fit, and so do 26 glued runs of 20,000. A longer
-# word is segmented but not kept.
+# at most 65,536 words fit.
 WORD_TABLE_CHARS = 524288
 WORD_ENTRY_CHARS = 8
 
@@ -164,9 +169,11 @@ class VocabTokenizer:
     `encode` is the fast path: one tuple of piece ids per word, looked up
     in a table from each word seen to its ids, so a repeated word is
     segmented once. The table holds ids only (no pieces, offsets or
-    flags) and is cleared when its words would pass WORD_TABLE_CHARS
-    characters, each counted as at least WORD_ENTRY_CHARS, so it stays
-    small however long or short the words are.
+    flags) of words of at most LONG_WORD characters, and is cleared when
+    its words would pass WORD_TABLE_CHARS characters, each counted as at
+    least WORD_ENTRY_CHARS, so it stays small however long or short the
+    words are. Only the last longer word is kept, beside the table, so
+    a glued run is segmented once while it is packed and cut.
     `iter_words` yields the same ids word by word, with each word's span;
     `iter_tokens` expands its words into full tokens, one at a time, and
     `tokenize` lists them.
@@ -192,6 +199,9 @@ class VocabTokenizer:
         self.special_token_ids = frozenset(range(len(SPECIAL_PIECES)))
         self._word_ids: dict[str, tuple[int, ...]] = {}
         self._word_chars = 0
+        # The last word longer than LONG_WORD and its ids: the table does
+        # not keep such a word, but packing looks it up again to cut it.
+        self._long_word: tuple[str, tuple[int, ...]] = ("", ())
 
     @classmethod
     def from_file(cls, path) -> "VocabTokenizer":
@@ -265,10 +275,12 @@ class VocabTokenizer:
 
     def _segment(self, word: str) -> tuple[int, ...]:
         """Greedy longest-match ids of a word missing from the table."""
+        n = len(word)
+        if n > LONG_WORD and word == self._long_word[0]:
+            return self._long_word[1]
         piece_ids = self._piece_ids
         ids: list[int] = []
         i = 0
-        n = len(word)
         while i < n:
             for take in range(min(self._max_piece_len, n - i), 0, -1):
                 piece_id = piece_ids.get(word[i : i + take])
@@ -280,11 +292,13 @@ class VocabTokenizer:
                 ids.append(UNK)
                 i += 1
         result = tuple(ids)
+        if n > LONG_WORD:
+            self._long_word = (word, result)
+            return result
         charge = max(n, WORD_ENTRY_CHARS)
-        if charge <= WORD_TABLE_CHARS:
-            if self._word_chars + charge > WORD_TABLE_CHARS:
-                self._word_ids.clear()
-                self._word_chars = 0
-            self._word_ids[word] = result
-            self._word_chars += charge
+        if self._word_chars + charge > WORD_TABLE_CHARS:
+            self._word_ids.clear()
+            self._word_chars = 0
+        self._word_ids[word] = result
+        self._word_chars += charge
         return result

@@ -18,6 +18,7 @@ from lexprep.langid import (
     LONG_WORD,
     NGRAM_MAX,
     NGRAM_MIN,
+    PLAN_WORD,
     PROFILE_SIZE,
     REJECTED_LANGUAGE,
     REJECTED_VERDICT,
@@ -237,6 +238,56 @@ class TestGramTable:
             for gram in grams:
                 assert by_value.setdefault(gram, gram) is gram
         assert langid._word_grams["la"][0] is langid._word_grams["las"][0]
+
+
+# Words of a few letters, and words around the longest slice plan kept
+# and around LONG_WORD, from an alphabet small enough to repeat grams.
+_BOUND_WORDS = st.one_of(
+    *(
+        st.text(st.sampled_from("abcñé"), min_size=low, max_size=high)
+        for low, high in (
+            (1, 4),
+            (PLAN_WORD - 2, PLAN_WORD + 2),
+            (LONG_WORD - 2, LONG_WORD + 2),
+        )
+    )
+)
+
+
+@st.composite
+def _singles_and_repeats(draw) -> str:
+    """A text whose words are seen once or repeated, in mixed order."""
+    words = draw(st.lists(_BOUND_WORDS, min_size=1, max_size=12))
+    repeats = draw(st.lists(st.integers(0, len(words) - 1), max_size=8))
+    return " ".join(words + [words[i] for i in repeats])
+
+
+class TestSlicePlans:
+    @pytest.mark.parametrize("limit", [0, 300, GRAM_TABLE_LIMIT])
+    @settings(deadline=None)
+    @given(texts=st.lists(_singles_and_repeats(), min_size=1, max_size=3))
+    def test_counts_match_reference_across_calls(self, limit, texts):
+        with (
+            mock.patch.object(langid, "GRAM_TABLE_LIMIT", limit),
+            mock.patch.object(langid, "_word_grams", {}),
+            mock.patch.object(langid, "_gram_strings", {}),
+            mock.patch.object(langid, "_table_grams", 0),
+        ):
+            for text in texts:
+                counts = text_ngrams(text)
+                assert list(counts.items()) == list(_reference_ngrams(text).items())
+            assert langid._table_grams <= limit
+
+    @pytest.mark.usefixtures("empty_gram_table")
+    def test_plans_kept_only_within_their_bound(self):
+        rng = random.Random(3)
+        words = ["".join(rng.choices("abcdeñé", k=n)) for n in range(1, 201)]
+        with mock.patch.object(langid, "_plans", {}):
+            text = " ".join(words)
+            assert list(text_ngrams(text).items()) == list(
+                _reference_ngrams(text).items()
+            )
+            assert set(langid._plans) == set(range(1, PLAN_WORD + 1))
 
 
 class TestNgrams:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexprep.chunking import pack_chunks
 from lexprep.tokenizers import (
+    LONG_WORD,
     MASK,
     SPECIAL_PIECES,
     Token,
@@ -313,3 +315,21 @@ def test_word_table_bounded_by_characters_for_glued_runs():
     assert tok.encode(word) == VocabTokenizer().encode(word)
     assert word not in tok._word_ids
     assert sum(map(len, tok._word_ids)) <= WORD_TABLE_CHARS
+
+
+def test_word_table_admits_no_word_longer_than_the_bound():
+    tok = VocabTokenizer()
+    common = tok.encode("ley")
+    rng = random.Random(4)
+    word = "".join(rng.choices("abcdelmnoprstuñé", k=100_000))
+    # Packing cuts the word and tokenizes each piece of it again.
+    chunks = pack_chunks([f"Véase {word}."], tok, max_tokens=512)
+    assert sum(chunk.token_count for chunk in chunks) == sum(
+        map(len, VocabTokenizer().encode(f"Véase {word}."))
+    )
+    assert max(map(len, tok._word_ids)) <= LONG_WORD
+    assert tok._word_ids["ley"] == common[0]
+    # The last longer word is kept beside the table: segmented once.
+    glued = "ab" * LONG_WORD
+    assert tok.encode(glued)[0] is tok.encode(glued)[0]
+    assert glued not in tok._word_ids
