@@ -15,13 +15,14 @@ tokens held at once are bounded by the budget, not by the length of the
 sentence or the word, and tokenizes every piece again. Chunks are
 yielded as they are cut (`iter_chunks`), and a concat-stable sentence is
 encoded only until its count passes the budget, so the memory of packing
-is bounded by a chunk, not by the document.
+is bounded by a chunk, not by the document. An error while a chunk is
+cut becomes a `TokenizerFailure`: "<cause> (cutting chunk <seq>)".
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from typing import TypeVar
@@ -30,11 +31,9 @@ from .corpus import RawDocument, check_utf8
 from .errors import TokenizerFailure
 from .tokenizers import Token, TokenizerInterface, encoder, group_words
 
-_T = TypeVar("_T")
 _K = TypeVar("_K")
-# A piece's text and ids, one tuple per word; a word's span and ids.
+# A piece's text and its ids, one tuple per word.
 _Piece = tuple[str, list[tuple[int, ...]]]
-_Word = tuple[int, int, tuple[int, ...]]
 
 DEFAULT_MAX_TOKENS = 512
 
@@ -157,23 +156,8 @@ def _make_chunk(
     )
 
 
-def _failure(doc_id: str, text: str, exc: Exception) -> TokenizerFailure:
-    return TokenizerFailure(doc_id, f"{exc} (text starts {text[:40]!r})")
-
-
-def _run(tokenize: Callable[[str], _T], text: str, doc_id: str) -> _T:
-    try:
-        return tokenize(text)
-    except Exception as exc:
-        raise _failure(doc_id, text, exc) from exc
-
-
 def _hard_split(
-    sentence: str,
-    tokens: Iterable[Token],
-    budget: int,
-    tokenizer: TokenizerInterface,
-    doc_id: str,
+    sentence: str, tokens: Iterable[Token], budget: int, tokenizer: TokenizerInterface
 ) -> Iterator[_Piece]:
     """Cut an oversized text at token boundaries into maximal pieces.
 
@@ -188,10 +172,7 @@ def _hard_split(
     tokens = iter(tokens)
     window: list[Token] = []
     while True:
-        try:
-            window += islice(tokens, budget + 1 - len(window))
-        except Exception as exc:
-            raise _failure(doc_id, sentence, exc) from exc
+        window += islice(tokens, budget + 1 - len(window))
         if not window:
             return
         # A window short of budget + 1 tokens holds the text's last ones.
@@ -206,47 +187,47 @@ def _hard_split(
         while cut > 0:
             last = window[cut - 1]
             piece_text = sentence[begin : last.start + len(last.piece)]
-            piece_tokens = _run(tokenizer.tokenize, piece_text, doc_id)
+            piece_tokens = tokenizer.tokenize(piece_text)
             if len(piece_tokens) <= budget:
                 break
             cut -= 1
         if cut == 0:
-            raise TokenizerFailure(
-                doc_id, f"cannot fit a single token within budget {budget}"
-            )
+            raise ValueError(f"cannot fit a single token within budget {budget}")
         yield piece_text, [ids for _, _, ids in group_words(piece_tokens)]
         del window[:cut]
 
 
+def _all_but_last(pieces: Iterator[_Piece]) -> Generator[_Piece, None, _Piece]:
+    """Yield every piece of a cut but the last, and return the last."""
+    text, words = next(pieces)
+    for piece in pieces:
+        yield text, words
+        text, words = piece
+    return text, words
+
+
 def _pack(
-    units: Iterable[tuple],
+    units: Iterable[tuple[_K, Iterable[tuple[int, ...]], int]],
     budget: int,
     cut: Callable[[_K], Iterator[_Piece]],
     close: Callable[[list[_K]], str],
     reopen: Callable[[_K, str], _K],
-    one_word: bool = False,
 ) -> Iterator[_Piece]:
     """Pack units greedily, left to right, into pieces of at most budget tokens.
 
-    A unit is a key, its ids (one tuple per word) and its token count; or,
-    with `one_word`, a word as `iter_words` yields it, `(start, end, ids)`,
-    which is its own key. `close` makes a piece's text from the keys of
-    its units. A unit joins the open piece iff the summed count stays
-    within the budget, but a unit with no token never opens a piece. A
-    unit wider than the whole budget closes the open piece and is cut by
-    `cut(key)` into pieces of text and ids: every piece but the last is
-    emitted, and the last stays open, as the key `reopen(key, text)`, for
-    the units after it. Yields each piece's text and ids.
+    A unit is a key, its ids (one tuple per word) and its token count.
+    `close` makes a piece's text from the keys of its units. A unit joins
+    the open piece iff the summed count stays within the budget, but a
+    unit with no token never opens a piece. A unit wider than the whole
+    budget closes the open piece and is cut by `cut(key)` into pieces of
+    text and ids: every piece but the last is emitted, and the last stays
+    open, as the key `reopen(key, text)`, for the units after it. Yields
+    each piece's text and ids.
     """
     keys: list[_K] = []
     words: list[tuple[int, ...]] = []
     count = 0
-    for unit in units:
-        if one_word:
-            ids = unit[2]
-            key, width, ids = unit, len(ids), (ids,)
-        else:
-            key, ids, width = unit
+    for key, ids, width in units:
         if count + width <= budget:
             if keys or width:
                 keys.append(key)
@@ -259,12 +240,8 @@ def _pack(
             keys, words, count = [key], [*ids], width
             continue
         # The cut draws the unit again; its ids go now.
-        del ids, unit
-        pieces = cut(key)
-        text, words = next(pieces)
-        for piece in pieces:
-            yield text, words
-            text, words = piece
+        del ids
+        text, words = yield from _all_but_last(cut(key))
         keys, count = [reopen(key, text)], sum(map(len, words))
     if keys:
         yield close(keys), words
@@ -299,7 +276,7 @@ def _encode_within(
 
 
 def _packed_by_counts(
-    sentences: Iterable[str], tokenizer: TokenizerInterface, budget: int, doc_id: str
+    sentences: Iterable[str], tokenizer: TokenizerInterface, budget: int
 ) -> Iterator[_Piece]:
     """`_pack` over the sentences, each encoded once, and an oversized one's words.
 
@@ -316,40 +293,30 @@ def _packed_by_counts(
     )
     tokens_of = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
 
-    def sentence_unit(sentence: str) -> tuple[str, list[tuple[int, ...]], int]:
-        try:
-            return sentence, *_encode_within(encode, sentence, budget)
-        except Exception as exc:
-            raise _failure(doc_id, sentence, exc) from exc
-
     def cut_sentence(sentence: str) -> Iterator[_Piece]:
-        def cut_word(span: _Word) -> Iterator[_Piece]:
+        def cut_word(span: tuple[int, int]) -> Iterator[_Piece]:
             word = sentence[span[0] : span[1]]
-            tokens = _run(tokens_of, word, doc_id)
-            return _hard_split(word, tokens, budget, tokenizer, doc_id)
+            return _hard_split(word, tokens_of(word), budget, tokenizer)
 
-        pieces = _pack(
-            _run(words_of, sentence, doc_id),
+        words = words_of(sentence)
+        return _pack(
+            (((start, end), (ids,), len(ids)) for start, end, ids in words),
             budget,
             cut_word,
             lambda spans: sentence[spans[0][0] : spans[-1][1]],
             # The last piece of a word ends where the word does.
             lambda span, text: (span[1] - len(text), span[1]),
-            one_word=True,
         )
-        try:
-            yield from pieces
-        except TokenizerFailure:
-            raise
-        except Exception as exc:
-            raise _failure(doc_id, sentence, exc) from exc
 
-    units = map(sentence_unit, filter(None, map(str.strip, sentences)))
+    units = (
+        (sentence, *_encode_within(encode, sentence, budget))
+        for sentence in filter(None, map(str.strip, sentences))
+    )
     return _pack(units, budget, cut_sentence, " ".join, lambda _, text: text)
 
 
 def _packed_by_retokenizing(
-    sentences: Iterable[str], tokenizer: TokenizerInterface, budget: int, doc_id: str
+    sentences: Iterable[str], tokenizer: TokenizerInterface, budget: int
 ) -> Iterator[_Piece]:
     """Sentences packed by tokenizing each candidate piece whole.
 
@@ -365,7 +332,7 @@ def _packed_by_retokenizing(
         sentence = sentence.strip()
         if not sentence:
             continue
-        candidate = _run(encode, " ".join([*joined, sentence]), doc_id)
+        candidate = encode(" ".join([*joined, sentence]))
         count = sum(map(len, candidate))
         if count and count <= budget:
             joined.append(sentence)
@@ -375,22 +342,28 @@ def _packed_by_retokenizing(
             continue
         if joined:
             yield " ".join(joined), words
-            candidate = _run(encode, sentence, doc_id)
+            candidate = encode(sentence)
             count = sum(map(len, candidate))
         if count <= budget:
             joined, words = [sentence], candidate
             continue
         # The cut draws the sentence again; its whole list of ids goes now.
         del candidate
-        tokens = _run(tokens_of, sentence, doc_id)
-        pieces = _hard_split(sentence, tokens, budget, tokenizer, doc_id)
-        text, words = next(pieces)
-        for piece in pieces:
-            yield text, words
-            text, words = piece
+        pieces = _hard_split(sentence, tokens_of(sentence), budget, tokenizer)
+        text, words = yield from _all_but_last(pieces)
         joined = [text]
     if joined:
         yield " ".join(joined), words
+
+
+def chunk_budget(tokenizer: TokenizerInterface, max_tokens: int) -> int:
+    """max_tokens less the tokenizer's reserved tokens; ValueError if none is left."""
+    reserved = getattr(tokenizer, "reserved_special_count", 0)
+    if max_tokens <= reserved:
+        raise ValueError(
+            f"max_tokens={max_tokens} leaves no room after {reserved} reserved tokens"
+        )
+    return max_tokens - reserved
 
 
 def iter_chunks(
@@ -415,19 +388,28 @@ def iter_chunks(
     objects are built only for a hard split.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
-    count, so stored counts are content tokens only.
+    count, so stored counts are content tokens only. An error while a
+    chunk is cut is raised as a `TokenizerFailure` naming doc_id and seq.
     """
-    reserved = getattr(tokenizer, "reserved_special_count", 0)
-    budget = max_tokens - reserved
-    if budget <= 0:
-        raise ValueError(
-            f"max_tokens={max_tokens} leaves no room after {reserved} reserved tokens"
-        )
+    budget = chunk_budget(tokenizer, max_tokens)
     if getattr(tokenizer, "concat_stable", False):
-        pieces = _packed_by_counts(sentences, tokenizer, budget, doc_id)
+        pieces = _packed_by_counts(sentences, tokenizer, budget)
     else:
-        pieces = _packed_by_retokenizing(sentences, tokenizer, budget, doc_id)
-    return (_make_chunk(doc_id, seq, *piece) for seq, piece in enumerate(pieces))
+        pieces = _packed_by_retokenizing(sentences, tokenizer, budget)
+
+    def chunks() -> Iterator[Chunk]:
+        seq = 0
+        while True:
+            try:
+                piece = next(pieces)
+            except StopIteration:
+                return
+            except Exception as exc:
+                raise TokenizerFailure(doc_id, f"{exc} (cutting chunk {seq})") from exc
+            yield _make_chunk(doc_id, seq, *piece)
+            seq += 1
+
+    return chunks()
 
 
 def pack_chunks(

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import random
+import re
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
@@ -25,6 +26,9 @@ from .tokenizers import encoder
 _T = TypeVar("_T")
 
 LOG = logging.getLogger("lexprep")
+
+# The one form `date.fromisoformat` reads on Python 3.10; 3.11 reads "20240101" too.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class DocKind(Enum):
@@ -118,8 +122,10 @@ class RawDocument:
         raw_date = record.get("published_date")
         published = None
         if raw_date is not None and raw_date != "":
+            if not isinstance(raw_date, str) or not _ISO_DATE.fullmatch(raw_date):
+                raise ValueError("field 'published_date' must be a YYYY-MM-DD string")
             try:
-                published = date.fromisoformat(str(raw_date))
+                published = date.fromisoformat(raw_date)
             except ValueError as exc:
                 raise ValueError(f"field 'published_date' is not ISO-8601: {exc}")
         doc = cls(

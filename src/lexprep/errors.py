@@ -47,7 +47,7 @@ class NoProfiles(LexprepError):
 
 
 class TokenizerFailure(LexprepError):
-    """A tokenizer raised while processing a sentence; carries location."""
+    """Cutting a chunk failed; carries the document, and the chunk in `detail`."""
 
     def __init__(self, doc_id: str, detail: str):
         self.doc_id = doc_id

@@ -30,6 +30,7 @@ from . import chunking
 from .chunking import (
     DEFAULT_MAX_TOKENS,
     Chunk,
+    chunk_budget,
     chunk_from_record,
     iter_chunks,
     validate_chunk_record,
@@ -173,7 +174,7 @@ class PipelineManifest:
 
 
 def _profiles(manifest: PipelineManifest) -> list[LanguageProfile]:
-    """The gate's profiles: at least two, one of them the language kept."""
+    """The gate's profiles: two or more languages, one of them the language kept."""
     if manifest.profiles_path is not None:
         profiles = load_profiles(manifest.profiles_path)
     else:
@@ -181,6 +182,8 @@ def _profiles(manifest: PipelineManifest) -> list[LanguageProfile]:
     if len(profiles) < 2:
         raise NoProfiles(f"the gate needs two or more profiles, got {len(profiles)}")
     languages = sorted(profile.language for profile in profiles)
+    if languages.count(manifest.language) > 1:
+        raise ValueError(f"the profiles list language {manifest.language!r} twice")
     if manifest.language not in languages:
         raise ValueError(
             f"no profile for language {manifest.language!r}; "
@@ -193,6 +196,12 @@ def _load_tokenizer(manifest: PipelineManifest) -> VocabTokenizer:
     if manifest.tokenizer_path is not None:
         return VocabTokenizer.from_file(manifest.tokenizer_path)
     return VocabTokenizer()
+
+
+def _chunker(manifest: PipelineManifest) -> VocabTokenizer:
+    tokenizer = _load_tokenizer(manifest)
+    chunk_budget(tokenizer, manifest.max_tokens)
+    return tokenizer
 
 
 def _masker(manifest: PipelineManifest) -> tuple[VocabTokenizer, MaskingConfig]:
@@ -264,7 +273,7 @@ def _masked_positions(example: MlmExample) -> int:
 _STAGE_SETUP = {
     "filter-lang": _profiles,
     "clean": attrgetter("clean_policy"),
-    "chunk": _load_tokenizer,
+    "chunk": _chunker,
     "mask": _masker,
 }
 _STAGE_RUNNERS = {

@@ -1,9 +1,12 @@
 """Sentence splitting and token-budgeted packing."""
 
+import ast
 import random
 import re
 import time
 from collections import Counter
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,12 @@ _WORD_POOL = (
 
 def _sentence_of(n_tokens: int) -> str:
     return " ".join(["de"] * n_tokens)
+
+
+# Each test marked so runs once per packer: summing counts, or re-tokenizing.
+_BOTH_PACKERS = pytest.mark.parametrize(
+    "concat_stable", [True, False], ids=["counts", "retokenizing"]
+)
 
 
 class Delegating:
@@ -267,16 +276,39 @@ class TestPackChunks:
         chunks = pack_chunks([_sentence_of(511)], Reserving(), max_tokens=512)
         assert [c.token_count for c in chunks] == [510, 1]
 
-    def test_tokenizer_failure_carries_doc_id(self):
-        class Broken:
-            reserved_special_count = 0
-
-            def tokenize(self, text):
-                raise RuntimeError("boom")
-
+    @_BOTH_PACKERS
+    @pytest.mark.parametrize("broken", ["encode", "tokenize"])
+    def test_tokenizer_failure_names_the_document_and_chunk(
+        self, tokenizer, concat_stable, broken
+    ):
+        breaking = BreaksOnRota(tokenizer, broken, concat_stable)
+        sentences = [_sentence_of(10), _sentence_of(10), "una ley rota"]
+        chunks = iter_chunks(sentences, breaking, max_tokens=16, doc_id="doc-4")
+        assert next(chunks).text == sentences[0]
         with pytest.raises(TokenizerFailure) as excinfo:
-            pack_chunks(["una frase"], Broken(), max_tokens=16, doc_id="doc-9")
-        assert "doc-9" in str(excinfo.value)
+            next(chunks)
+        assert str(excinfo.value) == (
+            "tokenizer failed in document 'doc-4': broke on 'rota' (cutting chunk 1)"
+        )
+        assert type(excinfo.value.__cause__) is RuntimeError
+
+    @_BOTH_PACKERS
+    def test_no_single_token_fits_the_budget(self, concat_stable):
+        tokenizer = CharsThenEnd(concat_stable)
+        with pytest.raises(TokenizerFailure) as excinfo:
+            pack_chunks(["abcde"], tokenizer, max_tokens=1, doc_id="doc-5")
+        assert str(excinfo.value) == (
+            "tokenizer failed in document 'doc-5': "
+            "cannot fit a single token within budget 1 (cutting chunk 0)"
+        )
+
+    @_BOTH_PACKERS
+    def test_lazy_tokenizer_failure_carries_doc_id(self, tokenizer, concat_stable):
+        failing = FailsAfterTwentyTokens(tokenizer, concat_stable)
+        with pytest.raises(
+            TokenizerFailure, match=r"document 'doc-3': boom \(cutting chunk \d\)"
+        ):
+            pack_chunks(["de la " + _HUGE_WORD], failing, max_tokens=16, doc_id="doc-3")
 
     def test_empty_and_blank_sentences_skipped(self, tokenizer):
         assert pack_chunks([], tokenizer) == []
@@ -444,6 +476,24 @@ class TestIterChunks:
         with pytest.raises(ValueError, match="leaves no room"):
             iter_chunks(["una frase"], tokenizer, max_tokens=0)
 
+    def test_one_function_builds_tokenizer_failures(self):
+        # Packing raises plain errors; `iter_chunks` alone names the
+        # document and the chunk they were raised in.
+        tree = ast.parse(Path(chunking.__file__).read_text(encoding="utf-8"))
+        found = set()
+
+        def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = (*scope, child.name)
+                elif isinstance(child, ast.Name) and child.id == "TokenizerFailure":
+                    found.add(".".join(scope))
+                visit(child, inner)
+
+        visit(tree, ())
+        assert found == {"iter_chunks.chunks"}
+
 
 class TestChunkDocument:
     def test_splits_then_packs(self, tokenizer):
@@ -515,7 +565,7 @@ class TestChunkRecords:
             assert chunk_from_record(record, tokenizer).token_count > 0
 
 
-def _reference_hard_split(sentence, tokens, budget, tokenizer, doc_id):
+def _reference_hard_split(sentence, tokens, budget, tokenizer):
     """The hard split that re-tokenized every piece, cut at a word or not."""
     pieces = []
     start = 0
@@ -535,9 +585,7 @@ def _reference_hard_split(sentence, tokens, budget, tokenizer, doc_id):
                 break
             cut -= 1
         if cut == 0:
-            raise TokenizerFailure(
-                doc_id, f"cannot fit a single token within budget {budget}"
-            )
+            raise ValueError(f"cannot fit a single token within budget {budget}")
         pieces.append((piece_text, piece_tokens))
         start += cut
     return pieces
@@ -596,11 +644,15 @@ _HUGE_WORD = ("prescripción" * 900)[:10_000]
 class CharsThenEnd:
     """One token per character, then an empty end-of-word token per word.
 
-    Not concat-stable, and a piece re-tokenized alone gains an end token,
-    so a mid-word cut must shrink until the piece and its end token fit.
+    Concat-stable only if declared so, and a piece re-tokenized alone
+    gains an end token, so a mid-word cut must shrink until the piece and
+    its end token fit.
     """
 
     reserved_special_count = 0
+
+    def __init__(self, concat_stable=False):
+        self.concat_stable = concat_stable
 
     def tokenize(self, text):
         tokens = []
@@ -614,31 +666,59 @@ class CharsThenEnd:
         return tokens
 
 
+class BreaksOnRota:
+    """The reference tokenizer, but its `encode` or `tokenize` fails on "rota"."""
+
+    reserved_special_count = 0
+
+    def __init__(self, inner, broken, concat_stable):
+        self.concat_stable = concat_stable
+        self.tokenize = inner.tokenize
+
+        def failing(text):
+            if "rota" in text:
+                raise RuntimeError("broke on 'rota'")
+            return getattr(inner, broken)(text)
+
+        setattr(self, broken, failing)
+
+
+class FailsAfterTwentyTokens:
+    """The reference tokenizer, but `iter_tokens` fails after 20 tokens."""
+
+    reserved_special_count = 0
+
+    def __init__(self, inner, concat_stable):
+        self.inner = inner
+        self.concat_stable = concat_stable
+
+    def tokenize(self, text):
+        return self.inner.tokenize(text)
+
+    def iter_tokens(self, text):
+        yield from islice(self.inner.iter_tokens(text), 20)
+        raise RuntimeError("boom")
+
+
 class TestHardSplit:
     """The hard split cuts the reference's pieces; packing cuts them by words."""
 
     def test_mid_word_cut_shrinks_until_the_piece_fits(self):
         tokenizer = CharsThenEnd()
         tokens = tokenizer.tokenize("abcde")
-        pieces = list(_hard_split("abcde", tokens, 2, tokenizer, "s"))
+        pieces = list(_hard_split("abcde", tokens, 2, tokenizer))
         assert [text for text, _ in pieces] == list("abcde")
         assert [sum(map(len, words)) for _, words in pieces] == [2] * 5
-
-    def test_no_single_token_fits_the_budget(self):
-        tokenizer = CharsThenEnd()
-        tokens = tokenizer.tokenize("abcde")
-        with pytest.raises(TokenizerFailure, match="cannot fit a single token"):
-            list(_hard_split("abcde", tokens, 1, tokenizer, "s"))
 
     @staticmethod
     def _both(tokenizer, sentence, budget):
         tokens = tokenizer.tokenize(sentence)
-        slow = _reference_hard_split(sentence, tokens, budget, tokenizer, "h")
+        slow = _reference_hard_split(sentence, tokens, budget, tokenizer)
         expected = [(text, _grouped_ids(piece)) for text, piece in slow]
-        fast = list(_hard_split(sentence, tokens, budget, tokenizer, "h"))
+        fast = list(_hard_split(sentence, tokens, budget, tokenizer))
         assert fast == expected
         # A one-shot iterator gives the same pieces: the window never rewinds.
-        streamed = _hard_split(sentence, iter(tokens), budget, tokenizer, "h")
+        streamed = _hard_split(sentence, iter(tokens), budget, tokenizer)
         assert list(streamed) == expected
         return fast
 
@@ -673,20 +753,11 @@ class TestHardSplit:
                 yield token
 
         offset = 0
-        for text, _ in _hard_split(sentence, one_shot(), budget, tokenizer, "w"):
+        for text, _ in _hard_split(sentence, one_shot(), budget, tokenizer):
             begin = sentence.index(text, offset)
             offset = begin + len(text)
             assert drawn <= index_at[begin] + budget + 1
         assert drawn == len(tokens)
-
-    def test_lazy_tokenizer_failure_carries_doc_id(self, tokenizer):
-        def failing():
-            yield from tokenizer.tokenize("de la ley")
-            raise RuntimeError("boom")
-
-        with pytest.raises(TokenizerFailure) as excinfo:
-            list(_hard_split("de la ley y más", failing(), 2, tokenizer, "doc-3"))
-        assert "doc-3" in str(excinfo.value)
 
     @pytest.mark.parametrize("budget", [16, 100, 512])
     def test_matches_reference_with_huge_word(self, tokenizer, budget):

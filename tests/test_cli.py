@@ -350,6 +350,21 @@ class TestFilterLang:
         names = ["empty.jsonl", "one.jsonl"]
         assert sorted(p.name for p in tmp_path.iterdir()) == names
 
+    @pytest.mark.parametrize("languages", [["es", "es"], ["es", "es", "ca"]])
+    def test_kept_language_listed_twice_is_a_data_error(
+        self, corpus_path, tmp_path, capsys, caplog, languages
+    ):
+        # The gate would weigh Spanish against itself and keep nothing.
+        profiles = tmp_path / "twice.jsonl"
+        write_jsonl(profiles, [{**_ONE_PROFILE, "language": c} for c in languages])
+        out_path = tmp_path / "kept.jsonl"
+        argv = [corpus_path, out_path, "--profiles", profiles]
+        code, out = run_cli(capsys, "filter-lang", *map(str, argv))
+        assert code == 2
+        assert out == ""
+        assert "the profiles list language 'es' twice" in caplog.text
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "line", _BAD_PROFILE_LINES, ids=["no-language", "not-json", "ranks-not-a-list"]
     )
@@ -430,6 +445,19 @@ class TestChunk:
         assert code == 2
         assert out == ""
         assert f"{vocab} is not valid JSON" in caplog.text
+
+    @pytest.mark.parametrize("max_tokens", ["0", "-3"])
+    def test_budget_without_room_is_a_data_error_on_empty_input(
+        self, tmp_path, capsys, caplog, max_tokens
+    ):
+        (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+        argv = [tmp_path / "empty.jsonl", tmp_path / "chunks.jsonl"]
+        argv += ["--max-tokens", max_tokens]
+        code, out = run_cli(capsys, "chunk", *map(str, argv))
+        assert code == 2
+        assert out == ""
+        assert f"max_tokens={max_tokens} leaves no room" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
 
 
 class TestMask:
@@ -832,6 +860,26 @@ class TestRun:
         code, out = run_cli(capsys, "run", str(manifest))
         assert code == 2
         assert out == ""
+        out_dir = tmp_path / "out"
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    def test_budget_without_room_fails_though_no_document_is_chunked(
+        self, corpus_path, tmp_path, capsys, caplog
+    ):
+        # The gate rejects every document, so none reaches the chunk stage.
+        record = {
+            "input_path": str(corpus_path),
+            "output_dir": "out",
+            "stages": ["filter-lang", "chunk"],
+            "filter-lang": {"threshold": 1},
+            "chunk": {"max_tokens": -3},
+        }
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps(record), encoding="utf-8")
+        code, out = run_cli(capsys, "run", str(manifest))
+        assert code == 2
+        assert out == ""
+        assert "max_tokens=-3 leaves no room" in caplog.text
         out_dir = tmp_path / "out"
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
 

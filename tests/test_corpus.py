@@ -121,6 +121,22 @@ def test_replace_text_keeps_every_other_field():
     )
 
 
+@pytest.mark.parametrize(
+    "value",
+    [20240101, "20240101", "2024-W01-1", "2024-1-01"],
+    ids=["integer", "basic-form", "week-date", "one-digit-month"],
+)
+def test_published_date_other_than_yyyy_mm_dd_is_malformed(value):
+    # Python 3.11's `date.fromisoformat` reads the first three as 2024-01-01,
+    # and 3.10's reads none of them: the form is checked before parsing.
+    record = {**doc_record("a", "uno"), "published_date": value}
+    errors: list[MalformedRecord] = []
+    assert list(ingest_stream([json.dumps(record)], error_sink=errors)) == []
+    assert [err.reason for err in errors] == [
+        "field 'published_date' must be a YYYY-MM-DD string"
+    ]
+
+
 def test_bad_published_date_is_malformed():
     record = doc_record("a", "uno")
     record["published_date"] = "not-a-date"
