@@ -16,7 +16,8 @@ sentence or the word, and tokenizes every piece again. Chunks are
 yielded as they are cut (`iter_chunks`), and a concat-stable sentence is
 encoded only until its count passes the budget, so the memory of packing
 is bounded by a chunk, not by the document. An error while a chunk is
-cut becomes a `TokenizerFailure`: "<cause> (cutting chunk <seq>)".
+cut becomes a `TokenizerFailure`: "<cause> (cutting chunk <seq>)"; one
+raised by the caller's sentences is raised as it is.
 """
 
 from __future__ import annotations
@@ -389,13 +390,25 @@ def iter_chunks(
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only. An error while a
-    chunk is cut is raised as a `TokenizerFailure` naming doc_id and seq.
+    chunk is cut is raised as a `TokenizerFailure` naming doc_id and seq,
+    unless `sentences` raised it: that one is raised as it is.
     """
     budget = chunk_budget(tokenizer, max_tokens)
+    # An error that `sentences` raises is the caller's, not the tokenizer's.
+    sentence_errors: list[Exception] = []
+
+    def drawn(sentences: Iterable[str]) -> Iterator[str]:
+        try:
+            yield from sentences
+        except Exception as exc:
+            sentence_errors.append(exc)
+            raise
+
     if getattr(tokenizer, "concat_stable", False):
-        pieces = _packed_by_counts(sentences, tokenizer, budget)
+        packed = _packed_by_counts
     else:
-        pieces = _packed_by_retokenizing(sentences, tokenizer, budget)
+        packed = _packed_by_retokenizing
+    pieces = packed(drawn(sentences), tokenizer, budget)
 
     def chunks() -> Iterator[Chunk]:
         seq = 0
@@ -405,6 +418,8 @@ def iter_chunks(
             except StopIteration:
                 return
             except Exception as exc:
+                if exc in sentence_errors:
+                    raise
                 raise TokenizerFailure(doc_id, f"{exc} (cutting chunk {seq})") from exc
             yield _make_chunk(doc_id, seq, *piece)
             seq += 1

@@ -100,12 +100,20 @@ def _normalize(text: str) -> list[str]:
     Accented letters stay: characters such as ñ, ç, ã or l·l separate
     closely related languages better than any unaccented gram.
     """
+    # Whitespace is \W, so no letter run crosses a whitespace-split token,
+    # and an all-alpha token is one run: only the other tokens (punctuation
+    # glued on, digits, ², combining marks) are scanned for runs.
     words = []
-    for run in _LETTER_RUN.findall(text.lower()):
-        if run.isalpha():
-            words.append(run)
-        else:
-            words += "".join(ch if ch.isalpha() else " " for ch in run).split()
+    append = words.append
+    for token in text.lower().split():
+        if token.isalpha():
+            append(token)
+            continue
+        for run in _LETTER_RUN.findall(token):
+            if run.isalpha():
+                append(run)
+            else:
+                words += "".join(ch if ch.isalpha() else " " for ch in run).split()
     return words
 
 

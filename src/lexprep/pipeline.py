@@ -174,7 +174,8 @@ class PipelineManifest:
 
 
 def _profiles(manifest: PipelineManifest) -> list[LanguageProfile]:
-    """The gate's profiles: two or more languages, one of them the language kept."""
+    """The gate's profiles: two or more languages, each listed once, one of
+    them the language kept."""
     if manifest.profiles_path is not None:
         profiles = load_profiles(manifest.profiles_path)
     else:
@@ -182,8 +183,11 @@ def _profiles(manifest: PipelineManifest) -> list[LanguageProfile]:
     if len(profiles) < 2:
         raise NoProfiles(f"the gate needs two or more profiles, got {len(profiles)}")
     languages = sorted(profile.language for profile in profiles)
-    if languages.count(manifest.language) > 1:
-        raise ValueError(f"the profiles list language {manifest.language!r} twice")
+    # A language listed twice is its own runner-up: a text it wins would be
+    # given a confidence of 0.
+    for language, following in zip(languages, languages[1:]):
+        if language == following:
+            raise ValueError(f"the profiles list language {language!r} twice")
     if manifest.language not in languages:
         raise ValueError(
             f"no profile for language {manifest.language!r}; "
@@ -289,9 +293,37 @@ _OUTPUT_TALLIES = {
 }
 
 
+# The JSON text of the ids on mask lines, kept for at most ID_TEXT_LIMIT
+# ids (the bundled vocabulary and IGNORE_LABEL fill 355 entries); an id
+# past the cap is formatted each time it is written. A module constant,
+# not an option: the table changes no byte of a line.
+ID_TEXT_LIMIT = 32768
+
+
+class _IdTexts(dict):
+    def __missing__(self, id_: int) -> str:
+        text = str(id_)
+        if len(self) < ID_TEXT_LIMIT:
+            self[id_] = text
+        return text
+
+
+_id_texts = _IdTexts()
+_id_text = _id_texts.__getitem__
+
+
 def _to_line(record) -> str:
     if isinstance(record, RawDocument):
         return document_to_line(record)
+    if isinstance(record, MlmExample):
+        # `json.dumps(record.to_record(), ensure_ascii=False)`, byte for byte,
+        # with each int id's text (`int.__repr__`) taken from the table.
+        return (
+            f'{{"doc_id": {json.dumps(record.doc_id, ensure_ascii=False)}, '
+            f'"seq": {record.seq}, '
+            f'"input_ids": [{", ".join(map(_id_text, record.input_ids))}], '
+            f'"labels": [{", ".join(map(_id_text, record.labels))}]}}'
+        )
     return json.dumps(record.to_record(), ensure_ascii=False)
 
 

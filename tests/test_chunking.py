@@ -310,6 +310,23 @@ class TestPackChunks:
         ):
             pack_chunks(["de la " + _HUGE_WORD], failing, max_tokens=16, doc_id="doc-3")
 
+    @_BOTH_PACKERS
+    def test_error_raised_by_the_sentences_passes_through(
+        self, tokenizer, concat_stable
+    ):
+        # The caller's iterable failed, not the tokenizer: no relabelling.
+        error = KeyError("caller bug")
+
+        def sentences():
+            yield _sentence_of(10)
+            raise error
+
+        packer = tokenizer if concat_stable else Delegating(tokenizer)
+        chunks = iter_chunks(sentences(), packer, max_tokens=16, doc_id="d")
+        with pytest.raises(KeyError) as excinfo:
+            list(chunks)
+        assert excinfo.value is error
+
     def test_empty_and_blank_sentences_skipped(self, tokenizer):
         assert pack_chunks([], tokenizer) == []
         assert pack_chunks(["", "   "], tokenizer) == []

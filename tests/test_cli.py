@@ -365,6 +365,21 @@ class TestFilterLang:
         assert "the profiles list language 'es' twice" in caplog.text
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("languages", [["ca", "ca", "es"], ["es", "ca", "ca"]])
+    def test_other_language_listed_twice_is_a_data_error(
+        self, corpus_path, tmp_path, capsys, caplog, languages
+    ):
+        # A document Catalan wins would be rejected with confidence 0.
+        profiles = tmp_path / "twice.jsonl"
+        write_jsonl(profiles, [{**_ONE_PROFILE, "language": c} for c in languages])
+        out_path = tmp_path / "kept.jsonl"
+        argv = [corpus_path, out_path, "--profiles", profiles]
+        code, out = run_cli(capsys, "filter-lang", *map(str, argv))
+        assert code == 2
+        assert out == ""
+        assert "the profiles list language 'ca' twice" in caplog.text
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "line", _BAD_PROFILE_LINES, ids=["no-language", "not-json", "ranks-not-a-list"]
     )

@@ -85,8 +85,26 @@ _langid_text = st.one_of(
 
 # Letters next to the characters a letter-run regex could get wrong:
 # decimal and non-decimal digits (², ½, Ⅻ, ٣), underscores, combining
-# marks, and letters whose lowercase form changes length.
-_NORMALIZE_CHARS = st.sampled_from(list("aZñÉ_7²½Ⅻ٣\u0301·' \t\nİßﬁΣ"))
+# marks, letters whose lowercase form changes length, punctuation, and
+# every character `str.split()` cuts at.
+_SPLIT_SEPARATORS = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+_NORMALIZE_CHARS = st.sampled_from(
+    list("aZñÉ_7²½Ⅻ٣\u0301·'.,;¿?«»()-İßﬁΣ" + _SPLIT_SEPARATORS)
+)
+# Words with punctuation glued on, between separators.
+_GLUED_WORDS = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["ley,", "(art.", "«año»", "¿Qué?", "l·l", "x²,", "e\u0301.", "a_b"]
+        ),
+        st.sampled_from(list(_SPLIT_SEPARATORS)),
+    ),
+    max_size=30,
+).map("".join)
 
 
 # Pieces whose lowercase depends on their neighbours (a final sigma), or
@@ -117,7 +135,11 @@ class TestNgramsMatchReference:
         assert "".join(map(str.lower, windows)) == text.lower()
 
     @settings(deadline=None)
-    @given(st.one_of(st.text(_NORMALIZE_CHARS, max_size=40), st.text(max_size=80)))
+    @given(
+        st.one_of(
+            st.text(_NORMALIZE_CHARS, max_size=40), _GLUED_WORDS, st.text(max_size=80)
+        )
+    )
     def test_normalize_matches_per_character_scan(self, text):
         assert _normalize(text) == _reference_normalize(text)
 

@@ -12,13 +12,15 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lexprep import chunking, pipeline
 from lexprep.cleaning import CleanPolicy
 from lexprep.cli import main
 from lexprep.corpus import compute_stats, read_documents
 from lexprep.errors import ManifestError, StageFailure
-from lexprep.masking import MaskingConfig, MlmExample
+from lexprep.masking import IGNORE_LABEL, MaskingConfig, MlmExample
 from lexprep.pipeline import (
     STAGE_NAMES,
     SUMMARY_NAME,
@@ -27,6 +29,7 @@ from lexprep.pipeline import (
     run_stages,
     validate_stages,
 )
+from lexprep.tokenizers import VocabTokenizer
 
 from .conftest import doc_record, run_lexprep, write_jsonl
 from .lang_snippets import CA_SNIPPETS, ES_SNIPPETS
@@ -635,3 +638,72 @@ class TestOneChunkAtATime:
         assert excinfo.value.stage == stage
         assert str(excinfo.value.cause) == "third chunk broke"
         assert list(out.iterdir()) == []
+
+
+# Characters JSON escapes or that are easy to get wrong: quotes, backslashes,
+# control characters, the JavaScript line separators and astral characters.
+_DOC_ID_CHARS = st.one_of(
+    st.sampled_from(
+        list('"\\/\x00\x01\x1f\x7f\x85\u2028\u2029\ud7ff\U0001f600\U00010348')
+    ),
+    st.characters(),
+)
+# The ignore label, 0, the bundled vocabulary's edge, and any int at all.
+_VOCAB_SIZE = VocabTokenizer().vocab_size
+_ID = st.one_of(
+    st.sampled_from([IGNORE_LABEL, 0, 1, _VOCAB_SIZE - 1, _VOCAB_SIZE]),
+    st.integers(0, _VOCAB_SIZE),
+    st.integers(),
+)
+
+
+@st.composite
+def _examples(draw) -> MlmExample:
+    input_ids = draw(st.lists(_ID, max_size=30))
+    width = len(input_ids)
+    return MlmExample(
+        doc_id=draw(st.text(_DOC_ID_CHARS, max_size=20)),
+        seq=draw(st.one_of(st.integers(0, 3), st.integers(0, 2**70))),
+        input_ids=tuple(input_ids),
+        labels=tuple(draw(st.lists(_ID, min_size=width, max_size=width))),
+    )
+
+
+def _dumped(example: MlmExample) -> str:
+    return json.dumps(example.to_record(), ensure_ascii=False)
+
+
+@pytest.fixture
+def id_texts():
+    """The process's id→text table, emptied before and after the test."""
+    pipeline._id_texts.clear()
+    yield pipeline._id_texts
+    pipeline._id_texts.clear()
+
+
+class TestMaskLines:
+    """A mask line is the JSON of `to_record`, whatever the ids and the id."""
+
+    @given(_examples())
+    @example(MlmExample(doc_id="", seq=0, input_ids=(), labels=()))
+    def test_line_is_the_records_json(self, masked):
+        assert pipeline._to_line(masked) == _dumped(masked)
+
+    def test_table_stops_at_its_cap_and_lines_stay_exact(self, id_texts):
+        cap = pipeline.ID_TEXT_LIMIT
+        ids = range(-200, cap + 1000)
+        examples = [
+            MlmExample(f"d{seq}", seq, tuple(ids[seq::7]), tuple(ids[seq::7]))
+            for seq in range(7)
+        ]
+        for _ in range(2):
+            # Written again, the ids past the cap are formatted once more.
+            for masked in examples:
+                assert pipeline._to_line(masked) == _dumped(masked)
+            assert len(id_texts) == cap
+
+    def test_bundled_vocabulary_fits_under_the_cap(self, id_texts):
+        ids = (*range(_VOCAB_SIZE), IGNORE_LABEL)
+        masked = MlmExample("d", 0, ids, ids)
+        assert pipeline._to_line(masked) == _dumped(masked)
+        assert len(id_texts) == _VOCAB_SIZE + 1 <= pipeline.ID_TEXT_LIMIT
