@@ -17,12 +17,14 @@ class LexprepError(Exception):
 
 
 class MalformedRecord(LexprepError, ValueError):
-    """A line of a JSONL input could not be parsed or validated."""
+    """A line of a JSONL input could not be parsed or validated; the
+    message names the file when `path` is given."""
 
-    def __init__(self, line_number: int, reason: str):
+    def __init__(self, line_number: int, reason: str, path: object = None):
         self.line_number = line_number
         self.reason = reason
-        super().__init__(f"line {line_number}: {reason}")
+        message = f"line {line_number}: {reason}"
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class DuplicateId(LexprepError):

@@ -15,14 +15,16 @@ toward 1.0 where a high-threshold gate can separate them.
 Counting grams is most of the gate's time, and the documents of one
 corpus share most of their words. So each process keeps one table from
 each word of at most LONG_WORD letters to the tuple of its grams, bounded
-by the GRAM_TABLE_LIMIT grams it holds. Words are admitted until the next
-one would not fit; after that a new word's grams are listed as if there
-were no table, and the table is never cleared. Clearing it when full
-thrashes on a corpus whose vocabulary outgrows it (the benchmark's
-mixed_zipf counted grams about 1.6x slower that way), while one
-language's vocabulary, such as the Spanish seed text's 13,635 grams, fits
-whole. Admitted words share their gram strings through one dict beside
-the table, which holds a full table to about 0.5 MB instead of 0.8 MB.
+by the GRAM_TABLE_LIMIT grams it holds. It follows the rule of every
+process-wide table (the tokenizer's word table and the mask id→text table
+too): a new word is kept while its grams fit, and the table is never
+cleared; a word that does not fit has its grams listed as if there were no
+table. Clearing it when full thrashes on a corpus whose vocabulary
+outgrows it (the benchmark's mixed_zipf counted grams about 1.6x slower
+that way), while one language's vocabulary, such as the Spanish seed
+text's 13,635 grams, fits whole. Admitted words share their gram
+strings through one dict beside the table, which holds a full table to
+about 0.5 MB instead of 0.8 MB.
 
 A word missing from the table is cut into its grams in one C call by its
 slice plan: an `operator.itemgetter` of the slices for its length, whose
@@ -48,7 +50,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .corpus import RawDocument, published, read_records
-from .errors import EmptyText, NoProfiles, check_type
+from .errors import EmptyText, MalformedRecord, NoProfiles, check_type
 from .tokenizers import LONG_WORD
 
 NGRAM_MIN = 1
@@ -79,11 +81,6 @@ _table_grams = 0
 # Word length → the slices that cut its padded form into its grams.
 _plans: dict[int, Callable[[str], tuple[str, ...]]] = {}
 
-# Runs of isalnum characters other than decimal digits. Every letter is
-# one, and so are the rare non-decimal numerics (², ½, Ⅻ) that still have
-# to be cut out of a run.
-_LETTER_RUN = re.compile(r"[^\W\d_]+")
-
 # Text is lowercased and its words found one window at a time, each of at
 # least WINDOW characters and cut at whitespace, so a long text is never
 # lowercased whole (CPython's case mapping holds 12 bytes per character
@@ -100,20 +97,16 @@ def _normalize(text: str) -> list[str]:
     Accented letters stay: characters such as ñ, ç, ã or l·l separate
     closely related languages better than any unaccented gram.
     """
-    # Whitespace is \W, so no letter run crosses a whitespace-split token,
-    # and an all-alpha token is one run: only the other tokens (punctuation
-    # glued on, digits, ², combining marks) are scanned for runs.
+    # No letter run crosses whitespace, so each whitespace-split token is
+    # cut on its own: an all-alpha token is one word, and only the others
+    # (punctuation glued on, digits, ², combining marks) are scanned.
     words = []
     append = words.append
     for token in text.lower().split():
         if token.isalpha():
             append(token)
-            continue
-        for run in _LETTER_RUN.findall(token):
-            if run.isalpha():
-                append(run)
-            else:
-                words += "".join(ch if ch.isalpha() else " " for ch in run).split()
+        else:
+            words += "".join([ch if ch.isalpha() else " " for ch in token]).split()
     return words
 
 
@@ -395,8 +388,11 @@ def save_profiles(profiles: list[LanguageProfile], path: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> list[LanguageProfile]:
-    """One profile per line; a bad line raises MalformedRecord."""
-    profiles = list(read_records(path, LanguageProfile.from_record, strict=True))
+    """One profile per line; a bad line raises MalformedRecord, naming the file."""
+    try:
+        profiles = list(read_records(path, LanguageProfile.from_record, strict=True))
+    except MalformedRecord as exc:
+        raise MalformedRecord(exc.line_number, exc.reason, path) from None
     if not profiles:
         raise NoProfiles(f"no profiles found in {path}")
     return profiles

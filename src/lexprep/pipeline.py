@@ -168,7 +168,7 @@ class PipelineManifest:
         path = Path(path)
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_record(record, base=path.parent)
 

@@ -110,10 +110,10 @@ _WORD_OR_MARK = re.compile(r"[^\W_]+|\S")
 # word, and the language gate streams a longer word's n-grams.
 LONG_WORD = 64
 
-# Most characters the words in the tokenizer's word table hold together;
-# the table is cleared when the next word would pass it. A word counts as
-# at least WORD_ENTRY_CHARS characters, for its entry's own overhead, so
-# at most 65,536 words fit.
+# Most characters the words in the tokenizer's word table hold together:
+# a new word is kept while it fits, and the table is never cleared. A word
+# counts as at least WORD_ENTRY_CHARS characters, for its entry's own
+# overhead, so at most 65,536 words fit.
 WORD_TABLE_CHARS = 524288
 WORD_ENTRY_CHARS = 8
 
@@ -169,11 +169,14 @@ class VocabTokenizer:
     `encode` is the fast path: one tuple of piece ids per word, looked up
     in a table from each word seen to its ids, so a repeated word is
     segmented once. The table holds ids only (no pieces, offsets or
-    flags) of words of at most LONG_WORD characters, and is cleared when
-    its words would pass WORD_TABLE_CHARS characters, each counted as at
-    least WORD_ENTRY_CHARS, so it stays small however long or short the
-    words are. Only the last longer word is kept, beside the table, so
-    a glued run is segmented once while it is packed and cut.
+    flags) of words of at most LONG_WORD characters. A new word is kept
+    while the table's words stay within WORD_TABLE_CHARS characters, each
+    counted as at least WORD_ENTRY_CHARS, and the table is never cleared,
+    so it stays small however long or short the words are and a corpus
+    whose vocabulary outgrows it does not thrash. A word that no longer
+    fits is segmented each time. Only the last longer word is kept,
+    beside the table, so a glued run is segmented once while it is packed
+    and cut.
     `iter_words` yields the same ids word by word, with each word's span;
     `iter_tokens` expands its words into full tokens, one at a time, and
     `tokenize` lists them.
@@ -208,7 +211,7 @@ class VocabTokenizer:
         with open(path, encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         pieces = data.get("pieces") if isinstance(data, dict) else None
         strings = isinstance(pieces, list) and all(isinstance(p, str) for p in pieces)
@@ -260,10 +263,6 @@ class VocabTokenizer:
             word = match.group()
             start = match.start()
             ids = lookup(word) or self._segment(word)
-            if len(ids) == 1:
-                # A one-token word is its own piece, known or [UNK].
-                yield _new_token(Token, (ids[0], True, word, start))
-                continue
             offset = start
             for piece_id in ids:
                 piece = text[offset] if piece_id == UNK else pieces[piece_id]
@@ -296,9 +295,7 @@ class VocabTokenizer:
             self._long_word = (word, result)
             return result
         charge = max(n, WORD_ENTRY_CHARS)
-        if self._word_chars + charge > WORD_TABLE_CHARS:
-            self._word_ids.clear()
-            self._word_chars = 0
-        self._word_ids[word] = result
-        self._word_chars += charge
+        if self._word_chars + charge <= WORD_TABLE_CHARS:
+            self._word_ids[word] = result
+            self._word_chars += charge
         return result

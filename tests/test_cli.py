@@ -74,6 +74,13 @@ class TestDataErrors:
         code, _ = run_cli(capsys, "run", str(manifest))
         assert code == 2
 
+    def test_manifest_that_is_not_utf8_is_named(self, tmp_path, capsys, caplog):
+        manifest = tmp_path / "run.json"
+        manifest.write_bytes(b'{"input_path": "\xff"}')
+        code, _ = run_cli(capsys, "run", str(manifest))
+        assert code == 2
+        assert f"{manifest} is not valid JSON: 'utf-8' codec" in caplog.text
+
     def test_bad_curve_rows(self, tmp_path, capsys):
         curves = tmp_path / "curves.csv"
         curves.write_text("model,epoch,f1\na,one,0.5\n", encoding="utf-8")
@@ -396,6 +403,29 @@ class TestFilterLang:
         assert b"line 2: " in result.stderr
         assert not out_path.exists()
 
+    def test_bad_profiles_line_names_the_file(
+        self, corpus_path, tmp_path, capsys, caplog
+    ):
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text("[1]\n", encoding="utf-8")
+        out_path = tmp_path / "kept.jsonl"
+        argv = [str(corpus_path), str(out_path), "--profiles", str(profiles)]
+        code, _ = run_cli(capsys, "filter-lang", *argv)
+        assert code == 2
+        assert f"{profiles}: line 1: record must be a JSON object" in caplog.text
+
+    def test_empty_profiles_file_is_a_data_error(
+        self, corpus_path, tmp_path, capsys, caplog
+    ):
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text("", encoding="utf-8")
+        out_path = tmp_path / "kept.jsonl"
+        argv = [str(corpus_path), str(out_path), "--profiles", str(profiles)]
+        code, _ = run_cli(capsys, "filter-lang", *argv)
+        assert code == 2
+        assert f"no profiles found in {profiles}" in caplog.text
+        assert not out_path.exists()
+
 
 class TestClean:
     def test_default_policy(self, tmp_path, capsys):
@@ -460,6 +490,17 @@ class TestChunk:
         assert code == 2
         assert out == ""
         assert f"{vocab} is not valid JSON" in caplog.text
+
+    def test_tokenizer_that_is_not_utf8_is_named(self, tmp_path, capsys, caplog):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record("a", "la ley")])
+        vocab = tmp_path / "latin1.json"
+        vocab.write_bytes('{"pieces": ["año"]}'.encode("latin-1"))
+        argv = [str(path), str(tmp_path / "out.jsonl"), "--tokenizer", str(vocab)]
+        code, out = run_cli(capsys, "chunk", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{vocab} is not valid JSON: 'utf-8' codec" in caplog.text
 
     @pytest.mark.parametrize("max_tokens", ["0", "-3"])
     def test_budget_without_room_is_a_data_error_on_empty_input(

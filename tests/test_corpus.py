@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lexprep.cli import main
 from lexprep.corpus import (
     CorpusStats,
     DocKind,
@@ -137,12 +138,21 @@ def test_published_date_other_than_yyyy_mm_dd_is_malformed(value):
     ]
 
 
-def test_bad_published_date_is_malformed():
-    record = doc_record("a", "uno")
-    record["published_date"] = "not-a-date"
-    errors: list[MalformedRecord] = []
-    assert list(ingest_stream([json.dumps(record)], error_sink=errors)) == []
-    assert len(errors) == 1
+def test_bad_published_date_is_malformed(tmp_path):
+    cases = [
+        ("not-a-date", "must be a YYYY-MM-DD string"),
+        # The form is right, but February has no 30th.
+        ("2024-02-30", "is not ISO-8601: day is out of range for month"),
+    ]
+    path = tmp_path / "in.jsonl"
+    for value, reason in cases:
+        record = {**doc_record("a", "uno"), "published_date": value}
+        errors: list[MalformedRecord] = []
+        assert list(ingest_stream([json.dumps(record)], error_sink=errors)) == []
+        assert [err.reason for err in errors] == [f"field 'published_date' {reason}"]
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        argv = ["--strict", "ingest", str(path), str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2, value
 
 
 def test_document_line_round_trip():

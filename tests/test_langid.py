@@ -405,7 +405,7 @@ class TestProfiles:
         path.write_text(f"{good}\n{line}\n", encoding="utf-8")
         with pytest.raises(MalformedRecord) as excinfo:
             load_profiles(path)
-        assert str(excinfo.value).startswith("line 2:")
+        assert str(excinfo.value).startswith(f"{path}: line 2:")
 
     def test_build_from_dir_uses_stems(self, tmp_path):
         (tmp_path / "aa.txt").write_text("la ley del estado", encoding="utf-8")

@@ -1,12 +1,14 @@
 """The package's names resolve on first use to the objects of their modules."""
 
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
 import lexprep
 
-from .conftest import run_python
+from .conftest import make_doc, run_python
+from .lang_snippets import CA_SNIPPETS, ES_SNIPPETS
 
 
 def test_every_exported_name_is_its_modules_object():
@@ -41,3 +43,15 @@ def test_the_subcommand_modules_import_as_submodules():
 
     assert metrics is import_module("lexprep.metrics")
     assert schedule is import_module("lexprep.schedule")
+
+
+def test_readme_library_use_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    docs = [make_doc("es-0", ES_SNIPPETS[0]), make_doc("ca-0", CA_SNIPPETS[0])]
+    names = {"docs": docs}
+    exec(code, names)
+    assert [doc.id for doc in names["kept"]] == ["es-0"]
+    assert [doc.id for doc, _ in names["rejected"]] == ["ca-0"]
+    assert names["example"].doc_id == "es-0"

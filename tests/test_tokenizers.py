@@ -274,7 +274,7 @@ def test_encode_marks_digits_underscores_and_unknowns(tokenizer):
     assert encoded[words.index("правило")] == (UNK,) * len("правило")
 
 
-def test_word_table_holds_id_tuples_and_clears_when_full():
+def test_word_table_holds_id_tuples_and_keeps_them_when_full():
     tok = VocabTokenizer()
     # Words of 8 characters that fill the table exactly.
     words = [f"w{i:07d}" for i in range(WORD_TABLE_CHARS // 8)]
@@ -287,7 +287,8 @@ def test_word_table_holds_id_tuples_and_clears_when_full():
         for ids in table.values()
     )
     assert tok.encode("palabra") == _word_groups(tok.tokenize("palabra"))
-    assert list(table) == ["palabra"]
+    assert list(table) == words
+    assert "palabra" not in table
     assert tok.encode(" ".join(words)) == encoded
 
 
