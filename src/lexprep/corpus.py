@@ -119,6 +119,10 @@ class RawDocument:
             if not isinstance(hint, str) or len(hint) != 2:
                 raise ValueError("field 'language_hint' must be a 2-letter code")
             hint = hint.lower()
+        source, region = record.get("source"), record.get("region")
+        for name, value in (("source", source), ("region", region)):
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"field '{name}' must be a string or null")
         raw_date = record.get("published_date")
         published = None
         if raw_date is not None and raw_date != "":
@@ -130,8 +134,8 @@ class RawDocument:
                 raise ValueError(f"field 'published_date' is not ISO-8601: {exc}")
         doc = cls(
             id=doc_id,
-            source=str(record.get("source", "") or ""),
-            region=str(record.get("region", "") or ""),
+            source=source or "",
+            region=region or "",
             doc_kind=DocKind.parse(record.get("doc_kind", "other")),
             language_hint=hint,
             published_date=published,

@@ -35,6 +35,15 @@ a plain dict: a store into a dict subclass such as Counter misses the
 interpreter's exact-dict fast path. The grams of a word a text holds
 once are counted by `collections._count_elements`, the C loop behind
 `Counter.update`, which keeps that fast path for a plain dict.
+
+A word longer than LONG_WORD letters is a glued run such as PDF
+extraction leaves, and may hold far more distinct grams than the gate
+ranks. When the caller says how many grams it ranks (`top`), such words
+are counted last, one gram length at a time, and a gram only where its
+prefix and suffix can still rank: a gram occurs no more often than
+either (the bound behind Apriori, Agrawal & Srikant 1994), so the
+ranking stays exact while memory grows by one byte per letter, not by
+the run's distinct grams.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from importlib import resources
-from operator import itemgetter
+from itertools import chain, compress, islice
+from operator import and_, itemgetter
 from pathlib import Path
 
 from .corpus import RawDocument, published, read_records
@@ -62,11 +72,13 @@ DEFAULT_THRESHOLD = 0.95
 REJECTED_LANGUAGE = "??"
 
 # A word of at most LONG_WORD letters has its grams listed; a longer one is
-# a glued run such as PDF extraction leaves, and is streamed. Listing every
-# gram of the short words is faster; streaming every word measured 20%
-# slower n-gram counting. The slice plans of the listed words are kept up
-# to PLAN_WORD letters: about 0.16 MB by tracemalloc, against 0.64 MB up
-# to LONG_WORD, for words too rare in natural text to repay it.
+# a glued run such as PDF extraction leaves, and is cut one gram at a time,
+# or, when the caller ranks a bounded number of grams, counted only where
+# its grams can rank (see `_count_glued`). Listing every gram of the short
+# words is faster; streaming every word measured 20% slower n-gram
+# counting. The slice plans of the listed words are kept up to PLAN_WORD
+# letters: about 0.16 MB by tracemalloc, against 0.64 MB up to LONG_WORD,
+# for words too rare in natural text to repay it.
 PLAN_WORD = 32
 
 # Most grams the word→grams table holds. Per process, not an option, like
@@ -120,12 +132,9 @@ def _windows(text: str) -> Iterator[str]:
         start = end
 
 
-def _lazy_grams(word: str, padded: str) -> Iterator[str]:
-    """The grams `text_ngrams` lists for a word, one at a time, in its order."""
-    yield from word
-    for n in range(NGRAM_MIN + 1, NGRAM_MAX + 1):
-        for i in range(len(padded) - n + 1):
-            yield padded[i : i + n]
+def _cut(padded: str, n: int) -> Iterator[str]:
+    """The n-grams of a padded word by start, cut in C one at a time."""
+    return map("".join, zip(*[islice(padded, k, None) for k in range(n)]))
 
 
 def _slice_plan(length: int) -> Callable[[str], tuple[str, ...]]:
@@ -159,7 +168,9 @@ def _missed_grams(word: str) -> Iterable[str]:
     global _table_grams
     padded = f" {word} "
     if len(word) > LONG_WORD:
-        return _lazy_grams(word, padded)
+        # Words hold no whitespace, so the unigrams are the letters.
+        lengths = range(NGRAM_MIN + 1, NGRAM_MAX + 1)
+        return chain(word, *[_cut(padded, n) for n in lengths])
     grams = _slice_plan(len(word))(padded)
     if _table_grams + len(grams) > GRAM_TABLE_LIMIT:
         return grams
@@ -169,7 +180,7 @@ def _missed_grams(word: str) -> Iterable[str]:
     return admitted
 
 
-def text_ngrams(text: str) -> dict[str, int]:
+def text_ngrams(text: str, *, top: int | None = None) -> dict[str, int]:
     """Count word-padded character n-grams of lengths 1 to 5, in a plain dict.
 
     Each distinct word is expanded once and its grams weighted by how
@@ -184,6 +195,14 @@ def text_ngrams(text: str) -> dict[str, int]:
     costs memory for its distinct grams only. Words are found
     one window of the text at a time (see WINDOW), so a long text costs
     memory for its distinct words and one window's occurrences.
+
+    With `top`, the words longer than LONG_WORD are counted last, and
+    only as far as their grams can rank among the `top` most frequent
+    (see `_count_glued`). Every gram that can rank keeps its exact
+    count, so `rank_ngrams(counts, top)` is the full count's ranking;
+    other grams may be missing or counted too low, and the order above
+    holds only without `top`. A text with no such word is counted in
+    full either way.
     """
     occurrences: Counter = Counter()
     for window in _windows(text):
@@ -191,26 +210,73 @@ def text_ngrams(text: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     get = counts.get
     held = _word_grams.get
+    glued: list[tuple[str, int]] = []
     for word, times in occurrences.items():
-        grams = held(word) or _missed_grams(word)
+        grams = held(word)
+        if grams is None:
+            if top is not None and len(word) > LONG_WORD:
+                glued.append((word, times))
+                continue
+            grams = _missed_grams(word)
         if times == 1:
             _count_elements(counts, grams)
         else:
             for gram in grams:
                 counts[gram] = get(gram, 0) + times
+    if glued:
+        _count_glued(counts, glued, top)
     return counts
+
+
+def _count_glued(
+    counts: dict[str, int], glued: list[tuple[str, int]], top: int
+) -> None:
+    """Add to `counts` the grams of the glued words that can rank in `top`.
+
+    One gram length at a time, for every glued word. Letters and bigrams
+    are counted in full. From trigrams on, a gram is counted at a start
+    only when its prefix and suffix both hold at least the floor, the
+    `top`-th largest count so far: a gram occurs no more often than
+    either, and the floor never passes the final one, so every gram
+    that can rank is counted in full (the Apriori bound). Each length
+    costs one byte per start, for the mask of its fitting prefixes.
+    """
+    get = counts.get
+    for n in range(NGRAM_MIN, NGRAM_MAX + 1):
+        # While the floor is 0, every gram of the glued words is counted.
+        floor = _floor(counts, top) if n > 2 else 0
+        if floor:
+            allowed = {gram for gram, count in counts.items() if count >= floor}
+        for word, times in glued:
+            if n == 1:
+                grams = word
+            else:
+                padded = f" {word} "
+                grams = _cut(padded, n)
+                if floor:
+                    fit = bytes(map(allowed.__contains__, _cut(padded, n - 1)))
+                    grams = compress(grams, map(and_, fit, memoryview(fit)[1:]))
+            if times == 1:
+                _count_elements(counts, grams)
+            else:
+                for gram in grams:
+                    counts[gram] = get(gram, 0) + times
+
+
+def _floor(counts: Mapping[str, int], size: int) -> int:
+    """The size-th largest count, or 0 while fewer than `size` grams are held."""
+    if not 0 < size <= len(counts):
+        return 0
+    return sorted(counts.values(), reverse=True)[size - 1]
 
 
 def rank_ngrams(counts: Mapping[str, int], size: int = PROFILE_SIZE) -> tuple[str, ...]:
     """Most frequent grams first; count ties break alphabetically."""
     if size <= 0:
         return ()
-    if len(counts) > size:
-        # Only grams counted at least as often as the size-th one can rank.
-        floor = sorted(counts.values(), reverse=True)[size - 1]
-        items = [item for item in counts.items() if item[1] >= floor]
-    else:
-        items = list(counts.items())
+    # Only grams counted at least as often as the size-th one can rank.
+    floor = _floor(counts, size)
+    items = [item for item in counts.items() if item[1] >= floor]
     # Grams are unique, so the first sort orders by gram; the second is
     # stable, so count ties keep that order.
     items.sort()
@@ -249,7 +315,8 @@ class LanguageProfile:
 
     @classmethod
     def from_text(cls, language: str, text: str, size: int = PROFILE_SIZE):
-        return cls(language=language, ngram_ranks=rank_ngrams(text_ngrams(text), size))
+        counts = text_ngrams(text, top=size)
+        return cls(language=language, ngram_ranks=rank_ngrams(counts, size))
 
 
 def out_of_place_distance(
@@ -311,7 +378,7 @@ def identify_language(
         raise NoProfiles(
             f"need at least two language profiles to rank, got {len(profiles)}"
         )
-    doc_grams = rank_ngrams(text_ngrams(text))
+    doc_grams = rank_ngrams(text_ngrams(text, top=PROFILE_SIZE))
     if not doc_grams:
         raise EmptyText("text has no alphabetic content to identify")
     scored = sorted(

@@ -155,6 +155,31 @@ def test_bad_published_date_is_malformed(tmp_path):
         assert main(argv) == 2, value
 
 
+@pytest.mark.parametrize("field", ["source", "region"])
+@pytest.mark.parametrize(
+    "value", [{"k": 1}, ["r"], 0, False, 7], ids=["object", "list", "0", "false", "7"]
+)
+def test_non_string_source_or_region_is_malformed(tmp_path, field, value):
+    # Written as Python's repr ("{'k': 1}") or, for 0 and false, as "".
+    record = {**doc_record("a", "uno"), field: value}
+    reason = f"field '{field}' must be a string or null"
+    errors: list[MalformedRecord] = []
+    assert list(ingest_stream([json.dumps(record)], error_sink=errors)) == []
+    assert [err.reason for err in errors] == [reason]
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["--strict", "ingest", str(path), str(tmp_path / "out.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("field", ["source", "region"])
+def test_null_or_missing_source_or_region_is_empty(field):
+    record = doc_record("a", "uno")
+    for value in (None, ""):
+        assert getattr(RawDocument.from_record({**record, field: value}), field) == ""
+    del record[field]
+    assert getattr(RawDocument.from_record(record), field) == ""
+
+
 def test_document_line_round_trip():
     doc = RawDocument(
         id="x-1",

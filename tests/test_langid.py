@@ -312,6 +312,76 @@ class TestSlicePlans:
             assert set(langid._plans) == set(range(1, PLAN_WORD + 1))
 
 
+# Glued runs over alphabets of 1, 2, 16 and 32 letters and a CJK block:
+# few distinct grams, or many.
+_GLUED_ALPHABETS = (
+    "a",
+    "ab",
+    "abcdefghijklmnop",
+    "abcdefghijklmnopqrstuvwxyzñéáíóú",
+    "".join(map(chr, range(0x4E00, 0x4E20))),
+)
+
+
+@st.composite
+def _glued_texts(draw) -> str:
+    """Spanish snippets mixed with glued runs of 65 to 5,000 letters.
+
+    A run is random, or its alphabet repeated so that many of its grams
+    tie, and may occur more than once in the text.
+    """
+    pieces = [
+        snippet[: draw(st.integers(1, len(snippet)))]
+        for snippet in draw(st.lists(st.sampled_from(ES_SNIPPETS), max_size=3))
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        alphabet = draw(st.sampled_from(_GLUED_ALPHABETS))
+        length = draw(st.integers(LONG_WORD + 1, 5000))
+        if draw(st.booleans()):
+            run = (alphabet * length)[:length]
+        else:
+            rng = random.Random(draw(st.integers(0, 2**16)))
+            run = "".join(rng.choices(alphabet, k=length))
+        pieces += [run] * draw(st.integers(1, 3))
+    return " ".join(draw(st.permutations(pieces)))
+
+
+class TestBoundedCount:
+    @settings(deadline=None, max_examples=40)
+    @given(_glued_texts())
+    def test_rank_and_verdict_match_the_full_count(self, text):
+        reference = _reference_ngrams(text)
+        for top in (0, 1, 7, PROFILE_SIZE):
+            counts = text_ngrams(text, top=top)
+            assert rank_ngrams(counts, top) == _reference_rank(reference, top)
+        profiles = list(builtin_profiles())
+        verdict = identify_language(text, profiles)
+        with mock.patch.object(
+            langid, "text_ngrams", lambda text, **_: _reference_ngrams(text)
+        ):
+            assert identify_language(text, profiles) == verdict
+
+    def test_text_without_a_glued_word_is_counted_in_full(self):
+        for text in ES_SNIPPETS:
+            assert list(text_ngrams(text, top=7).items()) == list(
+                _reference_ngrams(text).items()
+            )
+
+    def test_glued_run_of_random_letters_gated_in_bounded_memory(self):
+        rng = random.Random(11)
+        glued = "".join(rng.choices("abcdefghijklmnop", k=160_000))
+        text = f"{ES_SNIPPETS[0]} {glued}"
+        profiles = list(builtin_profiles())
+        tracemalloc.start()
+        try:
+            identify_language(text, profiles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Counting every distinct gram of the run peaks near 21 MB.
+        assert peak < 4 * 2**20
+
+
 class TestNgrams:
     def test_huge_word_counted_in_memory_for_its_distinct_grams(self):
         seed = resources.files("lexprep").joinpath("data/seed/es.txt")
