@@ -37,13 +37,15 @@ once are counted by `collections._count_elements`, the C loop behind
 `Counter.update`, which keeps that fast path for a plain dict.
 
 A word longer than LONG_WORD letters is a glued run such as PDF
-extraction leaves, and may hold far more distinct grams than the gate
-ranks. When the caller says how many grams it ranks (`top`), such words
-are counted last, one gram length at a time, and a gram only where its
-prefix and suffix can still rank: a gram occurs no more often than
-either (the bound behind Apriori, Agrawal & Srikant 1994), so the
-ranking stays exact while memory grows by one byte per letter, not by
-the run's distinct grams.
+extraction leaves, and may hold far more distinct grams than a profile
+ranks. Such words are counted last, one gram length at a time, and a
+gram only where its prefix and suffix can still rank among the
+PROFILE_SIZE most frequent: a gram occurs no more often than either
+(the bound behind Apriori, Agrawal & Srikant 1994), so every ranking of
+at most PROFILE_SIZE grams stays exact. A run then costs one byte per
+letter for each gram length and an entry per distinct letter, plus the
+grams that still reach the floor: all of them only while fewer than
+PROFILE_SIZE grams count more than once.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from importlib import resources
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import and_, itemgetter
 from pathlib import Path
 
@@ -72,9 +74,8 @@ DEFAULT_THRESHOLD = 0.95
 REJECTED_LANGUAGE = "??"
 
 # A word of at most LONG_WORD letters has its grams listed; a longer one is
-# a glued run such as PDF extraction leaves, and is cut one gram at a time,
-# or, when the caller ranks a bounded number of grams, counted only where
-# its grams can rank (see `_count_glued`). Listing every gram of the short
+# a glued run such as PDF extraction leaves, and is counted only where its
+# grams can rank (see `_count_glued`). Listing every gram of the short
 # words is faster; streaming every word measured 20% slower n-gram
 # counting. The slice plans of the listed words are kept up to PLAN_WORD
 # letters: about 0.16 MB by tracemalloc, against 0.64 MB up to LONG_WORD,
@@ -158,20 +159,11 @@ def _slice_plan(length: int) -> Callable[[str], tuple[str, ...]]:
     return plan
 
 
-def _missed_grams(word: str) -> Iterable[str]:
-    """The grams of a word not in the table, in `text_ngrams`' order.
-
-    A word of at most LONG_WORD letters is cut by its slice plan, and
-    admitted to the table while its grams fit; a longer one is streamed
-    and never kept.
-    """
+def _missed_grams(word: str) -> tuple[str, ...]:
+    """The grams of a word of at most LONG_WORD letters not in the table,
+    in `text_ngrams`' order, admitted to the table while they fit."""
     global _table_grams
-    padded = f" {word} "
-    if len(word) > LONG_WORD:
-        # Words hold no whitespace, so the unigrams are the letters.
-        lengths = range(NGRAM_MIN + 1, NGRAM_MAX + 1)
-        return chain(word, *[_cut(padded, n) for n in lengths])
-    grams = _slice_plan(len(word))(padded)
+    grams = _slice_plan(len(word))(f" {word} ")
     if _table_grams + len(grams) > GRAM_TABLE_LIMIT:
         return grams
     admitted = tuple(map(_gram_strings.setdefault, grams, grams))
@@ -180,7 +172,7 @@ def _missed_grams(word: str) -> Iterable[str]:
     return admitted
 
 
-def text_ngrams(text: str, *, top: int | None = None) -> dict[str, int]:
+def text_ngrams(text: str) -> dict[str, int]:
     """Count word-padded character n-grams of lengths 1 to 5, in a plain dict.
 
     Each distinct word is expanded once and its grams weighted by how
@@ -189,20 +181,18 @@ def text_ngrams(text: str, *, top: int | None = None) -> dict[str, int]:
     otherwise (see the module docstring); neither changes what is
     counted, so the result depends on the text alone. The grams of a
     word seen once are counted in C, and every word's grams as the word
-    comes, so grams enter the dict in the order of their first
-    occurrence in the text. A word longer than LONG_WORD letters feeds
-    its grams to the counts one at a time, so a glued run of letters
-    costs memory for its distinct grams only. Words are found
-    one window of the text at a time (see WINDOW), so a long text costs
-    memory for its distinct words and one window's occurrences.
+    comes, so a text with no word longer than LONG_WORD letters has
+    every gram counted, entered in the order of its first occurrence.
+    Words are found one window of the text at a time (see WINDOW), so a
+    long text costs memory for its distinct words and one window's
+    occurrences.
 
-    With `top`, the words longer than LONG_WORD are counted last, and
-    only as far as their grams can rank among the `top` most frequent
-    (see `_count_glued`). Every gram that can rank keeps its exact
-    count, so `rank_ngrams(counts, top)` is the full count's ranking;
-    other grams may be missing or counted too low, and the order above
-    holds only without `top`. A text with no such word is counted in
-    full either way.
+    The words longer than LONG_WORD are counted last, and only as far as
+    their grams can rank among the PROFILE_SIZE most frequent (see
+    `_count_glued`). Every gram that can rank keeps its exact count, so
+    `rank_ngrams(counts, size)` is the full count's ranking for any
+    size up to PROFILE_SIZE; other grams may be missing or counted too
+    low.
     """
     occurrences: Counter = Counter()
     for window in _windows(text):
@@ -214,7 +204,7 @@ def text_ngrams(text: str, *, top: int | None = None) -> dict[str, int]:
     for word, times in occurrences.items():
         grams = held(word)
         if grams is None:
-            if top is not None and len(word) > LONG_WORD:
+            if len(word) > LONG_WORD:
                 glued.append((word, times))
                 continue
             grams = _missed_grams(word)
@@ -224,33 +214,34 @@ def text_ngrams(text: str, *, top: int | None = None) -> dict[str, int]:
             for gram in grams:
                 counts[gram] = get(gram, 0) + times
     if glued:
-        _count_glued(counts, glued, top)
+        _count_glued(counts, glued)
     return counts
 
 
-def _count_glued(
-    counts: dict[str, int], glued: list[tuple[str, int]], top: int
-) -> None:
-    """Add to `counts` the grams of the glued words that can rank in `top`.
+def _count_glued(counts: dict[str, int], glued: list[tuple[str, int]]) -> None:
+    """Add to `counts` the grams of the glued words that can rank.
 
-    One gram length at a time, for every glued word. Letters and bigrams
-    are counted in full. From trigrams on, a gram is counted at a start
-    only when its prefix and suffix both hold at least the floor, the
-    `top`-th largest count so far: a gram occurs no more often than
-    either, and the floor never passes the final one, so every gram
-    that can rank is counted in full (the Apriori bound). Each length
-    costs one byte per start, for the mask of its fitting prefixes.
+    One gram length at a time, for every glued word. Letters are counted
+    in full. From bigrams on, a gram is counted at a start only when its
+    prefix and suffix both hold at least the floor, the PROFILE_SIZE-th
+    largest count so far; the padding space, no gram itself, always
+    passes. A gram occurs no more often than its prefix or suffix, and
+    the floor never passes the final one, so every gram that can rank
+    is counted in full (the Apriori bound). Each length costs one byte
+    per start, for the mask of its fitting prefixes.
     """
     get = counts.get
     for n in range(NGRAM_MIN, NGRAM_MAX + 1):
-        # While the floor is 0, every gram of the glued words is counted.
-        floor = _floor(counts, top) if n > 2 else 0
+        floor = 0 if n == NGRAM_MIN else _floor(counts, PROFILE_SIZE)
         if floor:
             allowed = {gram for gram, count in counts.items() if count >= floor}
+            allowed.add(" ")
         for word, times in glued:
-            if n == 1:
+            if n == NGRAM_MIN:
+                # Words hold no whitespace, so the unigrams are the letters.
                 grams = word
             else:
+                # While the floor is 0, every gram is counted.
                 padded = f" {word} "
                 grams = _cut(padded, n)
                 if floor:
@@ -315,7 +306,7 @@ class LanguageProfile:
 
     @classmethod
     def from_text(cls, language: str, text: str, size: int = PROFILE_SIZE):
-        counts = text_ngrams(text, top=size)
+        counts = text_ngrams(text)
         return cls(language=language, ngram_ranks=rank_ngrams(counts, size))
 
 
@@ -378,7 +369,7 @@ def identify_language(
         raise NoProfiles(
             f"need at least two language profiles to rank, got {len(profiles)}"
         )
-    doc_grams = rank_ngrams(text_ngrams(text, top=PROFILE_SIZE))
+    doc_grams = rank_ngrams(text_ngrams(text))
     if not doc_grams:
         raise EmptyText("text has no alphabetic content to identify")
     scored = sorted(
