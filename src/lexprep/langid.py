@@ -4,13 +4,17 @@ Each language is modeled by the rank order of its most frequent character
 n-grams (lengths 1 to 5, word-padded). A text is scored against each
 profile with the out-of-place distance: for every gram in the text's own
 ranked profile, the absolute rank difference in the language profile, or
-a fixed penalty when the gram is absent. Smallest total distance wins.
+PROFILE_SIZE when the gram is absent. Smallest total distance wins.
 
 Confidence reflects how decisively the winner beat the runner-up. The
 raw relative margin (d2 - d1) / d2 lives in a narrow band even for
 unambiguous text (related languages share most frequent grams), so it is
-sharpened through 1 - (1 - margin) ** sharpness to spread decisive wins
+sharpened through 1 - (1 - margin) ** SHARPNESS to spread decisive wins
 toward 1.0 where a high-threshold gate can separate them.
+
+The gate's rules live here once, for `filter_spanish` and `filter-lang`
+alike: `check_gate` refuses a setting the gate cannot honour, and `gate`
+keeps a text iff the kept language wins above the threshold.
 
 Counting grams is most of the gate's time, and the documents of one
 corpus share most of their words. So each process keeps one table from
@@ -55,7 +59,7 @@ import re
 from collections import Counter, _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import compress, islice
 from operator import and_, itemgetter
@@ -68,7 +72,7 @@ from .tokenizers import LONG_WORD
 NGRAM_MIN = 1
 NGRAM_MAX = 5
 PROFILE_SIZE = 400
-DEFAULT_SHARPNESS = 50
+SHARPNESS = 50
 DEFAULT_THRESHOLD = 0.95
 
 REJECTED_LANGUAGE = "??"
@@ -112,12 +116,18 @@ def _normalize(text: str) -> list[str]:
     """
     # No letter run crosses whitespace, so each whitespace-split token is
     # cut on its own: an all-alpha token is one word, and only the others
-    # (punctuation glued on, digits, ², combining marks) are scanned.
+    # (punctuation glued on, digits, ², combining marks) are scanned. A
+    # token longer than LONG_WORD is mapped through a table of its distinct
+    # characters, not a list of one entry per character; a table that maps
+    # the letters too spares `translate` a failed lookup per letter.
     words = []
     append = words.append
     for token in text.lower().split():
         if token.isalpha():
             append(token)
+        elif len(token) > LONG_WORD:
+            table = {ord(ch): ch if ch.isalpha() else " " for ch in set(token)}
+            words += token.translate(table).split()
         else:
             words += "".join([ch if ch.isalpha() else " " for ch in token]).split()
     return words
@@ -305,20 +315,17 @@ class LanguageProfile:
         return cls(language=language, ngram_ranks=tuple(grams))
 
     @classmethod
-    def from_text(cls, language: str, text: str, size: int = PROFILE_SIZE):
-        counts = text_ngrams(text)
-        return cls(language=language, ngram_ranks=rank_ngrams(counts, size))
+    def from_text(cls, language: str, text: str):
+        return cls(language=language, ngram_ranks=rank_ngrams(text_ngrams(text)))
 
 
-def out_of_place_distance(
-    doc_grams: tuple[str, ...], profile: LanguageProfile, penalty: int = PROFILE_SIZE
-) -> int:
-    """Sum of rank displacements; absent grams cost the full penalty."""
+def out_of_place_distance(doc_grams: tuple[str, ...], profile: LanguageProfile) -> int:
+    """Sum of rank displacements; an absent gram costs PROFILE_SIZE."""
     ranks = profile.ranks
     total = 0
     for doc_rank, gram in enumerate(doc_grams):
         lang_rank = ranks.get(gram)
-        total += penalty if lang_rank is None else abs(doc_rank - lang_rank)
+        total += PROFILE_SIZE if lang_rank is None else abs(doc_rank - lang_rank)
     return total
 
 
@@ -340,24 +347,33 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
 
 
-def _judge(
-    identifier: Callable[[str], LanguageVerdict],
-    text: str,
-    language: str,
-    threshold: float,
-) -> tuple[bool, LanguageVerdict]:
-    """Keep iff `language` wins with confidence > threshold; reject EmptyText."""
-    try:
-        verdict = identifier(text)
-    except EmptyText:
-        return False, REJECTED_VERDICT
-    return verdict.language == language and verdict.confidence > threshold, verdict
+def check_gate(
+    profiles: Sequence[LanguageProfile], language: str, threshold: float
+) -> None:
+    """Raise unless the gate can keep `language` under these settings.
+
+    The threshold must be a number in [0, 1] (`check_threshold`); there
+    must be two or more profiles (NoProfiles otherwise), each language
+    listed once, and one of them `language` (ValueError otherwise).
+    """
+    check_threshold(threshold)
+    if len(profiles) < 2:
+        raise NoProfiles(f"the gate needs two or more profiles, got {len(profiles)}")
+    languages = sorted(profile.language for profile in profiles)
+    # A language listed twice is its own runner-up: a text it wins would be
+    # given a confidence of 0.
+    for code, following in zip(languages, languages[1:]):
+        if code == following:
+            raise ValueError(f"the profiles list language {code!r} twice")
+    if language not in languages:
+        raise ValueError(
+            f"no profile for language {language!r}; "
+            f"the profiles are {', '.join(languages)}"
+        )
 
 
 def identify_language(
-    text: str,
-    profiles: list[LanguageProfile],
-    sharpness: float = DEFAULT_SHARPNESS,
+    text: str, profiles: Sequence[LanguageProfile]
 ) -> LanguageVerdict:
     """Classify a text against at least two candidate profiles.
 
@@ -380,24 +396,28 @@ def identify_language(
     if d2 == 0:
         return LanguageVerdict(language=language, confidence=0.0)
     margin = (d2 - d1) / d2
-    confidence = 1.0 - (1.0 - margin) ** sharpness
+    confidence = 1.0 - (1.0 - margin) ** SHARPNESS
     return LanguageVerdict(language=language, confidence=confidence)
 
 
 def gate(
     text: str,
-    profiles: list[LanguageProfile],
+    profiles: Sequence[LanguageProfile],
     language: str = "es",
     threshold: float = DEFAULT_THRESHOLD,
-    sharpness: float = DEFAULT_SHARPNESS,
 ) -> tuple[bool, LanguageVerdict]:
-    """Keep a text iff the target language wins above the threshold.
+    """Keep a text iff `language` wins with confidence strictly above
+    `threshold`; a setting `check_gate` refuses raises, as in `filter-lang`.
 
-    Text without alphabetic content is rejected with a sentinel verdict
+    Text without alphabetic content is rejected with REJECTED_VERDICT
     rather than raising, so corpus streams never abort on blank records.
     """
-    identifier = partial(identify_language, profiles=profiles, sharpness=sharpness)
-    return _judge(identifier, text, language, threshold)
+    check_gate(profiles, language, threshold)
+    try:
+        verdict = identify_language(text, profiles)
+    except EmptyText:
+        return False, REJECTED_VERDICT
+    return verdict.language == language and verdict.confidence > threshold, verdict
 
 
 def filter_spanish(
@@ -406,27 +426,18 @@ def filter_spanish(
     *,
     profiles: Sequence[LanguageProfile] | None = None,
     language: str = "es",
-    sharpness: float = DEFAULT_SHARPNESS,
-    identifier: Callable[[str], LanguageVerdict] | None = None,
 ) -> tuple[list[RawDocument], list[tuple[RawDocument, LanguageVerdict]]]:
-    """Split documents into kept and rejected-with-verdict.
-
-    A document is kept iff the identifier names the target language with
-    confidence strictly above the threshold. Documents the identifier
-    cannot score (no alphabetic content) land in rejected under a
-    sentinel verdict, so every input appears in exactly one output.
-
-    Any callable from text to LanguageVerdict can replace the default
-    rank-distance identifier built on the bundled profiles.
+    """Split documents into kept and rejected-with-verdict by `gate`, so
+    every input appears in exactly one output. `check_gate` checks the
+    settings before any document is read; the profiles default to the
+    bundled ones.
     """
-    check_threshold(threshold)
-    if identifier is None:
-        pool = list(profiles) if profiles is not None else list(builtin_profiles())
-        identifier = partial(identify_language, profiles=pool, sharpness=sharpness)
+    pool = list(builtin_profiles()) if profiles is None else list(profiles)
+    check_gate(pool, language, threshold)
     kept: list[RawDocument] = []
     rejected: list[tuple[RawDocument, LanguageVerdict]] = []
     for doc in docs:
-        keep, verdict = _judge(identifier, doc.text, language, threshold)
+        keep, verdict = gate(doc.text, pool, language, threshold)
         if keep:
             kept.append(doc)
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .corpus import parse_records
@@ -34,6 +35,9 @@ class PredictionRecord:
         """Build one from its parsed JSON record; ValueError if ill-shaped."""
         if not isinstance(record, dict) or "example_id" not in record:
             raise ValueError("record must be a JSON object with an 'example_id'")
+        example_id = record["example_id"]
+        if isinstance(example_id, bool) or not isinstance(example_id, (str, int)):
+            raise ValueError("field 'example_id' must be a string or an integer")
         for name in ("gold", "predicted"):
             labels = record.get(name)
             if not isinstance(labels, list) or not all(
@@ -41,7 +45,7 @@ class PredictionRecord:
             ):
                 raise ValueError(f"field {name!r} must be a list of strings")
         return cls(
-            example_id=str(record["example_id"]),
+            example_id=str(example_id),
             gold=frozenset(record["gold"]),
             predicted=frozenset(record["predicted"]),
         )
@@ -115,8 +119,8 @@ class LearningCurve:
             raise ValueError("a learning curve needs at least one point")
         last = None
         for epoch, f1 in self.points:
-            if epoch < 0:
-                raise ValueError(f"epochs must be non-negative, got {epoch}")
+            if not 0 <= epoch < math.inf:
+                raise ValueError(f"epochs must be finite and non-negative, got {epoch}")
             if last is not None and epoch <= last:
                 raise ValueError(
                     f"epochs must strictly increase, saw {epoch} after {last}"

@@ -47,11 +47,12 @@ from .corpus import (
     read_records,
     warn_skipped,
 )
-from .errors import MalformedRecord, ManifestError, NoProfiles, StageFailure, check_type
+from .errors import MalformedRecord, ManifestError, StageFailure, check_type
 from .langid import (
     DEFAULT_THRESHOLD,
     LanguageProfile,
     builtin_profiles,
+    check_gate,
     check_threshold,
     gate,
     load_profiles,
@@ -174,25 +175,12 @@ class PipelineManifest:
 
 
 def _profiles(manifest: PipelineManifest) -> list[LanguageProfile]:
-    """The gate's profiles: two or more languages, each listed once, one of
-    them the language kept."""
+    """The gate's profiles, checked against the manifest's settings."""
     if manifest.profiles_path is not None:
         profiles = load_profiles(manifest.profiles_path)
     else:
         profiles = list(builtin_profiles())
-    if len(profiles) < 2:
-        raise NoProfiles(f"the gate needs two or more profiles, got {len(profiles)}")
-    languages = sorted(profile.language for profile in profiles)
-    # A language listed twice is its own runner-up: a text it wins would be
-    # given a confidence of 0.
-    for language, following in zip(languages, languages[1:]):
-        if language == following:
-            raise ValueError(f"the profiles list language {language!r} twice")
-    if manifest.language not in languages:
-        raise ValueError(
-            f"no profile for language {manifest.language!r}; "
-            f"the profiles are {', '.join(languages)}"
-        )
+    check_gate(profiles, manifest.language, manifest.threshold)
     return profiles
 
 

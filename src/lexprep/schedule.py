@@ -40,6 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        # nan passes every comparison below, and inf turns the curve to nan.
+        for name in ("lr_peak", "epsilon", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr_peak <= 0.0:
             raise ValueError(f"lr_peak must be > 0, got {self.lr_peak}")
         if not 0.0 <= self.warmup_frac < 1.0:

@@ -668,6 +668,14 @@ class TestLrCurve:
         expected = 1e-4 * 0.5 * (1 + math.cos(math.pi * (50 - 8) / (100 - 8)))
         assert float(lr) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("peak", ["nan", "inf"])
+    def test_non_finite_peak_is_refused(self, capsys, peak):
+        code, out = run_cli(
+            capsys, "lr-curve", "--total-steps", "4", "--resolution", "3",
+            "--peak-lr", peak,
+        )
+        assert (code, out) == (2, "")
+
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         code, out = run_cli(
             capsys, "lr-curve", "--total-steps", "50", "--resolution", "11"
@@ -844,6 +852,27 @@ class TestEval:
         )
         assert code == 0
         assert last_json(out)["f1"] == 0.5
+
+    @pytest.mark.parametrize("epoch", ["nan", "inf"])
+    def test_non_finite_epoch_is_data_error(self, tmp_path, capsys, epoch):
+        path = tmp_path / "curves.csv"
+        path.write_text(f"model,epoch,f1\na,0,0.5\na,{epoch},0.5\n", "utf-8")
+        code, out = run_cli(capsys, "eval", "--curves", str(path))
+        assert (code, out) == (2, "")
+
+    def test_example_id_of_another_type_is_data_error(self, tmp_path, capsys, caplog):
+        path = tmp_path / "preds.jsonl"
+        records = [
+            {"example_id": "1", "gold": ["a"], "predicted": ["a"]},
+            {"example_id": None, "gold": ["a"], "predicted": ["a"]},
+        ]
+        path.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        code, out = run_cli(capsys, "eval", "--predictions", str(path))
+        assert (code, out) == (2, "")
+        message = "line 2: field 'example_id' must be a string or an integer"
+        assert message in caplog.text
 
     def test_unknown_label_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "preds.jsonl"

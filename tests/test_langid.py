@@ -23,7 +23,6 @@ from lexprep.langid import (
     REJECTED_LANGUAGE,
     REJECTED_VERDICT,
     LanguageProfile,
-    LanguageVerdict,
     build_profiles_from_dir,
     builtin_profiles,
     filter_spanish,
@@ -115,6 +114,11 @@ _SPLIT_SEPARATORS = (
 _NORMALIZE_CHARS = st.sampled_from(
     list("aZñÉ_7²½Ⅻ٣\u0301·'.,;¿?«»()-İßﬁΣ" + _SPLIT_SEPARATORS)
 )
+# Characters of a token longer than LONG_WORD: letters, digits, numerics,
+# marks, punctuation and letters whose lowercase form changes length.
+_LONG_TOKEN_CHARS = st.sampled_from(
+    list("abñÉ_7²½Ⅻ٣\u0301·'.,;¿?«»()-İßﬁΣǅ")
+)
 # Words with punctuation glued on, between separators.
 _GLUED_WORDS = st.lists(
     st.one_of(
@@ -161,6 +165,16 @@ class TestNgramsMatchReference:
         )
     )
     def test_normalize_matches_per_character_scan(self, text):
+        assert _normalize(text) == _reference_normalize(text)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.text(_LONG_TOKEN_CHARS, min_size=LONG_WORD - 4, max_size=300),
+            max_size=4,
+        ).map(" ".join)
+    )
+    def test_normalize_cuts_long_tokens_as_the_scan_does(self, text):
         assert _normalize(text) == _reference_normalize(text)
 
     @settings(deadline=None)
@@ -380,6 +394,7 @@ class TestBoundedCount:
             # distinct.
             ("".join(map(chr, range(0x4E00, 0x4E00 + 3000))), 40_000),
         ],
+        ids=["ascii", "cjk"],
     )
     def test_glued_run_of_random_letters_gated_in_bounded_memory(
         self, alphabet, length
@@ -400,6 +415,19 @@ class TestBoundedCount:
 
 
 class TestNgrams:
+    def test_long_token_normalized_in_memory_for_its_words(self):
+        rng = random.Random(3)
+        token = "".join(rng.choices("abcdefghijklmnop", k=400_000)) + "."
+        tracemalloc.start()
+        try:
+            words = _normalize(token)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert words == [token[:-1]]
+        # A list of one entry per character peaks near 4 MB here.
+        assert peak < 2 * 2**20
+
     def test_huge_word_counted_in_memory_for_its_distinct_grams(self):
         seed = resources.files("lexprep").joinpath("data/seed/es.txt")
         words = _normalize(seed.read_text(encoding="utf-8"))
@@ -582,10 +610,12 @@ class TestIdentify:
         text = ES_SNIPPETS[0]
         assert identify_language(text, profiles) == identify_language(text, profiles)
 
-    def test_sharpness_raises_confidence(self):
+    def test_sharpness_raises_confidence(self, monkeypatch):
         profiles = list(builtin_profiles())
-        soft = identify_language(ES_SNIPPETS[0], profiles, sharpness=1)
-        sharp = identify_language(ES_SNIPPETS[0], profiles, sharpness=50)
+        monkeypatch.setattr(langid, "SHARPNESS", 1)
+        soft = identify_language(ES_SNIPPETS[0], profiles)
+        monkeypatch.setattr(langid, "SHARPNESS", 50)
+        sharp = identify_language(ES_SNIPPETS[0], profiles)
         assert soft.language == sharp.language == "es"
         assert sharp.confidence > soft.confidence
 
@@ -630,6 +660,62 @@ class TestGate:
         assert verdict.language == "en"
 
 
+def _profiles(*languages: str) -> list[LanguageProfile]:
+    by_language = {profile.language: profile for profile in builtin_profiles()}
+    return [by_language[language] for language in languages]
+
+
+# Settings the gate refuses, with the messages `filter-lang` exits on:
+# (profile languages, kept language, threshold, error, message).
+_REFUSED_SETTINGS = {
+    "listed-twice": (
+        ("ca", "ca", "es"), "es", 0.95,
+        ValueError, "the profiles list language 'ca' twice",
+    ),
+    "kept-listed-twice": (
+        ("es", "es", "ca"), "es", 0.95,
+        ValueError, "the profiles list language 'es' twice",
+    ),
+    "no-such-language": (
+        ("ca", "es"), "xx", 0.95,
+        ValueError, "no profile for language 'xx'; the profiles are ca, es",
+    ),
+    "one-profile": (
+        ("es",), "es", 0.95,
+        NoProfiles, "the gate needs two or more profiles, got 1",
+    ),
+    "threshold-above-1": (
+        ("ca", "es"), "es", 1.5,
+        ValueError, "threshold must lie in [0, 1], got 1.5",
+    ),
+}
+_refused = pytest.mark.parametrize(
+    "languages, language, threshold, error, message",
+    list(_REFUSED_SETTINGS.values()),
+    ids=list(_REFUSED_SETTINGS),
+)
+
+
+class TestRefusedSettings:
+    @_refused
+    def test_gate_raises(self, languages, language, threshold, error, message):
+        with pytest.raises(error) as excinfo:
+            gate(CA_SNIPPETS[0], _profiles(*languages), language, threshold)
+        assert str(excinfo.value) == message
+
+    @_refused
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_filter_spanish_raises(
+        self, count, languages, language, threshold, error, message
+    ):
+        docs = [make_doc("ca-0", CA_SNIPPETS[0])][:count]
+        with pytest.raises(error) as excinfo:
+            filter_spanish(
+                docs, threshold, profiles=_profiles(*languages), language=language
+            )
+        assert str(excinfo.value) == message
+
+
 class TestFilterSpanish:
     def _mixed_docs(self):
         docs = [make_doc(f"es-{i}", text) for i, text in enumerate(ES_SNIPPETS)]
@@ -671,21 +757,6 @@ class TestFilterSpanish:
             filter_spanish([], threshold=1.5)
         with pytest.raises(ValueError):
             filter_spanish([], threshold=-0.1)
-
-    def test_pluggable_identifier(self):
-        always_spanish = lambda text: LanguageVerdict(language="es", confidence=1.0)
-        docs = self._mixed_docs()
-        kept, rejected = filter_spanish(docs, identifier=always_spanish)
-        assert len(kept) == len(docs)
-        assert not rejected
-
-    def test_identifier_at_exact_threshold_rejected(self):
-        at_threshold = lambda text: LanguageVerdict(language="es", confidence=0.95)
-        kept, rejected = filter_spanish(
-            [make_doc("d", "hola")], threshold=0.95, identifier=at_threshold
-        )
-        assert not kept
-        assert len(rejected) == 1
 
     def test_other_language(self):
         docs = self._mixed_docs()

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import random
 
 import pytest
@@ -154,6 +155,13 @@ class TestCurves:
         with pytest.raises(ValueError):
             curve("m", (0, 1.5))
 
+    @pytest.mark.parametrize("epoch", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epoch_rejected(self, epoch):
+        with pytest.raises(ValueError, match="finite"):
+            curve("m", (0, 0.5), (epoch, 0.6))
+        with pytest.raises(ValueError, match="finite"):
+            load_curves_csv(io.StringIO(f"model,epoch,f1\na,0,0.5\na,{epoch},0.6"))
+
     def test_fractional_epochs_allowed(self):
         c = curve("m", (0.1, 0.2), (0.5, 0.4), (1.0, 0.6))
         assert curve_auc(c) > 0
@@ -302,6 +310,10 @@ class TestLoaders:
         records = load_predictions_jsonl(lines)
         assert records == [record("1", {"a"}, {"a", "b"})]
 
+    def test_load_predictions_takes_integer_ids_as_text(self):
+        line = json.dumps({"example_id": 7, "gold": ["a"], "predicted": ["a"]})
+        assert load_predictions_jsonl([line]) == [record("7", {"a"}, {"a"})]
+
     def test_load_predictions_rejects_bad_lines(self):
         with pytest.raises(ValueError):
             load_predictions_jsonl(['{"example_id": "1"}'])
@@ -314,6 +326,10 @@ class TestLoaders:
             '{"gold": ["a"], "predicted": ["a"]}',
             '["a"]',
             '{"example_id": "2",',
+            '{"example_id": null, "gold": ["a"], "predicted": ["a"]}',
+            '{"example_id": {"k": 1}, "gold": ["a"], "predicted": ["a"]}',
+            '{"example_id": true, "gold": ["a"], "predicted": ["a"]}',
+            '{"example_id": 2.0, "gold": ["a"], "predicted": ["a"]}',
         ],
     )
     def test_load_predictions_reports_a_bad_line_by_number(self, line):

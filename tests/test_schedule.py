@@ -151,6 +151,12 @@ def test_lr_stays_in_band(total_steps, warmup_frac):
         {"total_steps": 10, "batch_size": 0},
         {"total_steps": 10, "grad_accum": 0},
         {"total_steps": 10, "epochs": 0},
+        {"total_steps": 10, "lr_peak": math.nan},
+        {"total_steps": 10, "lr_peak": math.inf},
+        {"total_steps": 10, "epsilon": math.nan},
+        {"total_steps": 10, "epsilon": math.inf},
+        {"total_steps": 10, "weight_decay": math.nan},
+        {"total_steps": 10, "weight_decay": math.inf},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
