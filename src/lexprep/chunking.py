@@ -107,32 +107,33 @@ def split_sentences(text: str) -> list[str]:
 class Chunk:
     """A packed training unit of at most max_tokens tokens.
 
-    word_boundaries partitions [0, token_count) into contiguous ranges,
-    one (start, end) pair per word; identity within a run is (doc_id, seq).
-    token_ids, when present, are the ids from the tokenizer that built the
-    chunk, so masking need not tokenize the text again; they are not part
-    of the chunk's identity, equality or record.
+    token_ids are always the ids the chunk was cut or decoded with, so
+    masking never tokenizes its text again, and token_count is their
+    number. word_boundaries partitions [0, token_count) into contiguous
+    ranges, one (start, end) pair per word; identity within a run is
+    (doc_id, seq). The ids are not part of the chunk's equality or record.
     """
 
     doc_id: str
     seq: int
     text: str
-    token_count: int
     word_boundaries: tuple[tuple[int, int], ...]
-    token_ids: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    token_ids: tuple[int, ...] = field(compare=False, repr=False)
 
     def __post_init__(self):
-        if self.token_count <= 0:
+        if not self.token_ids:
             raise ValueError("a chunk must contain at least one token")
         expected = 0
         for start, end in self.word_boundaries:
             if start != expected or end <= start:
                 raise ValueError("word_boundaries must partition the token range")
             expected = end
-        if expected != self.token_count:
+        if expected != len(self.token_ids):
             raise ValueError("word_boundaries must cover exactly token_count tokens")
-        if self.token_ids is not None and len(self.token_ids) != self.token_count:
-            raise ValueError("token_ids must hold exactly token_count ids")
+
+    @property
+    def token_count(self) -> int:
+        return len(self.token_ids)
 
     def to_record(self) -> dict:
         return {
@@ -151,7 +152,6 @@ def _make_chunk(
         doc_id=doc_id,
         seq=seq,
         text=text,
-        token_count=ends[-1] if ends else 0,
         word_boundaries=tuple(zip((0, *ends), ends)),
         token_ids=tuple(chain.from_iterable(words)),
     )
@@ -473,13 +473,15 @@ def validate_chunk_record(record: object) -> dict:
 def chunk_from_record(record: dict, tokenizer: TokenizerInterface) -> Chunk:
     """Rebuild a Chunk (with word boundaries and ids) from its serialized record.
 
+    The record must pass `validate_chunk_record`; nothing in it is coerced.
     The stored token_count must match what the supplied tokenizer produces;
     a mismatch means the record was written with a different tokenizer.
     """
+    validate_chunk_record(record)
     words = encoder(tokenizer)(record["text"])
-    chunk = _make_chunk(record["doc_id"], int(record["seq"]), record["text"], words)
+    chunk = _make_chunk(record["doc_id"], record["seq"], record["text"], words)
     stored = record.get("token_count")
-    if stored is not None and int(stored) != chunk.token_count:
+    if stored is not None and stored != chunk.token_count:
         raise ValueError(
             f"chunk {chunk.doc_id}:{chunk.seq} token_count {stored} does not match "
             f"this tokenizer ({chunk.token_count}); wrong --tokenizer?"

@@ -6,14 +6,17 @@ draws its treatment: replace with the mask token, replace with a random
 vocabulary token, or keep unchanged. Labels carry the original ids at
 selected positions and an ignore value elsewhere, so the loss only sees
 masked words.
+
+Masking reads the token ids each chunk carries. From the tokenizer it
+uses only three constants: `vocab_size`, `mask_token_id` and
+`special_token_ids`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 try:
     from _sha256 import sha256  # CPython 3.10 and 3.11
@@ -23,7 +26,7 @@ except ImportError:
     except ImportError:  # an interpreter built without either
         from hashlib import sha256
 
-from .chunking import Chunk, chunk_from_record
+from .chunking import Chunk
 from .errors import VocabularyTooSmall, check_type
 from .tokenizers import TokenizerInterface
 
@@ -97,13 +100,6 @@ def chunk_rng(seed: int, doc_id: str, seq: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def _chunk_token_ids(chunk: Chunk, tokenizer: TokenizerInterface) -> Sequence[int]:
-    """The ids the chunk carries, or else those its record decodes to."""
-    if chunk.token_ids is not None:
-        return chunk.token_ids
-    return chunk_from_record(chunk.to_record(), tokenizer).token_ids
-
-
 def _shuffle(items: list, rng: random.Random) -> None:
     """`rng.shuffle(items)` without two method calls per swap.
 
@@ -134,7 +130,7 @@ def select_words(
     accepted word may overshoot the target but words are never split.
     Returned ranges are sorted by position.
     """
-    token_ids = _chunk_token_ids(chunk, tokenizer)
+    token_ids = chunk.token_ids
     specials = tokenizer.special_token_ids
     if specials.isdisjoint(token_ids):
         # Every word holds a non-special token, so every word is a candidate.
@@ -184,7 +180,7 @@ def apply_mask(
         raise VocabularyTooSmall(
             f"vocabulary of {vocab} has no non-special tokens to sample"
         )
-    token_ids = _chunk_token_ids(chunk, tokenizer)
+    token_ids = chunk.token_ids
     input_ids = list(token_ids)
     labels = [IGNORE_LABEL] * len(token_ids)
     for start, end in selection:
@@ -210,10 +206,11 @@ def apply_mask(
 def mask_chunk(
     chunk: Chunk, tokenizer: TokenizerInterface, config: MaskingConfig
 ) -> MlmExample:
-    """Select and mask one chunk with its derived RNG stream."""
-    if chunk.token_ids is None:
-        # Resolved here once, not by both select_words and apply_mask.
-        chunk = replace(chunk, token_ids=_chunk_token_ids(chunk, tokenizer))
+    """Select and mask one chunk with its derived RNG stream.
+
+    The chunk's own ids are masked; the tokenizer gives only its
+    vocabulary size, mask id and special ids.
+    """
     rng = chunk_rng(config.seed, chunk.doc_id, chunk.seq)
     selection = select_words(chunk, config, rng, tokenizer)
     return apply_mask(chunk, selection, config, tokenizer, rng)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import StepOutOfRange
+from .errors import StepOutOfRange, check_type
 
 DEFAULT_LR_PEAK = 1e-4
 DEFAULT_WARMUP_FRAC = 0.08
@@ -38,6 +38,8 @@ class TrainConfig:
     epochs: int = DEFAULT_EPOCHS
 
     def __post_init__(self):
+        for name in ("total_steps", "batch_size", "grad_accum", "epochs"):
+            check_type(name, getattr(self, name), int)
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         # nan passes every comparison below, and inf turns the curve to nan.

@@ -258,11 +258,7 @@ class VocabTokenizer:
     def iter_tokens(self, text: str) -> Iterator[Token]:
         """The tokens of `text`, one at a time, as `tokenize` lists them."""
         pieces = self._pieces
-        lookup = self._word_ids.get
-        for match in _WORD_OR_MARK.finditer(text):
-            word = match.group()
-            start = match.start()
-            ids = lookup(word) or self._segment(word)
+        for start, _, ids in self.iter_words(text):
             offset = start
             for piece_id in ids:
                 piece = text[offset] if piece_id == UNK else pieces[piece_id]

@@ -207,15 +207,15 @@ class TestSplitSentences:
 class TestChunkType:
     def test_word_boundaries_must_partition(self):
         with pytest.raises(ValueError):
-            Chunk("d", 0, "x", token_count=2, word_boundaries=((0, 1),))
+            Chunk("d", 0, "x", word_boundaries=((0, 1),), token_ids=(5, 6))
         with pytest.raises(ValueError):
-            Chunk("d", 0, "x", token_count=2, word_boundaries=((0, 1), (0, 2)))
+            Chunk("d", 0, "x", word_boundaries=((0, 1), (0, 2)), token_ids=(5, 6))
         with pytest.raises(ValueError):
-            Chunk("d", 0, "x", token_count=2, word_boundaries=((0, 2), (2, 2)))
+            Chunk("d", 0, "x", word_boundaries=((0, 2), (2, 2)), token_ids=(5, 6))
 
     def test_token_count_positive(self):
         with pytest.raises(ValueError):
-            Chunk("d", 0, "", token_count=0, word_boundaries=())
+            Chunk("d", 0, "", word_boundaries=(), token_ids=())
 
     def test_group_words_starts_a_word_at_a_leading_continuation(self):
         tokens = [
@@ -549,13 +549,23 @@ class TestChunkRecords:
 
     def test_token_ids_must_match_count(self):
         with pytest.raises(ValueError):
-            Chunk("d", 0, "x y", 2, ((0, 1), (1, 2)), token_ids=(5,))
+            Chunk("d", 0, "x y", ((0, 1), (1, 2)), token_ids=(5,))
 
     def test_token_count_mismatch_rejected(self, tokenizer):
         (chunk,) = pack_chunks(["de la ley"], tokenizer, max_tokens=16, doc_id="r")
         record = chunk.to_record()
         record["token_count"] = record["token_count"] + 1
         with pytest.raises(ValueError):
+            chunk_from_record(record, tokenizer)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seq": "3"}, {"seq": True}, {"seq": 2.9, "token_count": 2.0}],
+        ids=["string-seq", "bool-seq", "float-seq-and-count"],
+    )
+    def test_ill_typed_record_is_refused_not_coerced(self, tokenizer, fields):
+        record = {"doc_id": "r", "seq": 0, "text": "de la", **fields}
+        with pytest.raises(ValueError, match="field 'seq' must be"):
             chunk_from_record(record, tokenizer)
 
     def test_unencodable_text_fails_as_in_a_document_record(self):

@@ -165,6 +165,30 @@ def test_invalid_configs_rejected(kwargs):
         TrainConfig(**config_kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"total_steps": 10, "grad_accum": 2.5},
+        {"total_steps": 10, "batch_size": math.nan},
+        {"total_steps": True},
+        {"total_steps": 10.0},
+        {"total_steps": 10, "epochs": 2.0},
+        {"total_steps": 10, "batch_size": False},
+    ],
+    ids=[
+        "float-grad_accum",
+        "nan-batch_size",
+        "bool-total_steps",
+        "float-total_steps",
+        "float-epochs",
+        "bool-batch_size",
+    ],
+)
+def test_integer_fields_refuse_other_types(kwargs):
+    with pytest.raises(TypeError):
+        TrainConfig(**kwargs)
+
+
 def test_steps_for_corpus_rounds_up():
     config = TrainConfig(total_steps=1)
     assert steps_for_corpus(64, config) == 2
