@@ -461,7 +461,8 @@ def validate_chunk_record(record: object) -> dict:
     for name, kind in (("doc_id", str), ("seq", int), ("text", str), *optional):
         value = record.get(name)
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"field {name!r} must be a {kind.__name__}")
+            noun = "a string" if kind is str else "an integer"
+            raise ValueError(f"field {name!r} must be {noun}")
     for name in ("doc_id", "text"):
         check_utf8(name, record[name])
     text = record["text"]

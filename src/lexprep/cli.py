@@ -21,6 +21,8 @@ from .corpus import (
     document_to_line,
     published,
     read_documents,
+    read_lines,
+    read_records,
     validation_indices,
     warn_skipped,
     write_documents,
@@ -195,25 +197,23 @@ def _cmd_lr_curve(args) -> int:
 def _cmd_eval(args) -> int:
     # Imported here so that no other command loads scoring (or `csv`).
     from .metrics import (
+        PredictionRecord,
         build_report,
         f1_scores,
         format_report_table,
         load_curves_csv,
-        load_predictions_jsonl,
         write_report_csv,
     )
 
     if args.curves:
-        with open(args.curves, encoding="utf-8") as handle:
-            curves = load_curves_csv(handle)
-        report = build_report(curves, args.dataset)
+        report = build_report(load_curves_csv(read_lines(args.curves)), args.dataset)
         if args.format == "csv":
             sys.stdout.write(write_report_csv(report, sort_by=args.sort_by))
         else:
             print(format_report_table(report, sort_by=args.sort_by))
         return 0
-    with open(args.predictions, encoding="utf-8") as handle:
-        records = load_predictions_jsonl(handle)
+    parse = PredictionRecord.from_record
+    records = list(read_records(args.predictions, parse, strict=True))
     labels = frozenset(args.labels.split(",")) if args.labels else None
     score = f1_scores(records, averaging=args.averaging, labels=labels)
     _emit({"f1": score, "averaging": args.averaging, "examples": len(records)})

@@ -167,6 +167,12 @@ def document_to_line(doc: RawDocument) -> str:
     return json.dumps(doc.to_record(), ensure_ascii=False)
 
 
+def read_lines(path) -> Iterator[str]:
+    """Each line of a UTF-8 file, ending as written: "\\n", "\\r\\n" or a lone "\\r"."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        yield from handle
+
+
 def parse_records(
     lines: Iterable[str],
     parse: Callable[[object], _T],
@@ -201,9 +207,8 @@ def read_records(
     error_sink: list[MalformedRecord] | None = None,
 ) -> Iterator[_T]:
     """Stream parse(record) for each record of a JSONL file, as `parse_records`."""
-    with open(path, encoding="utf-8") as handle:
-        for _, item in parse_records(handle, parse, strict, error_sink):
-            yield item
+    for _, item in parse_records(read_lines(path), parse, strict, error_sink):
+        yield item
 
 
 def warn_skipped(errors: Iterable[MalformedRecord]) -> None:
@@ -249,8 +254,7 @@ def read_documents(
     error_sink: list[MalformedRecord] | None = None,
 ) -> Iterator[RawDocument]:
     """Stream documents from a JSONL file."""
-    with open(path, encoding="utf-8") as handle:
-        yield from ingest_stream(handle, strict=strict, error_sink=error_sink)
+    yield from ingest_stream(read_lines(path), strict=strict, error_sink=error_sink)
 
 
 @contextmanager

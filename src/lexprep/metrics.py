@@ -13,7 +13,6 @@ import io
 import math
 from dataclasses import dataclass
 
-from .corpus import parse_records
 from .errors import (
     DuplicateModelName,
     EmptyPredictions,
@@ -273,9 +272,3 @@ def load_curves_csv(lines) -> list[LearningCurve]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad curve row {row!r}: {exc}") from exc
     return [LearningCurve(model, tuple(points)) for model, points in grouped.items()]
-
-
-def load_predictions_jsonl(lines) -> list[PredictionRecord]:
-    """Parse prediction records from JSONL lines; a bad line raises MalformedRecord."""
-    parsed = parse_records(lines, PredictionRecord.from_record, strict=True)
-    return [record for _, record in parsed]

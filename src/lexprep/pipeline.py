@@ -44,6 +44,7 @@ from .corpus import (
     ingest_stream,
     published,
     read_documents,
+    read_lines,
     read_records,
     warn_skipped,
 )
@@ -127,6 +128,7 @@ class PipelineManifest:
         for name, kind in (("seed", int), ("max_tokens", int), ("language", str)):
             check_type(name, getattr(self, name), kind)
         check_threshold(self.threshold)
+        object.__setattr__(self, "masking", replace(self.masking, seed=self.seed))
 
     @classmethod
     def from_record(cls, record: object, base: Path | None = None) -> "PipelineManifest":
@@ -156,9 +158,9 @@ class PipelineManifest:
             for key in _PATH_FIELDS & given.keys():
                 check_type(key, given[key], str)
                 given[key] = (base or Path()) / given[key]
-            manifest = cls(**given, clean_policy=CleanPolicy(**sections["clean"]))
-            masking = MaskingConfig(**sections["mask"], seed=manifest.seed)
-            return replace(manifest, masking=masking)
+            policy = CleanPolicy(**sections["clean"])
+            masking = MaskingConfig(**sections["mask"])
+            return cls(**given, clean_policy=policy, masking=masking)
         except KeyError as exc:
             raise ManifestError(f"manifest is missing required key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -197,7 +199,7 @@ def _chunker(manifest: PipelineManifest) -> VocabTokenizer:
 
 
 def _masker(manifest: PipelineManifest) -> tuple[VocabTokenizer, MaskingConfig]:
-    return _load_tokenizer(manifest), replace(manifest.masking, seed=manifest.seed)
+    return _load_tokenizer(manifest), manifest.masking
 
 
 # A stage maps one record to the records it passes on and, when it drops
@@ -505,10 +507,10 @@ def run_pipeline(manifest: PipelineManifest, strict: bool = False) -> dict:
         # Each line is copied as it is read, line end and all, and counted; so
         # the input is read once and a failed count publishes no copy. (A line
         # read is never empty, so `write` returns a true length.)
-        with open(manifest.input_path, encoding="utf-8", newline="") as source:
-            with published(manifest.output_dir / final_output) as (copy,):
-                lines = (copy.write(line) and line for line in source)
-                stats_before = compute_stats(ingest_stream(lines, strict, malformed))
+        with published(manifest.output_dir / final_output) as (copy,):
+            source = read_lines(manifest.input_path)
+            lines = (copy.write(line) and line for line in source)
+            stats_before = compute_stats(ingest_stream(lines, strict, malformed))
         warn_skipped(malformed)
         stage_reports, stats_after = [], stats_before
 

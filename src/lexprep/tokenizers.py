@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Iterator, Sequence
+from pathlib import Path
 from typing import NamedTuple, Protocol, runtime_checkable
 
 
@@ -208,11 +209,10 @@ class VocabTokenizer:
 
     @classmethod
     def from_file(cls, path) -> "VocabTokenizer":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         pieces = data.get("pieces") if isinstance(data, dict) else None
         strings = isinstance(pieces, list) and all(isinstance(p, str) for p in pieces)
         if not strings or "" in pieces:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lexprep.corpus import read_records
 from lexprep.errors import (
     DuplicateModelName,
     EmptyPredictions,
@@ -26,7 +27,6 @@ from lexprep.metrics import (
     f1_scores,
     format_report_table,
     load_curves_csv,
-    load_predictions_jsonl,
     max_f1,
     write_report_csv,
 )
@@ -302,21 +302,27 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_curves_csv(lines)
 
-    def test_load_predictions(self):
+    @staticmethod
+    def _predictions(tmp_path, lines):
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return list(read_records(path, PredictionRecord.from_record, strict=True))
+
+    def test_load_predictions(self, tmp_path):
         lines = [
             json.dumps({"example_id": "1", "gold": ["a"], "predicted": ["a", "b"]}),
             "",
         ]
-        records = load_predictions_jsonl(lines)
+        records = self._predictions(tmp_path, lines)
         assert records == [record("1", {"a"}, {"a", "b"})]
 
-    def test_load_predictions_takes_integer_ids_as_text(self):
+    def test_load_predictions_takes_integer_ids_as_text(self, tmp_path):
         line = json.dumps({"example_id": 7, "gold": ["a"], "predicted": ["a"]})
-        assert load_predictions_jsonl([line]) == [record("7", {"a"}, {"a"})]
+        assert self._predictions(tmp_path, [line]) == [record("7", {"a"}, {"a"})]
 
-    def test_load_predictions_rejects_bad_lines(self):
+    def test_load_predictions_rejects_bad_lines(self, tmp_path):
         with pytest.raises(ValueError):
-            load_predictions_jsonl(['{"example_id": "1"}'])
+            self._predictions(tmp_path, ['{"example_id": "1"}'])
 
     @pytest.mark.parametrize(
         "line",
@@ -332,7 +338,7 @@ class TestLoaders:
             '{"example_id": 2.0, "gold": ["a"], "predicted": ["a"]}',
         ],
     )
-    def test_load_predictions_reports_a_bad_line_by_number(self, line):
+    def test_load_predictions_reports_a_bad_line_by_number(self, tmp_path, line):
         good = json.dumps({"example_id": "1", "gold": ["a"], "predicted": ["a"]})
         with pytest.raises(MalformedRecord, match="^line 2: "):
-            load_predictions_jsonl([good, line])
+            self._predictions(tmp_path, [good, line])

@@ -174,6 +174,18 @@ class TestManifest:
         assert manifest.clean_policy == CleanPolicy(**clean)
         assert manifest.masking == MaskingConfig(**mask, seed=7)
 
+    def test_masking_takes_the_manifest_seed(self):
+        manifest = PipelineManifest(
+            Path("in"),
+            Path("out"),
+            stages=("chunk", "mask"),
+            seed=1,
+            masking=MaskingConfig(mask_rate=0.2, seed=7),
+        )
+        assert manifest.masking == MaskingConfig(mask_rate=0.2, seed=1)
+        with pytest.raises(TypeError, match="^seed must be int, got True$"):
+            PipelineManifest(Path("in"), Path("out"), stages=(), seed=True)
+
     def test_bad_setting_value(self, tmp_path):
         with pytest.raises(ManifestError):
             manifest_for(tmp_path, ["filter-lang"], **{"filter-lang": {"threshold": "high"}})

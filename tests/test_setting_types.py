@@ -146,7 +146,7 @@ class TestOwnersCheckTheirFields:
     )
     def test_chunk_record_numbers_are_ints_not_bools(self, field, value):
         record = {"doc_id": "a", "seq": 0, "text": "de la ley", field: value}
-        with pytest.raises(ValueError, match=f"field '{field}' must be a int"):
+        with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
             validate_chunk_record(record)
 
 
@@ -167,14 +167,14 @@ class TestBoolChunkFields:
         assert main(["mask", str(self._chunks(tmp_path)), str(out)]) == 0
         tallies = json.loads(capsys.readouterr().out)
         assert tallies["examples"] == 1 and tallies["skipped"] == 2
-        assert "skipped line 2: field 'seq' must be a int" in caplog.text
+        assert "skipped line 2: field 'seq' must be an integer" in caplog.text
         assert len(out.read_text("utf-8").splitlines()) == 1
 
     def test_strict_mask_exits_2(self, tmp_path, capsys, caplog):
         out = tmp_path / "out.jsonl"
         code = main(["--strict", "mask", str(self._chunks(tmp_path)), str(out)])
         assert code == 2
-        assert "line 2: field 'seq' must be a int" in caplog.text
+        assert "line 2: field 'seq' must be an integer" in caplog.text
         assert not out.exists()
 
 
