@@ -1,23 +1,23 @@
 """Sentence splitting and greedy packing into token-budgeted chunks.
 
 Texts are split into sentences, then consecutive sentences are appended
-into one training unit for as long as the unit stays within the token
-budget, so sequences are dense without mid-sentence truncation. The
-unit's count is the sum of its sentences' counts when the tokenizer
-declares itself concatenation-stable, and is measured by re-tokenizing
-the joined unit otherwise. A single sentence longer than the whole budget
-is cut into maximal pieces rather than dropped: with a concat-stable
-tokenizer by the same greedy function over its words, from their per-word
-ids, so only a word wider than the whole budget is hard-split at token
-boundaries; otherwise the whole sentence is hard-split. The hard split
-draws its tokens through a window of at most budget + 1 of them, so the
-tokens held at once are bounded by the budget, not by the length of the
-sentence or the word, and tokenizes every piece again. Chunks are
-yielded as they are cut (`iter_chunks`), and a concat-stable sentence is
-encoded only until its count passes the budget, so the memory of packing
-is bounded by a chunk, not by the document. An error while a chunk is
-cut becomes a `TokenizerFailure`: "<cause> (cutting chunk <seq>)"; one
-raised by the caller's sentences is raised as it is.
+into one training unit for as long as the sum of their token counts
+stays within the budget, so sequences are dense without mid-sentence
+truncation. A single sentence longer than the whole budget is cut into
+maximal pieces rather than dropped, by the same greedy function over its
+words, so only a word wider than the whole budget is hard-split at token
+boundaries. The hard split draws its tokens through a window of at most
+budget + 1 of them, so the tokens held at once are bounded by the
+budget, not by the length of the word, and tokenizes every piece again.
+This one packer serves every tokenizer. For one that does not declare
+itself concatenation-stable, each unit's joined text is then tokenized
+once, the unit carries those ids, and a unit that counts over the budget
+(joining added tokens) is hard-split. Chunks are yielded as they are cut
+(`iter_chunks`), and a sentence is encoded only until its count passes
+the budget, so the memory of packing is bounded by a chunk, not by the
+document. An error while a chunk is cut becomes a `TokenizerFailure`:
+"<cause> (cutting chunk <seq>)"; one raised by the caller's sentences is
+raised as it is.
 """
 
 from __future__ import annotations
@@ -316,45 +316,24 @@ def _packed_by_counts(
     return _pack(units, budget, cut_sentence, " ".join, lambda _, text: text)
 
 
-def _packed_by_retokenizing(
-    sentences: Iterable[str], tokenizer: TokenizerInterface, budget: int
+def _verified(
+    pieces: Iterable[_Piece], tokenizer: TokenizerInterface, budget: int
 ) -> Iterator[_Piece]:
-    """Sentences packed by tokenizing each candidate piece whole.
+    """Each piece with the ids of its text tokenized once, cut if they pass budget.
 
-    The next sentence joins iff the joined text fits. An oversized one is
-    cut by `_hard_split` from its tokens (`iter_tokens`, or else
-    `tokenize`), and its last piece stays open.
+    For a tokenizer that does not declare `concat_stable`, whose joined
+    count may not be the sum `_pack` counted: a piece's ids are those of
+    its whole text, and a piece whose text counts over the budget
+    (joining its sentences added tokens) is cut by `_hard_split`.
     """
     encode = encoder(tokenizer)
     tokens_of = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
-    joined: list[str] = []
-    words: list[tuple[int, ...]] = []
-    for sentence in sentences:
-        sentence = sentence.strip()
-        if not sentence:
-            continue
-        candidate = encode(" ".join([*joined, sentence]))
-        count = sum(map(len, candidate))
-        if count and count <= budget:
-            joined.append(sentence)
-            words = candidate
-            continue
-        if not count:
-            continue
-        if joined:
-            yield " ".join(joined), words
-            candidate = encode(sentence)
-            count = sum(map(len, candidate))
-        if count <= budget:
-            joined, words = [sentence], candidate
-            continue
-        # The cut draws the sentence again; its whole list of ids goes now.
-        del candidate
-        pieces = _hard_split(sentence, tokens_of(sentence), budget, tokenizer)
-        text, words = yield from _all_but_last(pieces)
-        joined = [text]
-    if joined:
-        yield " ".join(joined), words
+    for text, _ in pieces:
+        words = encode(text)
+        if sum(map(len, words)) <= budget:
+            yield text, words
+        else:
+            yield from _hard_split(text, tokens_of(text), budget, tokenizer)
 
 
 def chunk_budget(tokenizer: TokenizerInterface, max_tokens: int) -> int:
@@ -376,17 +355,19 @@ def iter_chunks(
     """Greedily pack sentences left-to-right into token-budgeted chunks.
 
     Yields each chunk as it is cut, so a caller that takes them one at a
-    time holds one chunk of a document, not all of them. The next
-    sentence joins the current chunk iff the joined text stays within
-    budget; otherwise the chunk is emitted and a new one starts. For a
-    tokenizer that declares `concat_stable`, the joined count is the sum
-    of the sentence counts, and an oversized sentence is cut by the same
-    greedy rule over its words. Otherwise counts are never summed, since
-    subword tokenizers are not concatenation-stable in general: the
-    joined text is re-tokenized as a whole. Sentence order is preserved
-    and chunks never cross document boundaries. Text is encoded to
-    per-word ids with the tokenizer's `encode` when it has one; Token
-    objects are built only for a hard split.
+    time holds one chunk of a document, not all of them. One packer
+    serves every tokenizer: the next sentence joins the current chunk
+    iff the sum of the sentence counts stays within budget; otherwise
+    the chunk is emitted and a new one starts. An oversized sentence is
+    cut by the same greedy rule over its words. For a tokenizer that
+    does not declare `concat_stable`, each chunk's joined text is then
+    tokenized once and the chunk carries those ids; one whose text
+    counts over the budget, because joining added tokens, is hard-split.
+    So its chunks equal the declared path's unless joining with a space
+    adds or removes tokens. Sentence order is preserved and chunks never
+    cross document boundaries. Text is encoded to per-word ids with the
+    tokenizer's `encode` when it has one; Token objects are built only
+    for a hard split.
 
     The budget is max_tokens minus the tokenizer's reserved special-token
     count, so stored counts are content tokens only. An error while a
@@ -404,11 +385,9 @@ def iter_chunks(
             sentence_errors.append(exc)
             raise
 
-    if getattr(tokenizer, "concat_stable", False):
-        packed = _packed_by_counts
-    else:
-        packed = _packed_by_retokenizing
-    pieces = packed(drawn(sentences), tokenizer, budget)
+    pieces = _packed_by_counts(drawn(sentences), tokenizer, budget)
+    if not getattr(tokenizer, "concat_stable", False):
+        pieces = _verified(pieces, tokenizer, budget)
 
     def chunks() -> Iterator[Chunk]:
         seq = 0

@@ -9,9 +9,9 @@ curve, flagging the best value per column.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import (
     DuplicateModelName,
@@ -239,9 +239,15 @@ def format_report_table(report: BenchmarkReport, sort_by: str | None = None) -> 
 
 
 def write_report_csv(report: BenchmarkReport, sort_by: str | None = None) -> str:
-    """CSV form of the report with explicit boolean best columns."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    """CSV form of the report with explicit boolean best columns.
+
+    A field that holds a line end is quoted, a lone "\\r" too, on every
+    interpreter: each row is one write, made with "\\r\\n" (3.13's writer
+    quotes "\\r" with any terminator, earlier ones only the terminator's
+    characters), and its end is cut back to "\\n".
+    """
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(
         ["dataset", "model", "max_f1", "auc", "from_epoch", "best_max_f1", "best_auc"]
     )
@@ -257,7 +263,7 @@ def write_report_csv(report: BenchmarkReport, sort_by: str | None = None) -> str
                 str(row.best_auc).lower(),
             ]
         )
-    return out.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def load_curves_csv(lines) -> list[LearningCurve]:

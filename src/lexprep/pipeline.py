@@ -125,7 +125,13 @@ class PipelineManifest:
 
     def __post_init__(self):
         validate_stages(self.stages)
-        for name, kind in (("seed", int), ("max_tokens", int), ("language", str)):
+        for name, kind in (
+            ("seed", int),
+            ("max_tokens", int),
+            ("language", str),
+            ("clean_policy", CleanPolicy),
+            ("masking", MaskingConfig),
+        ):
             check_type(name, getattr(self, name), kind)
         check_threshold(self.threshold)
         object.__setattr__(self, "masking", replace(self.masking, seed=self.seed))

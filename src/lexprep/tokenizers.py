@@ -34,16 +34,19 @@ class Token(NamedTuple):
 class TokenizerInterface(Protocol):
     """What the chunker and masker need from a tokenizer.
 
-    tokenize("") must return []. Concatenation stability is not assumed:
-    by default chunk token counts are measured by tokenizing the chunk
-    text as a whole. A tokenizer class may declare `concat_stable = True`
-    when, for any two texts a and b without leading or trailing
-    whitespace, tokenize(a + " " + b) has the ids and word-start flags of
-    tokenize(a) followed by those of tokenize(b), and when cutting a text
-    just before a word-start token splits its token stream there. The
-    chunker then packs sentences by their summed counts, and an oversized
-    sentence by the summed counts of its words, with one greedy rule.
-    Tokenizers that do not declare it keep the whole-text measurement.
+    tokenize("") must return []. One packer serves every tokenizer: it
+    packs sentences by the sum of their counts, and an oversized sentence
+    by the summed counts of its words, with one greedy rule. A tokenizer
+    class may declare `concat_stable = True` when, for any two texts a
+    and b without leading or trailing whitespace, tokenize(a + " " + b)
+    has the ids and word-start flags of tokenize(a) followed by those of
+    tokenize(b), and when cutting a text just before a word-start token
+    splits its token stream there. Concatenation stability is not
+    assumed: without the declaration each packed chunk's text is
+    tokenized once, the chunk carries those ids, and a chunk that counts
+    over the budget is hard-split; the declaration only skips that
+    tokenize. Chunks then differ from the declared path's only where
+    joining with a space adds or removes tokens.
 
     A tokenizer may also provide `encode(text) -> list[tuple[int, ...]]`:
     the ids of tokenize(text), one tuple per word, each starting at a
@@ -55,9 +58,10 @@ class TokenizerInterface(Protocol):
     by `group_words`. It may also provide `iter_tokens(text) ->
     Iterator[Token]`: the tokens of tokenize(text), drawn one at a time.
     The chunker hard-splits a word wider than the whole budget (or, for a
-    tokenizer that is not concat-stable, an oversized sentence) from it,
-    holding at most budget + 1 tokens at once and tokenizing each piece
-    again; without it the `tokenize` list goes through the same cut.
+    tokenizer that is not concat-stable, a chunk that counts over it)
+    from it, holding at most budget + 1 tokens at once and tokenizing
+    each piece again; without it the `tokenize` list goes through the
+    same cut.
     `reserved_special_count` is how many special tokens the tokenizer
     adds per sequence (0 for the reference tokenizer); chunk packing
     budgets content tokens against max_tokens minus this count.

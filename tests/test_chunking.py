@@ -5,7 +5,8 @@ import random
 import re
 import time
 from collections import Counter
-from itertools import islice
+from importlib import resources
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 import pytest
@@ -46,14 +47,19 @@ def _sentence_of(n_tokens: int) -> str:
     return " ".join(["de"] * n_tokens)
 
 
-# Each test marked so runs once per packer: summing counts, or re-tokenizing.
+# Each test marked so runs once per declaration: a concat-stable tokenizer's
+# summed counts, or an undeclared one's, whose chunks are tokenized again.
 _BOTH_PACKERS = pytest.mark.parametrize(
     "concat_stable", [True, False], ids=["counts", "retokenizing"]
 )
 
 
 class Delegating:
-    """The reference tokenizer without its `concat_stable` declaration."""
+    """The reference tokenizer without its `concat_stable` declaration.
+
+    It has only `tokenize`, so its chunks go through the one packer and
+    then the verifying tokenize of each chunk.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -387,7 +393,7 @@ class TestPackChunks:
 
 
 class TestConcatStablePacking:
-    """Summed sentence counts give the chunks that re-tokenizing gives."""
+    """Both declarations give the chunks of the old re-tokenizing rule."""
 
     @settings(deadline=None)
     @given(
@@ -398,11 +404,7 @@ class TestConcatStablePacking:
         st.integers(4, 64),
     )
     def test_matches_retokenizing_path(self, tokenizer, sentences, max_tokens):
-        fast = pack_chunks(sentences, tokenizer, max_tokens=max_tokens, doc_id="c")
-        slow = pack_chunks(
-            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="c"
-        )
-        assert chunk_fields(fast) == chunk_fields(slow)
+        _both_match_reference(sentences, tokenizer, max_tokens, "c")
 
     @pytest.mark.parametrize("max_tokens", [16, 100, 512])
     def test_matches_retokenizing_path_with_huge_word(self, tokenizer, max_tokens):
@@ -413,12 +415,7 @@ class TestConcatStablePacking:
             _sentence_of(max_tokens + 3),
             "Fin del texto.",
         ]
-        fast = pack_chunks(sentences, tokenizer, max_tokens=max_tokens, doc_id="h")
-        slow = pack_chunks(
-            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="h"
-        )
-        assert len(fast) > 1
-        assert chunk_fields(fast) == chunk_fields(slow)
+        assert len(_both_match_reference(sentences, tokenizer, max_tokens, "h")) > 1
 
     @settings(deadline=None)
     @given(
@@ -434,12 +431,7 @@ class TestConcatStablePacking:
         self, sentences, max_tokens
     ):
         # No `encode` or `iter_words`: words are grouped from `tokenize`.
-        tokenizer = LengthTagged()
-        fast = pack_chunks(sentences, tokenizer, max_tokens=max_tokens, doc_id="t")
-        slow = pack_chunks(
-            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="t"
-        )
-        assert chunk_fields(fast) == chunk_fields(slow)
+        _both_match_reference(sentences, LengthTagged(), max_tokens, "t")
 
     def test_a_sentence_without_tokens_joins_only_an_open_chunk(self):
         class DropsTildes(LengthTagged):
@@ -448,10 +440,8 @@ class TestConcatStablePacking:
 
         tokenizer = DropsTildes()
         sentences = ["~", "ab ab", "~", "ab", "~"]
-        fast = pack_chunks(sentences, tokenizer, max_tokens=4, doc_id="z")
-        slow = pack_chunks(sentences, Delegating(tokenizer), max_tokens=4, doc_id="z")
-        assert [c.text for c in fast] == ["ab ab ~", "ab ~"]
-        assert chunk_fields(fast) == chunk_fields(slow)
+        chunks = _both_match_reference(sentences, tokenizer, 4, "z")
+        assert [c.text for c in chunks] == ["ab ab ~", "ab ~"]
 
     def test_chunks_carry_their_token_ids(self, tokenizer):
         chunks = pack_chunks(
@@ -622,18 +612,61 @@ def _grouped_ids(tokens):
     return [ids for _, _, ids in group_words(tokens)]
 
 
+def _reference_pack(sentences, tokenizer, max_tokens, doc_id):
+    """The chunk fields of the old rule, written plainly.
+
+    The next sentence joins iff the joined text, tokenized whole, fits
+    the budget. An oversized sentence is cut by `_reference_hard_split`,
+    and its last piece stays open. A chunk's ids are its text's tokens.
+    """
+    budget = chunking.chunk_budget(tokenizer, max_tokens)
+    texts, joined = [], []
+    for sentence in filter(None, map(str.strip, sentences)):
+        width = len(tokenizer.tokenize(" ".join([*joined, sentence])))
+        if 0 < width <= budget:
+            joined.append(sentence)
+        elif width:
+            if joined:
+                texts.append(" ".join(joined))
+            joined = [sentence]
+            tokens = tokenizer.tokenize(sentence)
+            if len(tokens) > budget:
+                pieces = _reference_hard_split(sentence, tokens, budget, tokenizer)
+                texts += [text for text, _ in pieces[:-1]]
+                joined = [pieces[-1][0]]
+    if joined:
+        texts.append(" ".join(joined))
+    fields = []
+    for seq, text in enumerate(texts):
+        words = _grouped_ids(tokenizer.tokenize(text))
+        ends = list(accumulate(map(len, words)))
+        ids = tuple(chain.from_iterable(words))
+        fields.append((doc_id, seq, text, len(ids), tuple(zip([0, *ends], ends)), ids))
+    return fields
+
+
+def _both_match_reference(sentences, tokenizer, max_tokens, doc_id):
+    """The chunks of `tokenizer` and of it undeclared, both `_reference_pack`'s."""
+    expected = _reference_pack(sentences, tokenizer, max_tokens, doc_id)
+    for packer in (tokenizer, Delegating(tokenizer)):
+        chunks = pack_chunks(sentences, packer, max_tokens=max_tokens, doc_id=doc_id)
+        assert chunk_fields(chunks) == expected
+    return chunks
+
+
 class Counting:
-    """The reference tokenizer without `encode`, counting calls to `tokenize`."""
+    """The reference tokenizer without `encode`, counting `tokenize` calls and text."""
 
     concat_stable = True
     reserved_special_count = 0
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.calls = self.chars = 0
 
     def tokenize(self, text):
         self.calls += 1
+        self.chars += len(text)
         return self.inner.tokenize(text)
 
 
@@ -725,6 +758,46 @@ class FailsAfterTwentyTokens:
     def iter_tokens(self, text):
         yield from islice(self.inner.iter_tokens(text), 20)
         raise RuntimeError("boom")
+
+
+class SpacesAreTokens:
+    """Not concat-stable: each space is a token of its own, and so is each word.
+
+    Joining two texts with a space adds a token, so a chunk's summed count
+    falls short of its text's.
+    """
+
+    reserved_special_count = 0
+
+    def tokenize(self, text):
+        tokens = []
+        for match in re.finditer(r"\S+|\s", text):
+            piece = match.group()
+            token_id = 7 if piece.isspace() else 10 + len(piece)
+            tokens.append(Token(token_id, True, piece, match.start()))
+        return tokens
+
+
+class MergesRepeats:
+    """Not concat-stable: a run of one word, repeated, is one token.
+
+    Joining two texts where the seam repeats a word removes a token, so a
+    chunk's summed count passes its text's.
+    """
+
+    reserved_special_count = 0
+
+    def tokenize(self, text):
+        return [
+            Token(10 + len(match.group(1)), True, match.group(), match.start())
+            for match in re.finditer(r"(\S+)(?:\s+\1(?!\S))*", text)
+        ]
+
+
+class CountingUndeclared(Counting):
+    """`Counting` without the `concat_stable` declaration."""
+
+    concat_stable = False
 
 
 class TestHardSplit:
@@ -851,10 +924,8 @@ class TestEncodePacking:
         grouped = pack_chunks(
             sentences, Counting(tokenizer), max_tokens=max_tokens, doc_id="e"
         )
-        joined = pack_chunks(
-            sentences, Delegating(tokenizer), max_tokens=max_tokens, doc_id="e"
-        )
-        assert chunk_fields(encoded) == chunk_fields(grouped) == chunk_fields(joined)
+        assert chunk_fields(encoded) == chunk_fields(grouped)
+        _both_match_reference(sentences, tokenizer, max_tokens, "e")
 
     def test_encode_path_tokenizes_only_oversized_sentences(self, tokenizer):
         class Encoding(Counting):
@@ -864,9 +935,7 @@ class TestEncodePacking:
         encoding = Encoding(tokenizer)
         sentences = ["La ley se publica.", _sentence_of(40), "Fin del texto."]
         chunks = pack_chunks(sentences, encoding, max_tokens=16, doc_id="e")
-        assert chunk_fields(chunks) == chunk_fields(
-            pack_chunks(sentences, Delegating(tokenizer), max_tokens=16, doc_id="e")
-        )
+        assert chunk_fields(chunks) == _reference_pack(sentences, tokenizer, 16, "e")
         assert encoding.calls == 1
 
     def test_unpunctuated_line_is_cut_without_tokens(self):
@@ -939,3 +1008,67 @@ class TestEncodePacking:
             fast = chunk_from_record(record, tokenizer)
             slow = chunk_from_record(record, Delegating(tokenizer))
             assert chunk_fields([fast]) == chunk_fields([slow]) == chunk_fields([chunk])
+
+
+def _non_space(texts):
+    return "".join("".join(texts).split())
+
+
+class TestUndeclaredTokenizers:
+    """A tokenizer without `concat_stable`: one packer, then one tokenize a chunk."""
+
+    @pytest.mark.parametrize(
+        "undeclared", [SpacesAreTokens, MergesRepeats], ids=["adds", "removes"]
+    )
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            # "de" twice, so repeats across a join are likely.
+            st.lists(st.sampled_from(["de", "de", "la", "ley"]), max_size=8).map(
+                " ".join
+            ),
+            max_size=10,
+        ),
+        st.integers(1, 12),
+    )
+    def test_chunks_fit_and_carry_their_texts_ids(self, undeclared, sentences, budget):
+        tokenizer = undeclared()
+        chunks = pack_chunks(sentences, tokenizer, max_tokens=budget, doc_id="u")
+        for chunk in chunks:
+            assert chunk.token_count <= budget
+            ids = tuple(token.id for token in tokenizer.tokenize(chunk.text))
+            assert chunk.token_ids == ids
+        assert _non_space(c.text for c in chunks) == _non_space(sentences)
+
+    def test_a_chunk_that_joining_overfills_is_cut(self):
+        # "a" and "b" count 1 each, but "a b" is 3 tokens: over budget 2.
+        chunks = pack_chunks(["a", "b"], SpacesAreTokens(), max_tokens=2)
+        pieces = [(c.text, c.token_ids) for c in chunks]
+        assert pieces == [("a ", (11, 7)), ("b", (11,))]
+
+    def test_a_chunk_that_joining_shrinks_is_not_extended(self):
+        # "la de" and "de ley" count 2 each: over budget 3 together, though
+        # "la de de ley" is 3 tokens.
+        chunks = pack_chunks(["la de", "de ley"], MergesRepeats(), max_tokens=3)
+        pieces = [(c.text, c.token_ids) for c in chunks]
+        assert pieces == [("la de", (12, 12)), ("de ley", (12, 13))]
+
+    @pytest.mark.parametrize("words", [4, 12, 40])
+    def test_each_sentence_and_chunk_is_tokenized_once(self, tokenizer, words):
+        # Counted, not timed: re-tokenizing each candidate chunk read these
+        # 4-word sentences 15 times over.
+        seed = resources.files("lexprep").joinpath("data/seed/es.txt")
+        pool = seed.read_text(encoding="utf-8").split()
+        rng = random.Random(words)
+        sentences = [" ".join(rng.choices(pool, k=words)) for _ in range(300)]
+        # An oversized sentence, whose words are grouped from one more call.
+        oversized = _sentence_of(3 * 512 + 5)
+        sentences.insert(150, oversized)
+        counting = CountingUndeclared(tokenizer)
+        chunks = pack_chunks(sentences, counting, max_tokens=512, doc_id="n")
+        assert chunk_fields(chunks) == chunk_fields(
+            pack_chunks(sentences, tokenizer, max_tokens=512, doc_id="n")
+        )
+        assert counting.calls <= len(sentences) + len(chunks) + 1
+        text = " ".join(sentences)
+        assert counting.chars <= 2 * len(text) + len(oversized)

@@ -150,7 +150,7 @@ def test_eval_reads_curves_alike(tmp_path, capsys):
     assert results["lf"].count("\n") == 3
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("end", list(ENDS.values()), ids=list(ENDS))
 def test_a_quoted_line_end_in_a_curve_is_kept(tmp_path, capsys, end):
     rows = ["model,epoch,f1", f'"mel{end}v2",1,0.5', f'"mel{end}v2",2,0.6']
     path = _write(tmp_path / "curves.csv", rows, end)

@@ -135,10 +135,19 @@ class TestOwnersCheckTheirFields:
 
     @pytest.mark.parametrize(
         "settings",
-        [{"seed": 1.9}, {"seed": True}, {"max_tokens": 96.7}, {"language": None}],
+        [
+            {"seed": 1.9},
+            {"seed": True},
+            {"max_tokens": 96.7},
+            {"language": None},
+            {"clean_policy": None},
+            {"masking": None},
+        ],
     )
     def test_manifest_fields(self, tmp_path, settings):
-        with pytest.raises(TypeError):
+        # Refused by the field's own name when the manifest is built.
+        (name,) = settings
+        with pytest.raises(TypeError, match=f"^{name} must be "):
             PipelineManifest(tmp_path / "in.jsonl", tmp_path, ("clean",), **settings)
 
     @pytest.mark.parametrize(
