@@ -91,7 +91,7 @@ def _run_stage(args, name: str, summary: dict, rejected=os.devnull, **settings) 
         Path(args.input), output.parent, stages=(), seed=args.seed, **_given(**settings)
     )
     paths = (output, Path(rejected))
-    (report,), _, _ = run_stages(manifest, [(name, paths)], args.strict, args.jobs)
+    (report,), _, _ = run_stages(manifest, [(name, paths)], args.strict)
     _emit({key: report[tally] for key, tally in summary.items()})
     return 0
 
@@ -242,13 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="abort on the first malformed record instead of skipping it",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for filter-lang, clean, chunk and mask",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="validate and normalize a document corpus")
@@ -340,8 +333,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except (LexprepError, OSError, ValueError, KeyError) as exc:

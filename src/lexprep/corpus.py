@@ -181,16 +181,16 @@ def parse_records(
 ) -> Iterator[tuple[int, _T]]:
     """Yield (line number, parse(record)) for each non-blank JSON line.
 
-    A line that is not JSON, or whose record `parse` rejects with
-    ValueError, is a MalformedRecord: raised when strict, else skipped
-    and appended to error_sink when one is given.
+    A line that is not JSON (or nests too deeply to decode), or whose
+    record `parse` rejects with ValueError, is a MalformedRecord: raised
+    when strict, else skipped and appended to error_sink when one is given.
     """
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             item = parse(json.loads(line))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             err = MalformedRecord(line_number, str(exc))
             if strict:
                 raise err
@@ -339,22 +339,6 @@ class CorpusStats:
         for doc in docs:
             self.add(doc)
             yield doc
-
-    def merge(self, other: "CorpusStats") -> "CorpusStats":
-        """Combine shard stats; associative and commutative."""
-        merged_regions = dict(self.per_region_counts)
-        for region, count in other.per_region_counts.items():
-            merged_regions[region] = merged_regions.get(region, 0) + count
-        if self.total_tokens is None and other.total_tokens is None:
-            tokens = None
-        else:
-            tokens = (self.total_tokens or 0) + (other.total_tokens or 0)
-        return CorpusStats(
-            document_count=self.document_count + other.document_count,
-            total_bytes=self.total_bytes + other.total_bytes,
-            total_tokens=tokens,
-            per_region_counts=merged_regions,
-        )
 
     def to_record(self) -> dict:
         return {

@@ -3,10 +3,10 @@
 A manifest file names the input, the output directory, and an ordered
 subset of stages (filter-lang, clean, chunk, mask) with their settings,
 so a full preparation run is a single auditable artifact. A run is one
-streaming pass, which reads the input once (it may be a pipe): each
-document goes through the stages in order, in memory, and every stage
-writes its output and rejection lines (one numbered file each) as it
-produces them. The chunk stage cuts a document's chunks one at a time,
+streaming pass in one process, which reads the input once (it may be a
+pipe): each document goes through the stages in order, in memory, and
+every stage writes its output and rejection lines (one numbered file
+each) as it produces them. The chunk stage cuts a document's chunks one at a time,
 each written and masked before the next is cut, so a run holds one chunk
 of a document, not all of them. All of a run's files are written as one
 `corpus.published` group, so a run that fails publishes no stage file.
@@ -18,11 +18,9 @@ the paths it is given (`run_stages`).
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -177,7 +175,7 @@ class PipelineManifest:
         path = Path(path)
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_record(record, base=path.parent)
 
@@ -396,47 +394,10 @@ class _StagePass:
         yield from chain.from_iterable(map(self.write, results))
 
 
-# Set only in a `jobs > 1` worker process, by its initializer: the first stage.
-_worker_stage: _StagePass | None = None
-
-
-def _start_worker(manifest: PipelineManifest, name: str) -> None:
-    global _worker_stage
-    _worker_stage = _StagePass(manifest, name)
-
-
-def _run_batch(records: list) -> list[_StageResult]:
-    # Lazy outputs are listed here, in the worker: a generator cannot be
-    # pickled, and a failure to draw one is the worker's to report.
-    stage = _worker_stage
-    return [
-        (list(stage.drawn(outputs)), rejection)
-        for outputs, rejection in map(stage, records)
-    ]
-
-
-# With N workers, at most 2 * N batches of 64 records are sent out ahead
-# of the result being written.
-_BATCH = 64
-_BATCHES_PER_WORKER = 2
-
-
-def _pooled(pool, jobs: int, records):
-    """The first stage's results from the pool's workers, in input order."""
-    pending = deque()
-    for batch in iter(lambda: list(islice(records, _BATCH)), []):
-        pending.append(pool.submit(_run_batch, batch))
-        if len(pending) == _BATCHES_PER_WORKER * jobs:
-            yield from pending.popleft().result()
-    for future in pending:
-        yield from future.result()
-
-
 def run_stages(
     manifest: PipelineManifest,
     plan: list[tuple[str, tuple[Path, ...]]],
     strict: bool = False,
-    jobs: int = 1,
 ) -> tuple[list[dict], CorpusStats, CorpusStats]:
     """The single pass: every input record through every stage, then publish.
 
@@ -449,32 +410,19 @@ def run_stages(
     last_doc = next((s for s in reversed(stages) if s.name in _DOC_STAGES), None)
     stats_before = CorpusStats()
     stats_after = CorpusStats() if last_doc else stats_before
-    first = stages[0]
     malformed: list[MalformedRecord] = []
-    with ExitStack() as stack:
-        paths = [path for stage in stages for path in stage.paths]
-        handles = iter(stack.enter_context(published(*paths)))
+    paths = [path for stage in stages for path in stage.paths]
+    with published(*paths) as handles:
+        handles = iter(handles)
         for stage in stages:
             stage.out_handle, stage.rej_handle = next(handles), next(handles)
         path = manifest.input_path
-        if first.name == "mask":
-            records = read_records(path, validate_chunk_record, strict, malformed)
+        if stages[0].name == "mask":
+            outputs = read_records(path, validate_chunk_record, strict, malformed)
         else:
-            records = stats_before.tally(read_documents(path, strict, malformed))
-        results = map(first, records)
-        if jobs > 1:
-            # Imported here so that a serial run never loads the pool.
-            # Each record is mapped alone (masking seeds its RNG per
-            # chunk), so the workers' results equal the serial ones.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(
-                jobs, initializer=_start_worker, initargs=(manifest, first.name)
-            )
-            results = _pooled(stack.enter_context(pool), jobs, records)
-        outputs = results
+            outputs = stats_before.tally(read_documents(path, strict, malformed))
         for stage in stages:
-            outputs = stage.feed(outputs if stage is first else map(stage, outputs))
+            outputs = stage.feed(map(stage, outputs))
             if stage is last_doc:
                 outputs = stats_after.tally(outputs)
         for _ in outputs:

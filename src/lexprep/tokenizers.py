@@ -215,7 +215,7 @@ class VocabTokenizer:
     def from_file(cls, path) -> "VocabTokenizer":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         pieces = data.get("pieces") if isinstance(data, dict) else None
         strings = isinstance(pieces, list) and all(isinstance(p, str) for p in pieces)

@@ -14,6 +14,7 @@ from lexprep.chunking import chunk_from_record
 from lexprep.cli import main
 from lexprep.corpus import document_to_line, read_documents
 from lexprep.langid import load_profiles
+from lexprep.pipeline import SUMMARY_NAME
 
 from .conftest import doc_record, run_lexprep, run_python, write_jsonl
 from .lang_snippets import CA_SNIPPETS, ES_SNIPPETS
@@ -26,6 +27,10 @@ def run_cli(capsys, *argv):
 
 def last_json(out):
     return json.loads(out.strip().splitlines()[-1])
+
+
+# Deeper than `json.loads` decodes on any interpreter: it raises RecursionError.
+_NESTED = "[" * 100_000
 
 
 @pytest.fixture()
@@ -50,9 +55,10 @@ class TestUsageErrors:
             ["eval"],
             ["eval", "--curves", "x", "--predictions", "y"],
             ["eval", "--curves", "x", "--format", "xml"],
-            ["--jobs", "two", "ingest", "a", "b"],
-            ["--jobs", "0", "ingest", "a", "b"],
-            ["--jobs", "-3", "ingest", "a", "b"],
+            # Every command is one in-process pass: no flag takes a worker count.
+            ["--jobs", "2", "ingest", "a", "b"],
+            ["--jobs", "1", "clean", "a", "b"],
+            ["mask", "--jobs", "2", "a", "b"],
         ],
     )
     def test_exit_code_one(self, argv):
@@ -80,6 +86,31 @@ class TestDataErrors:
         code, _ = run_cli(capsys, "run", str(manifest))
         assert code == 2
         assert f"{manifest} is not valid JSON: 'utf-8' codec" in caplog.text
+
+    def test_nested_manifest_is_named(self, tmp_path, capsys, caplog):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(_NESTED, encoding="utf-8")
+        code, out = run_cli(capsys, "run", str(manifest))
+        assert code == 2
+        assert out == ""
+        assert f"{manifest} is not valid JSON: " in caplog.text
+
+    @pytest.mark.parametrize("command", ["ingest", "filter-lang", "clean", "chunk"])
+    def test_nested_line_is_a_malformed_line(self, tmp_path, capsys, caplog, command):
+        path = tmp_path / "in.jsonl"
+        good = json.dumps(doc_record("a", ES_SNIPPETS[0]))
+        path.write_text(f"{good}\n{_NESTED}\n", encoding="utf-8")
+        out_path = tmp_path / "out.jsonl"
+        assert run_cli(capsys, command, str(path), str(out_path))[0] == 0
+        assert "skipped line 2: " in caplog.text
+        assert out_path.exists()
+        out_path.unlink()
+        caplog.clear()
+        code, _ = run_cli(capsys, "--strict", command, str(path), str(out_path))
+        assert code == 2
+        assert "line 2: " in caplog.text
+        assert "skipped" not in caplog.text
+        assert not out_path.exists()
 
     def test_bad_curve_rows(self, tmp_path, capsys):
         curves = tmp_path / "curves.csv"
@@ -502,6 +533,17 @@ class TestChunk:
         assert out == ""
         assert f"{vocab} is not valid JSON: 'utf-8' codec" in caplog.text
 
+    def test_nested_tokenizer_is_named(self, tmp_path, capsys, caplog):
+        path = tmp_path / "in.jsonl"
+        write_jsonl(path, [doc_record("a", "la ley")])
+        vocab = tmp_path / "nested.json"
+        vocab.write_text(_NESTED, encoding="utf-8")
+        argv = [str(path), str(tmp_path / "out.jsonl"), "--tokenizer", str(vocab)]
+        code, out = run_cli(capsys, "chunk", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{vocab} is not valid JSON: " in caplog.text
+
     @pytest.mark.parametrize("max_tokens", ["0", "-3"])
     def test_budget_without_room_is_a_data_error_on_empty_input(
         self, tmp_path, capsys, caplog, max_tokens
@@ -541,16 +583,6 @@ class TestMask:
         assert tallies["masked_positions"] > 0
         for example in examples:
             assert len(example["input_ids"]) == len(example["labels"])
-
-    def test_parallel_output_matches_serial(self, tmp_path, capsys):
-        chunks = self._chunks_file(tmp_path, capsys)
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        assert run_cli(capsys, "mask", str(chunks), str(serial))[0] == 0
-        assert (
-            run_cli(capsys, "--jobs", "2", "mask", str(chunks), str(parallel))[0] == 0
-        )
-        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_seed_changes_output(self, tmp_path, capsys):
         chunks = self._chunks_file(tmp_path, capsys)
@@ -987,6 +1019,46 @@ class TestRun:
         gate = summary["stages"][0]
         assert gate["in"] == gate["out"] + gate["rejected"] == 10
 
+    def _nested_run(self, corpus_path, tmp_path, capsys, *flags):
+        lines = corpus_path.read_text("utf-8").splitlines()
+        nested = tmp_path / "nested.jsonl"
+        nested.write_text("\n".join([lines[0], _NESTED, *lines[1:]]) + "\n", "utf-8")
+        runs = {}
+        for name, source in (("plain", corpus_path), ("nested", nested)):
+            record = {
+                "input_path": str(source),
+                "output_dir": name,
+                "stages": list(pipeline.STAGE_NAMES),
+            }
+            manifest = tmp_path / f"{name}.json"
+            manifest.write_text(json.dumps(record), encoding="utf-8")
+            runs[name] = run_cli(capsys, *flags, "run", str(manifest))
+        return runs
+
+    def test_nested_line_is_skipped_by_a_lenient_run(
+        self, corpus_path, tmp_path, capsys, caplog
+    ):
+        runs = self._nested_run(corpus_path, tmp_path, capsys)
+        assert [code for code, _ in runs.values()] == [0, 0]
+        summary = json.loads(runs["nested"][1])
+        assert summary["stages"][0]["malformed"] == 1
+        assert "skipped line 2: " in caplog.text
+
+        def stage_files(name):
+            files = (tmp_path / name).iterdir()
+            return {p.name: p.read_bytes() for p in files if p.name != SUMMARY_NAME}
+
+        assert len(stage_files("nested")) == 8
+        assert stage_files("nested") == stage_files("plain")
+
+    def test_nested_line_stops_a_strict_run(
+        self, corpus_path, tmp_path, capsys, caplog
+    ):
+        runs = self._nested_run(corpus_path, tmp_path, capsys, "--strict")
+        assert runs["nested"] == (2, "")
+        assert "line 2: " in caplog.text
+        assert list((tmp_path / "nested").iterdir()) == []
+
 
 # A lone surrogate escape: valid JSON, but the text cannot be written as UTF-8.
 _SURROGATE_LINE = '{"id": "a", "text": "\\ud800"}\n'
@@ -1063,13 +1135,12 @@ class TestMaskLenient:
         )
         return chunks, mixed
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_bad_lines_are_skipped_and_counted(self, tmp_path, capsys, jobs):
+    def test_bad_lines_are_skipped_and_counted(self, tmp_path, capsys):
         chunks, mixed = self._chunks(tmp_path, capsys)
         clean_out = tmp_path / "clean.jsonl"
         mixed_out = tmp_path / "mixed-out.jsonl"
         assert run_cli(capsys, "mask", str(chunks), str(clean_out))[0] == 0
-        code, out = run_cli(capsys, "--jobs", jobs, "mask", str(mixed), str(mixed_out))
+        code, out = run_cli(capsys, "mask", str(mixed), str(mixed_out))
         assert code == 0
         tallies = last_json(out)
         assert tallies["skipped"] == len(self._BAD_LINES)
@@ -1209,8 +1280,7 @@ class TestStageCommandsShareTheRunPass:
         assert code == 2
         assert "duplicate document id 'a' at line 2" in caplog.text
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failed_mask_publishes_nothing(self, tmp_path, capsys, caplog, jobs):
+    def test_failed_mask_publishes_nothing(self, tmp_path, capsys, caplog):
         chunks = TestMask()._chunks_file(tmp_path, capsys)
         lines = chunks.read_text("utf-8").splitlines()
         assert len(lines) >= 3
@@ -1219,7 +1289,7 @@ class TestStageCommandsShareTheRunPass:
         lines[2] = json.dumps(record, ensure_ascii=False)
         chunks.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out_path = tmp_path / "examples.jsonl"
-        code, _ = run_cli(capsys, "--jobs", jobs, "mask", str(chunks), str(out_path))
+        code, _ = run_cli(capsys, "mask", str(chunks), str(out_path))
         assert code == 2
         assert "stage 'mask' failed: chunk d" in caplog.text
         assert not out_path.exists()
@@ -1250,25 +1320,3 @@ class TestStageCommandsShareTheRunPass:
         assert link.is_symlink()
         assert json.loads(target.read_text("utf-8"))["text"] == "Hola mundo."
         assert list(tmp_path.glob(".*.tmp")) == []
-
-    def test_stage_commands_match_across_jobs(self, corpus_path, tmp_path):
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs-{jobs}"
-            out.mkdir()
-            gated, cleaned = out / "gated.jsonl", out / "clean.jsonl"
-            chunks, examples = out / "chunks.jsonl", out / "examples.jsonl"
-            commands = [
-                ["filter-lang", corpus_path, gated],
-                ["clean", corpus_path, cleaned],
-                ["chunk", cleaned, chunks, "--max-tokens", "48"],
-                ["mask", chunks, examples],
-            ]
-            for argv in commands:
-                assert main(["--jobs", jobs, *map(str, argv)]) == 0
-
-        def files(root):
-            return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
-
-        serial = files(tmp_path / "jobs-1")
-        assert "gated.jsonl.rejected.jsonl" in serial
-        assert files(tmp_path / "jobs-2") == serial

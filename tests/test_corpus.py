@@ -258,18 +258,6 @@ def test_stats_region_sum_matches_count(pairs):
     assert stats.total_bytes == sum(len(t.encode("utf-8")) for _, t in pairs)
 
 
-def test_stats_merge_is_associative_and_commutative():
-    a = compute_stats([make_doc("1", "ab", region="A")])
-    b = compute_stats([make_doc("2", "cde", region="B")])
-    c = compute_stats([make_doc("3", "f", region="A")])
-    assert a.merge(b).to_record() == b.merge(a).to_record()
-    assert a.merge(b).merge(c).to_record() == a.merge(b.merge(c)).to_record()
-    assert a.merge(b).merge(c).to_record() == compute_stats(
-        [make_doc("1", "ab", region="A"), make_doc("2", "cde", region="B"),
-         make_doc("3", "f", region="A")]
-    ).to_record()
-
-
 def test_split_validation_zero():
     docs = [make_doc(str(i), "x") for i in range(5)]
     train, validation = split_validation(docs, 0, seed=1)

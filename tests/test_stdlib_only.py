@@ -1,4 +1,4 @@
-"""The runtime stays pure stdlib.
+"""The runtime stays pure stdlib, and every command runs in one process.
 
 `orjson` and `numpy` may be installed where the tests run, so an accidental
 import of either would pass every other test; this one reads the imports.
@@ -41,6 +41,17 @@ def test_every_import_is_stdlib_or_lexprep():
         and name != "lexprep"
     }
     assert outside == set()
+
+
+def test_no_module_starts_or_feeds_a_worker_process():
+    """Every command is one in-process pass; no module imports a pool."""
+    pooling = {"concurrent", "multiprocessing", "pickle"}
+    found = {
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _imported_modules(path) & pooling
+    }
+    assert found == set()
 
 
 def test_pyproject_declares_no_dependencies():
