@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import stat
 import sys
 from pathlib import Path
 
+from . import corpus
 from .cleaning import CleanPolicy
 from .corpus import (
     compute_stats,
     document_to_line,
+    logger,
     published,
     read_documents,
     read_lines,
@@ -32,8 +33,6 @@ from .langid import build_profiles_from_dir, save_profiles
 from .masking import MaskingConfig
 from .pipeline import PipelineManifest, run_pipeline, run_stages
 from .tokenizers import VocabTokenizer
-
-LOG = logging.getLogger("lexprep")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,6 +226,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _global_options() -> _Parser:
+    """The options given before the command."""
+    options = _Parser(prog="lexprep", add_help=False)
+    options.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    options.add_argument(
+        "--strict",
+        action="store_true",
+        help="abort on the first malformed record instead of skipping it",
+    )
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lexprep",
@@ -235,12 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
             "language gating, cleaning, chunking, whole-word masking, "
             "schedule math, and benchmark scoring."
         ),
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="abort on the first malformed record instead of skipping it",
+        parents=[_global_options()],
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -328,15 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr
-    )
+    corpus.log_format = "%(levelname)s %(message)s"
     parser = build_parser()
+    # argparse would take the value of an unknown flag before the command for
+    # the command ("--jobs 2 run" reads as command "2"): name the flag instead.
+    head = _global_options()
+    head.add_argument("-h", "--help", action="store_true")
+    head.add_argument("command", nargs=argparse.REMAINDER)
+    head.error = parser.error
+    if unknown := head.parse_known_args(argv)[1]:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (LexprepError, OSError, ValueError, KeyError) as exc:
-        LOG.error("%s", exc)
+        logger().error("%s", exc)
         return 2
 
 

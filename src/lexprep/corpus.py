@@ -8,24 +8,28 @@ materializes the corpus; all yielded documents are immutable values.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import random
 import re
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
-from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
 from .errors import DuplicateId, InsufficientDocuments, MalformedRecord
 from .tokenizers import encoder
 
+if TYPE_CHECKING:
+    import logging
+    from datetime import date
+
 _T = TypeVar("_T")
 
-LOG = logging.getLogger("lexprep")
+# The stderr format `cli.main` asks for; `logger` applies it with `basicConfig`,
+# which does nothing once the root logger has a handler (as under pytest).
+log_format: str | None = None
 
 # The one form `date.fromisoformat` reads on Python 3.10; 3.11 reads "20240101" too.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -128,6 +132,7 @@ class RawDocument:
         if raw_date is not None and raw_date != "":
             if not isinstance(raw_date, str) or not _ISO_DATE.fullmatch(raw_date):
                 raise ValueError("field 'published_date' must be a YYYY-MM-DD string")
+            from datetime import date
             try:
                 published = date.fromisoformat(raw_date)
             except ValueError as exc:
@@ -211,10 +216,19 @@ def read_records(
         yield item
 
 
+def logger() -> logging.Logger:
+    """The "lexprep" logger; `logging` is first imported here, at a message."""
+    import logging
+
+    if log_format:
+        logging.basicConfig(level=logging.INFO, format=log_format)
+    return logging.getLogger("lexprep")
+
+
 def warn_skipped(errors: Iterable[MalformedRecord]) -> None:
     """Log `skipped line N: reason` for each line a lenient read skipped."""
     for err in errors:
-        LOG.warning("skipped line %d: %s", err.line_number, err.reason)
+        logger().warning("skipped line %d: %s", err.line_number, err.reason)
 
 
 def ingest_stream(

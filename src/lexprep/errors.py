@@ -4,12 +4,14 @@ Every error raised by lexprep derives from LexprepError so the CLI can
 map any data problem to a single exit code.
 """
 
+import reprlib
+
 
 def check_type(name: str, value: object, *kinds: type) -> None:
     """Raise TypeError unless `value` is one of `kinds`; a bool counts only as bool."""
     if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
-        raise TypeError(f"{name} must be {names}, got {value!r}")
+        raise TypeError(f"{name} must be {names}, got {reprlib.repr(value)}")
 
 
 class LexprepError(Exception):

@@ -60,7 +60,6 @@ from collections import Counter, _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from itertools import compress, islice
 from operator import and_, itemgetter
 from pathlib import Path
@@ -487,6 +486,5 @@ def builtin_profiles() -> tuple[LanguageProfile, ...]:
     texts. After changing a seed text or the n-gram code, rebuild it with
     `lexprep build-profiles src/lexprep/data/seed src/lexprep/data/profiles.jsonl`.
     """
-    entry = resources.files("lexprep").joinpath("data/profiles.jsonl")
-    with resources.as_file(entry) as path:
-        return tuple(load_profiles(path))
+    # The package ships as files (pyproject `package-data`), never zipped.
+    return tuple(load_profiles(Path(__file__).with_name("data") / "profiles.jsonl"))

@@ -61,10 +61,13 @@ class TestUsageErrors:
             ["mask", "--jobs", "2", "a", "b"],
         ],
     )
-    def test_exit_code_one(self, argv):
+    def test_exit_code_one(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 1
+        # The flag is named, not its value taken for the command.
+        if "--jobs" in argv:
+            assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestDataErrors:

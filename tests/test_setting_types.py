@@ -92,6 +92,26 @@ def test_ill_typed_manifest_exits_2_from_a_fresh_process(manifest_dir):
     assert b"Traceback" not in result.stderr
 
 
+def _nested(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "value", [_nested(900), "x" * 1_000_000], ids=["900-deep list", "1 MB string"]
+)
+def test_a_long_setting_is_shortened_in_its_message(manifest_dir, value):
+    path = manifest_dir / "run.json"
+    path.write_text(json.dumps({**_BASE, "seed": value}), encoding="utf-8")
+    result = run_lexprep("run", path)
+    assert result.returncode == 2
+    line = result.stderr.decode()
+    assert line.startswith("ERROR bad manifest: seed must be int, got ")
+    assert line.count("\n") == 1 and len(line) < 120
+
+
 def test_a_manifest_must_be_an_object():
     with pytest.raises(ManifestError, match="a manifest must be dict"):
         PipelineManifest.from_record([_BASE])
