@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    corpus.log_format = "%(levelname)s %(message)s"
+    corpus.log_to_stderr = True
     parser = build_parser()
     # argparse would take the value of an unknown flag before the command for
     # the command ("--jobs 2 run" reads as command "2"): name the flag instead.

@@ -14,7 +14,9 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
+from datetime import date
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
 
@@ -23,13 +25,11 @@ from .tokenizers import encoder
 
 if TYPE_CHECKING:
     import logging
-    from datetime import date
 
 _T = TypeVar("_T")
 
-# The stderr format `cli.main` asks for; `logger` applies it with `basicConfig`,
-# which does nothing once the root logger has a handler (as under pytest).
-log_format: str | None = None
+# Set by `cli.main`: the first message then sets up `LEVEL message` lines on stderr.
+log_to_stderr = False
 
 # The one form `date.fromisoformat` reads on Python 3.10; 3.11 reads "20240101" too.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -132,7 +132,6 @@ class RawDocument:
         if raw_date is not None and raw_date != "":
             if not isinstance(raw_date, str) or not _ISO_DATE.fullmatch(raw_date):
                 raise ValueError("field 'published_date' must be a YYYY-MM-DD string")
-            from datetime import date
             try:
                 published = date.fromisoformat(raw_date)
             except ValueError as exc:
@@ -216,12 +215,13 @@ def read_records(
         yield item
 
 
+@cache
 def logger() -> logging.Logger:
-    """The "lexprep" logger; `logging` is first imported here, at a message."""
+    """The "lexprep" logger; `logging` is imported and set up here, at the first message."""
     import logging
 
-    if log_format:
-        logging.basicConfig(level=logging.INFO, format=log_format)
+    if log_to_stderr:  # a no-op once the root logger has a handler, as under pytest
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     return logging.getLogger("lexprep")
 
 
