@@ -14,8 +14,10 @@ from .errors import check_type
 
 # Horizontal whitespace: any whitespace except the newline. Covers tabs and
 # non-breaking spaces, both common PDF-extraction artifacts. A lone space,
-# the usual case, already is what a run becomes, so it is not matched.
-_HSPACE_RUN = re.compile(r"[^\S\n]{2,}|[^\S\n ]")
+# the usual case, already is what a run becomes, so it is not matched: the
+# pattern is a run of two or more, or one character that is no space. It
+# starts with a set, so `re` scans for the set before it tries a match.
+_HSPACE_RUN = re.compile(r"[^\S\n](?:[^\S\n]+|(?<! ))")
 # A run of two or more newlines, possibly separated by horizontal whitespace.
 _NEWLINE_RUN = re.compile(r"\n(?:[^\S\n]*\n)+")
 # Unicode category Cc (U+0000-U+001F and U+007F-U+009F) without \t and \n.

@@ -348,12 +348,6 @@ class CorpusStats:
         if token_count is not None:
             self.total_tokens = (self.total_tokens or 0) + token_count
 
-    def tally(self, docs: Iterable[RawDocument]) -> Iterator[RawDocument]:
-        """Yield `docs` unchanged, adding each to these totals as it passes."""
-        for doc in docs:
-            self.add(doc)
-            yield doc
-
     def to_record(self) -> dict:
         return {
             "document_count": self.document_count,

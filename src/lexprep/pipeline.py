@@ -4,12 +4,12 @@ A manifest file names the input, the output directory, and an ordered
 subset of stages (filter-lang, clean, chunk, mask) with their settings,
 so a full preparation run is a single auditable artifact. A run is one
 streaming pass in one process, which reads the input once (it may be a
-pipe): each document goes through the stages in order, in memory, and
-every stage writes its output and rejection lines (one numbered file
-each) as it produces them. The chunk stage cuts a document's chunks one at a time,
-each written and masked before the next is cut, so a run holds one chunk
-of a document, not all of them. All of a run's files are written as one
-`corpus.published` group, so a run that fails publishes no stage file.
+pipe) and pushes each record into the first stage. A stage writes each
+output to its numbered file and pushes it into the next stage before it
+draws another, or writes a rejection line when it passes nothing on. The
+chunk stage cuts a document's chunks one at a time, so a run holds one
+chunk of a document, not all of them. All of a run's files are written as
+one `corpus.published` group, so a run that fails publishes no stage file.
 Re-running a manifest over the same input writes byte-identical files.
 Each stage subcommand of the CLI is the same pass over one stage, with
 the paths it is given (`run_stages`).
@@ -18,9 +18,9 @@ the paths it is given (`run_stages`).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+import reprlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -74,11 +74,11 @@ def validate_stages(stages: tuple[str, ...]) -> None:
     """
     for at, name in enumerate(stages):
         if name not in STAGE_NAMES:
-            raise ManifestError(
-                f"unknown stage {name!r}; expected a subset of {STAGE_NAMES}"
-            )
+            known = f"expected a subset of {STAGE_NAMES}"
+            raise ManifestError(f"unknown stage {reprlib.repr(name)}; {known}")
         if name in stages[:at]:
-            raise ManifestError(f"stage {name!r} is listed twice in {stages}")
+            listed = reprlib.repr(stages)
+            raise ManifestError(f"stage {name!r} is listed twice in {listed}")
         if name in _DOC_STAGES and "chunk" in stages[:at]:
             raise ManifestError(f"document stage {name!r} comes after 'chunk'")
         if name == "mask" and stages[at - 1 : at] != ("chunk",):
@@ -145,7 +145,8 @@ class PipelineManifest:
         try:
             check_type("a manifest", record, dict)
             if unknown := set(record) - {*_REQUIRED, "seed", *STAGE_NAMES}:
-                raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
+                shown = reprlib.repr(sorted(unknown))
+                raise ManifestError(f"unknown manifest keys: {shown}")
             # The top-level settings: the required ones, and the seed if given.
             given = {key: record[key] for key in {*_REQUIRED, *record} - {*STAGE_NAMES}}
             check_type("stages", given["stages"], list)
@@ -155,7 +156,8 @@ class PipelineManifest:
                 check_type(f"the {name} settings", settings, dict)
                 for key in settings:
                     if key not in _SECTION_KEYS[name]:
-                        raise ManifestError(f"unknown {name} setting {key!r}")
+                        shown = reprlib.repr(key)
+                        raise ManifestError(f"unknown {name} setting {shown}")
             for name, fields_by_key in _SECTION_FIELDS.items():
                 for key, value in sections[name].items():
                     given[fields_by_key[key]] = value
@@ -206,9 +208,9 @@ def _masker(manifest: PipelineManifest) -> tuple[VocabTokenizer, MaskingConfig]:
     return _load_tokenizer(manifest), manifest.masking
 
 
-# A stage maps one record to the records it passes on and, when it drops
-# the record, the rejection record that says why. The records passed on
-# may be lazy: the chunk stage cuts each chunk as it is drawn.
+# A stage maps one record to the records it passes on, which may be lazy
+# (the chunk stage cuts each chunk as it is drawn), and the rejection record,
+# written iff none is passed on; None for a stage that drops no record.
 _StageResult = tuple[Iterable, dict | None]
 
 
@@ -238,15 +240,9 @@ def _chunk(
     # Split through the module, so that a `split_sentences` replaced there
     # (to trace it) is the one that runs.
     sentences = chunking.split_sentences(doc.text)
-    chunks = iter_chunks(sentences, tokenizer, manifest.max_tokens, doc.id)
-    # The first chunk is cut now, to tell a document with none; the rest
-    # are cut as the stage draws them.
-    first = next(chunks, None)
-    if first is not None:
-        return chain((first,), chunks), None
     record = doc.to_record()
     record["reject_reason"] = "no sentences to pack"
-    return [], record
+    return iter_chunks(sentences, tokenizer, manifest.max_tokens, doc.id), record
 
 
 def _mask(
@@ -324,9 +320,11 @@ def _to_line(record) -> str:
 class _StagePass:
     """One stage during a run: its runner, set-up, files and tallies.
 
-    Calling it runs the stage on one record. `paths` holds the output and
-    the rejection file (os.devnull to only count rejections); `run_stages`
-    opens them and sets `out_handle` and `rej_handle`.
+    `push` runs the stage on one record. `paths` holds the output and the
+    rejection file (os.devnull to only count rejections); `run_stages`
+    opens them and sets `out_handle` and `rej_handle`, links the pass to
+    the `next` one, and gives the last document pass the `stats` to add
+    its outputs to.
     """
 
     def __init__(self, manifest: PipelineManifest, name: str, paths=()):
@@ -340,58 +338,51 @@ class _StagePass:
         except Exception as exc:
             raise StageFailure(name, exc) from exc
         self.paths = paths
+        self.next: _StagePass | None = None
+        self.stats: CorpusStats | None = None
         self.tallies = {"in": 0, "out": 0, "rejected": 0}
         self.extra = _OUTPUT_TALLIES.get(name)
         if self.extra is not None:
             self.tallies[self.extra[0]] = 0
 
-    def __call__(self, record) -> _StageResult:
+    def push(self, record) -> None:
+        """Run the stage on one record; write, count and pass on each output.
+
+        Each output is drawn, written and pushed through every later pass
+        before the next one is drawn, so a stage whose outputs are lazy
+        holds one at a time. A failure to run the stage or to draw an
+        output names this stage; a later stage's failure passes through.
+        """
         try:
-            return self.runner(self.manifest, self.setup, record)
+            outputs, rejection = self.runner(self.manifest, self.setup, record)
+            outputs = iter(outputs)
         except Exception as exc:
             raise StageFailure(self.name, exc) from exc
-
-    def drawn(self, outputs: Iterable) -> Iterator:
-        """`outputs`, one at a time; a failure to draw one names the stage."""
-        outputs = iter(outputs)
-        while True:
-            try:
-                output = next(outputs)
-            except StopIteration:
-                return
-            except Exception as exc:
-                raise StageFailure(self.name, exc) from exc
-            yield output
-
-    def write(self, result: _StageResult):
-        """Write and count one record's result, yielding each output as written.
-
-        An output is drawn, written and passed on before the next one is
-        drawn, so a stage whose outputs are lazy holds one at a time.
-        """
-        outputs, rejection = result
-        tallies = self.tallies
+        tallies, stats, after = self.tallies, self.stats, self.next
         tallies["in"] += 1
         key, amount = self.extra or (None, None)
-        write = self.out_handle.write
-        for output in self.drawn(outputs):
+        write, passed = self.out_handle.write, 0
+        while True:
+            try:
+                output = next(outputs, None)  # no stage passes on None
+            except Exception as exc:
+                raise StageFailure(self.name, exc) from exc
+            if output is None:
+                break
             # Two writes: joining the newline on would copy the line.
             write(_to_line(output))
             write("\n")
-            tallies["out"] += 1
+            passed += 1
             if key is not None:
                 tallies[key] += amount(output)
-            yield output
-        if rejection is not None:
+            if stats is not None:
+                stats.add(output)
+            if after is not None:
+                after.push(output)
+        tallies["out"] += passed
+        if not passed and rejection is not None:
             self.rej_handle.write(json.dumps(rejection, ensure_ascii=False) + "\n")
             tallies["rejected"] += 1
-
-    def feed(self, results):
-        """Write each result as it is drawn; yield its outputs one by one."""
-        # `chain` drops each finished `write`, and `write` draws an output
-        # only once the one before it has gone through every later stage:
-        # one output of this stage is held at a time.
-        yield from chain.from_iterable(map(self.write, results))
 
 
 def run_stages(
@@ -399,7 +390,7 @@ def run_stages(
     plan: list[tuple[str, tuple[Path, ...]]],
     strict: bool = False,
 ) -> tuple[list[dict], CorpusStats, CorpusStats]:
-    """The single pass: every input record through every stage, then publish.
+    """The single pass: every input record pushed through every stage, then publish.
 
     `plan` lists each stage with its paths (see `_StagePass`); the manifest
     gives the input and the settings. Returns the stage reports and the stats
@@ -407,26 +398,26 @@ def run_stages(
     """
     stages = [_StagePass(manifest, name, paths) for name, paths in plan]
     # Stats after the last document stage, or of the documents read if none.
-    last_doc = next((s for s in reversed(stages) if s.name in _DOC_STAGES), None)
-    stats_before = CorpusStats()
-    stats_after = CorpusStats() if last_doc else stats_before
+    stats_before = stats_after = CorpusStats()
+    for stage in reversed(stages):
+        if stage.name in _DOC_STAGES:
+            stage.stats = stats_after = CorpusStats()
+            break
     malformed: list[MalformedRecord] = []
     paths = [path for stage in stages for path in stage.paths]
     with published(*paths) as handles:
         handles = iter(handles)
-        for stage in stages:
+        for stage, after in zip(stages, [*stages[1:], None]):
             stage.out_handle, stage.rej_handle = next(handles), next(handles)
-        path = manifest.input_path
-        if stages[0].name == "mask":
-            outputs = read_records(path, validate_chunk_record, strict, malformed)
+            stage.next = after
+        path, first = manifest.input_path, stages[0]
+        if first.name == "mask":
+            for record in read_records(path, validate_chunk_record, strict, malformed):
+                first.push(record)
         else:
-            outputs = stats_before.tally(read_documents(path, strict, malformed))
-        for stage in stages:
-            outputs = stage.feed(map(stage, outputs))
-            if stage is last_doc:
-                outputs = stats_after.tally(outputs)
-        for _ in outputs:
-            pass
+            for doc in read_documents(path, strict, malformed):
+                stats_before.add(doc)
+                first.push(doc)
     warn_skipped(malformed)
     reports = [
         {"name": stage.name, "output": stage.paths[0].name, **stage.tallies}

@@ -180,8 +180,11 @@ class VocabTokenizer:
     so it stays small however long or short the words are and a corpus
     whose vocabulary outgrows it does not thrash. A word that no longer
     fits is segmented each time. Only the last longer word is kept,
-    beside the table, so a glued run is segmented once while it is packed
-    and cut.
+    beside the table: a glued run is segmented whole once, as it is
+    counted, and the cut between its tokens reuses those ids. Each piece
+    cut from it is segmented again as it is tokenized to check its fit,
+    and replaces the run as the word kept, so the run's letters are
+    segmented twice in all.
     `iter_words` yields the same ids word by word, with each word's span;
     `iter_tokens` expands its words into full tokens, one at a time, and
     `tokenize` lists them.
@@ -277,19 +280,20 @@ class VocabTokenizer:
         n = len(word)
         if n > LONG_WORD and word == self._long_word[0]:
             return self._long_word[1]
-        piece_ids = self._piece_ids
+        piece_ids, longest = self._piece_ids, self._max_piece_len
         ids: list[int] = []
-        i = 0
-        while i < n:
-            for take in range(min(self._max_piece_len, n - i), 0, -1):
-                piece_id = piece_ids.get(word[i : i + take])
-                if piece_id is not None:
-                    ids.append(piece_id)
-                    i += take
-                    break
-            else:
-                ids.append(UNK)
-                i += 1
+        # word[i:end] is the slice tried: the longest first, then one
+        # character shorter while no piece matches; one character is UNK.
+        i, end = 0, min(longest, n)
+        while i < end:
+            piece_id = piece_ids.get(word[i:end])
+            if piece_id is None:
+                if end - i > 1:
+                    end -= 1
+                    continue
+                piece_id = UNK
+            ids.append(piece_id)
+            i, end = end, min(end + longest, n)
         result = tuple(ids)
         if n > LONG_WORD:
             self._long_word = (word, result)

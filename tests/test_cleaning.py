@@ -114,4 +114,9 @@ _WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
 )
 def test_space_collapse_matches_the_pattern_that_also_matched_a_lone_space(text):
     every_run = re.compile(r"[^\S\n]+")
+    # The same matches, written as alternatives: a run, or one non-space.
+    alternatives = re.compile(r"[^\S\n]{2,}|[^\S\n ]")
     assert _HSPACE_RUN.sub(" ", text) == every_run.sub(" ", text)
+    assert [m.span() for m in _HSPACE_RUN.finditer(text)] == [
+        m.span() for m in alternatives.finditer(text)
+    ]

@@ -6,6 +6,7 @@ import logging
 import os
 import random
 import re
+import reprlib
 import sys
 import tracemalloc
 from importlib import resources
@@ -33,6 +34,10 @@ from lexprep.tokenizers import VocabTokenizer
 
 from .conftest import doc_record, run_lexprep, write_jsonl
 from .lang_snippets import CA_SNIPPETS, ES_SNIPPETS
+
+
+# A name that a message shows only in part.
+_LONG = "x" * 100_000
 
 
 def bilingual_input(path):
@@ -93,11 +98,17 @@ class TestValidateStages:
             (("mask",), "'mask' needs 'chunk' right before it"),
             (("mask", "chunk"), "'mask' needs 'chunk' right before it"),
             (("clean", "mask", "chunk"), "'mask' needs 'chunk' right before it"),
+            # A long name is shortened in the message.
+            pytest.param((_LONG,), "unknown stage 'xxx", id="long unknown"),
+            pytest.param(
+                ("clean", "clean", _LONG), "'clean' is listed twice", id="long twice"
+            ),
         ],
     )
     def test_message_names_the_broken_rule(self, stages, rule):
-        with pytest.raises(ManifestError, match=rule):
+        with pytest.raises(ManifestError, match=rule) as excinfo:
             validate_stages(stages)
+        assert len(str(excinfo.value)) < 200
 
     def test_stage_names_are_fixed(self):
         assert STAGE_NAMES == ("filter-lang", "clean", "chunk", "mask")
@@ -114,6 +125,9 @@ class TestManifest:
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ManifestError, match="unknown manifest keys"):
             manifest_for(tmp_path, ["clean"], shuffle=True)
+        with pytest.raises(ManifestError, match="unknown manifest keys") as excinfo:
+            manifest_for(tmp_path, ["clean"], **{_LONG: True})
+        assert len(str(excinfo.value)) < 200
 
     def test_unknown_stage_setting(self, tmp_path):
         with pytest.raises(ManifestError):
@@ -134,13 +148,16 @@ class TestManifest:
             ("mask", "rate"),
             # The top level gives the seed; masking takes it from there.
             ("mask", "seed"),
+            # A long key is shortened, as `reprlib.repr` shows it.
+            pytest.param("clean", _LONG, id="clean-long"),
         ],
     )
     def test_unknown_stage_setting_named_in_manifest_words(
         self, tmp_path, caplog, section, key
     ):
-        message = f"unknown {section} setting {key!r}"
-        with pytest.raises(ManifestError, match=f"^{message}$"):
+        message = f"unknown {section} setting {reprlib.repr(key)}"
+        assert len(message) < 200
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             manifest_for(tmp_path, ["clean", "chunk", "mask"], **{section: {key: 1}})
         path = tmp_path / "run.json"
         record = {
