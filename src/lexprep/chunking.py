@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Generator, Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from typing import TypeVar
 
 from .corpus import RawDocument, check_utf8
 from .errors import TokenizerFailure
 from .tokenizers import Token, TokenizerInterface, encoder, group_words
+from .values import FrozenValue
 
 _K = TypeVar("_K")
 # A piece's text and its ids, one tuple per word.
@@ -103,8 +103,7 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(FrozenValue):
     """A packed training unit of at most max_tokens tokens.
 
     token_ids are always the ids the chunk was cut or decoded with, so
@@ -114,22 +113,27 @@ class Chunk:
     (doc_id, seq). The ids are not part of the chunk's equality or record.
     """
 
-    doc_id: str
-    seq: int
-    text: str
-    word_boundaries: tuple[tuple[int, int], ...]
-    token_ids: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("doc_id", "seq", "text", "word_boundaries", "token_ids")
+    _compared = __slots__[:4]
 
-    def __post_init__(self):
-        if not self.token_ids:
+    def __init__(
+        self,
+        doc_id: str,
+        seq: int,
+        text: str,
+        word_boundaries: tuple[tuple[int, int], ...],
+        token_ids: tuple[int, ...],
+    ):
+        if not token_ids:
             raise ValueError("a chunk must contain at least one token")
         expected = 0
-        for start, end in self.word_boundaries:
+        for start, end in word_boundaries:
             if start != expected or end <= start:
                 raise ValueError("word_boundaries must partition the token range")
             expected = end
-        if expected != len(self.token_ids):
+        if expected != len(token_ids):
             raise ValueError("word_boundaries must cover exactly token_count tokens")
+        self._set_fields(doc_id, seq, text, word_boundaries, token_ids)
 
     @property
     def token_count(self) -> int:

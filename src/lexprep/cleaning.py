@@ -8,9 +8,9 @@ characters, and trims the ends. Cleaning is total and idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 
 from .errors import check_type
+from .values import FrozenValue
 
 # Horizontal whitespace: any whitespace except the newline. Covers tabs and
 # non-breaking spaces, both common PDF-extraction artifacts. A lone space,
@@ -24,18 +24,21 @@ _NEWLINE_RUN = re.compile(r"\n(?:[^\S\n]*\n)+")
 _CONTROL = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]")
 
 
-@dataclass(frozen=True)
-class CleanPolicy:
+class CleanPolicy(FrozenValue):
     """Independent switches for the four cleaning rules; all on by default."""
 
-    collapse_spaces: bool = True
-    collapse_newlines: bool = True
-    strip_control: bool = True
-    trim_ends: bool = True
+    __slots__ = ("collapse_spaces", "collapse_newlines", "strip_control", "trim_ends")
 
-    def __post_init__(self):
-        for switch in fields(self):
-            check_type(switch.name, getattr(self, switch.name), bool)
+    def __init__(
+        self,
+        collapse_spaces: bool = True,
+        collapse_newlines: bool = True,
+        strip_control: bool = True,
+        trim_ends: bool = True,
+    ):
+        self._set_fields(collapse_spaces, collapse_newlines, strip_control, trim_ends)
+        for name in self.__slots__:
+            check_type(name, getattr(self, name), bool)
 
 
 def _strip_control(text: str) -> str:

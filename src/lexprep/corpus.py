@@ -13,7 +13,6 @@ import random
 import re
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import cache
@@ -22,6 +21,7 @@ from typing import TYPE_CHECKING, TypeVar
 
 from .errors import DuplicateId, InsufficientDocuments, MalformedRecord
 from .tokenizers import encoder
+from .values import FrozenValue, Value
 
 if TYPE_CHECKING:
     import logging
@@ -54,8 +54,7 @@ class DocKind(Enum):
             return cls.OTHER
 
 
-@dataclass(frozen=True)
-class RawDocument:
+class RawDocument(FrozenValue):
     """One source legal text with provenance metadata.
 
     Attributes:
@@ -69,17 +68,23 @@ class RawDocument:
             rejected by downstream stages, not here.
     """
 
-    id: str
-    source: str = ""
-    region: str = ""
-    doc_kind: DocKind = DocKind.OTHER
-    language_hint: str | None = None
-    published_date: date | None = None
-    text: str = ""
+    __slots__ = (
+        "id", "source", "region", "doc_kind", "language_hint", "published_date", "text"
+    )
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        source: str = "",
+        region: str = "",
+        doc_kind: DocKind = DocKind.OTHER,
+        language_hint: str | None = None,
+        published_date: date | None = None,
+        text: str = "",
+    ):
+        if not id:
             raise ValueError("document id must be non-empty")
+        self._set_fields(id, source, region, doc_kind, language_hint, published_date, text)
 
     @property
     def byte_length(self) -> int:
@@ -87,7 +92,8 @@ class RawDocument:
 
     def replace_text(self, text: str) -> "RawDocument":
         """Return a copy with a new body (documents are immutable)."""
-        return replace(self, text=text)
+        kept = [getattr(self, name) for name in self.__slots__[:-1]]  # all but text
+        return RawDocument(*kept, text)
 
     def to_record(self) -> dict:
         return {
@@ -327,18 +333,26 @@ def write_documents(path, docs: Iterable[RawDocument]) -> int:
     return count
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(Value):
     """Streaming corpus totals.
 
     Invariants: document_count equals the sum of per_region_counts, and
     total_bytes is the sum of UTF-8 byte lengths of all texts.
     """
 
-    document_count: int = 0
-    total_bytes: int = 0
-    total_tokens: int | None = None
-    per_region_counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("document_count", "total_bytes", "total_tokens", "per_region_counts")
+
+    def __init__(
+        self,
+        document_count: int = 0,
+        total_bytes: int = 0,
+        total_tokens: int | None = None,
+        per_region_counts: dict[str, int] | None = None,
+    ):
+        self.document_count = document_count
+        self.total_bytes = total_bytes
+        self.total_tokens = total_tokens
+        self.per_region_counts = {} if per_region_counts is None else per_region_counts
 
     def add(self, doc: RawDocument, token_count: int | None = None) -> None:
         self.document_count += 1
@@ -383,7 +397,7 @@ def validation_indices(docs: Iterable[RawDocument], n: int, seed: int) -> set[in
         InsufficientDocuments: if n exceeds the number of documents.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"the validation count must be non-negative, got {n}")
     rng = random.Random(seed)
     reservoir: list[int] = []
     count = 0

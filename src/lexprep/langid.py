@@ -58,8 +58,7 @@ import json
 import re
 from collections import Counter, _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, islice
 from operator import and_, itemgetter
 from pathlib import Path
@@ -67,6 +66,7 @@ from pathlib import Path
 from .corpus import RawDocument, published, read_records
 from .errors import EmptyText, MalformedRecord, NoProfiles, check_type
 from .tokenizers import LONG_WORD
+from .values import FrozenValue
 
 NGRAM_MIN = 1
 NGRAM_MAX = 5
@@ -284,22 +284,19 @@ def rank_ngrams(counts: Mapping[str, int], size: int = PROFILE_SIZE) -> tuple[st
     return tuple([gram for gram, _ in items[:size]])
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(FrozenValue):
     """Ranked n-gram signature of one language (at most PROFILE_SIZE grams)."""
 
-    language: str
-    ngram_ranks: tuple[str, ...]
+    __slots__ = ("language", "ngram_ranks", "ranks")
+    _compared = __slots__[:2]  # `ranks`, each gram's rank, is derived from them
 
-    def __post_init__(self):
-        if len(self.ngram_ranks) > PROFILE_SIZE:
+    def __init__(self, language: str, ngram_ranks: tuple[str, ...]):
+        if len(ngram_ranks) > PROFILE_SIZE:
             raise ValueError(f"a profile holds at most {PROFILE_SIZE} grams")
-        if len(set(self.ngram_ranks)) != len(self.ngram_ranks):
+        ranks = {gram: i for i, gram in enumerate(ngram_ranks)}
+        if len(ranks) != len(ngram_ranks):
             raise ValueError("profile grams must be unique")
-
-    @cached_property
-    def ranks(self) -> dict[str, int]:
-        return {gram: i for i, gram in enumerate(self.ngram_ranks)}
+        self._set_fields(language, ngram_ranks, ranks)
 
     @classmethod
     def from_record(cls, record: object) -> "LanguageProfile":
@@ -328,12 +325,13 @@ def out_of_place_distance(doc_grams: tuple[str, ...], profile: LanguageProfile) 
     return total
 
 
-@dataclass(frozen=True)
-class LanguageVerdict:
+class LanguageVerdict(FrozenValue):
     """Winning language and gate confidence for one text."""
 
-    language: str
-    confidence: float
+    __slots__ = ("language", "confidence")
+
+    def __init__(self, language: str, confidence: float):
+        self._set_fields(language, confidence)
 
 
 REJECTED_VERDICT = LanguageVerdict(language=REJECTED_LANGUAGE, confidence=0.0)

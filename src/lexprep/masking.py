@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 try:
     from _sha256 import sha256  # CPython 3.10 and 3.11
@@ -29,6 +28,7 @@ except ImportError:
 from .chunking import Chunk
 from .errors import VocabularyTooSmall, check_type
 from .tokenizers import TokenizerInterface
+from .values import FrozenValue
 
 IGNORE_LABEL = -100
 
@@ -40,17 +40,20 @@ DEFAULT_KEEP_PROB = 0.10
 _PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MaskingConfig:
+class MaskingConfig(FrozenValue):
     """Masking rates and the seed that makes a run reproducible."""
 
-    mask_rate: float = DEFAULT_MASK_RATE
-    mask_prob: float = DEFAULT_MASK_PROB
-    random_prob: float = DEFAULT_RANDOM_PROB
-    keep_prob: float = DEFAULT_KEEP_PROB
-    seed: int = 0
+    __slots__ = ("mask_rate", "mask_prob", "random_prob", "keep_prob", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        mask_rate: float = DEFAULT_MASK_RATE,
+        mask_prob: float = DEFAULT_MASK_PROB,
+        random_prob: float = DEFAULT_RANDOM_PROB,
+        keep_prob: float = DEFAULT_KEEP_PROB,
+        seed: int = 0,
+    ):
+        self._set_fields(mask_rate, mask_prob, random_prob, keep_prob, seed)
         for name in ("mask_rate", "mask_prob", "random_prob", "keep_prob"):
             check_type(name, getattr(self, name), int, float)
         check_type("seed", self.seed, int)
@@ -65,19 +68,22 @@ class MaskingConfig:
             raise ValueError(f"treatment probabilities sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
-class MlmExample:
+class MlmExample(FrozenValue):
     """One training example: corrupted ids plus recovery labels."""
 
-    doc_id: str
-    seq: int
-    input_ids: tuple[int, ...]
-    labels: tuple[int, ...]
-    selected_word_ranges: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = ("doc_id", "seq", "input_ids", "labels", "selected_word_ranges")
 
-    def __post_init__(self):
-        if len(self.input_ids) != len(self.labels):
+    def __init__(
+        self,
+        doc_id: str,
+        seq: int,
+        input_ids: tuple[int, ...],
+        labels: tuple[int, ...],
+        selected_word_ranges: tuple[tuple[int, int], ...] = (),
+    ):
+        if len(input_ids) != len(labels):
             raise ValueError("input_ids and labels must have equal length")
+        self._set_fields(doc_id, seq, input_ids, labels, selected_word_ranges)
 
     def to_record(self) -> dict:
         return {

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .errors import (
@@ -19,15 +18,18 @@ from .errors import (
     InsufficientPoints,
     UnknownLabel,
 )
+from .values import FrozenValue
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(FrozenValue):
     """Gold and predicted label sets for one evaluation example."""
 
-    example_id: str
-    gold: frozenset[str]
-    predicted: frozenset[str]
+    __slots__ = ("example_id", "gold", "predicted")
+
+    def __init__(
+        self, example_id: str, gold: frozenset[str], predicted: frozenset[str]
+    ):
+        self._set_fields(example_id, gold, predicted)
 
     @classmethod
     def from_record(cls, record: object) -> "PredictionRecord":
@@ -104,20 +106,18 @@ def f1_scores(
     return total / len(labels) if labels else 0.0
 
 
-@dataclass(frozen=True)
-class LearningCurve:
+class LearningCurve(FrozenValue):
     """One model's F1 at strictly increasing (possibly fractional) epochs."""
 
-    model_name: str
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("model_name", "points")
 
-    def __post_init__(self):
-        if not self.model_name:
+    def __init__(self, model_name: str, points: tuple[tuple[float, float], ...]):
+        if not model_name:
             raise ValueError("a learning curve needs a model name")
-        if not self.points:
+        if not points:
             raise ValueError("a learning curve needs at least one point")
         last = None
-        for epoch, f1 in self.points:
+        for epoch, f1 in points:
             if not 0 <= epoch < math.inf:
                 raise ValueError(f"epochs must be finite and non-negative, got {epoch}")
             if last is not None and epoch <= last:
@@ -127,6 +127,7 @@ class LearningCurve:
             if not 0.0 <= f1 <= 1.0:
                 raise ValueError(f"f1 must be in [0, 1], got {f1} at epoch {epoch}")
             last = epoch
+        self._set_fields(model_name, points)
 
 
 def max_f1(curve: LearningCurve) -> float:
@@ -151,28 +152,34 @@ def curve_auc(curve: LearningCurve) -> float:
     return area
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(FrozenValue):
     """One model's summary metrics plus per-column best flags.
 
     from_epoch records where the AUC integration started, since areas
     are only comparable between curves sharing an origin.
     """
 
-    model_name: str
-    max_f1: float
-    auc: float
-    from_epoch: float
-    best_max_f1: bool = False
-    best_auc: bool = False
+    __slots__ = ("model_name", "max_f1", "auc", "from_epoch", "best_max_f1", "best_auc")
+
+    def __init__(
+        self,
+        model_name: str,
+        max_f1: float,
+        auc: float,
+        from_epoch: float,
+        best_max_f1: bool = False,
+        best_auc: bool = False,
+    ):
+        self._set_fields(model_name, max_f1, auc, from_epoch, best_max_f1, best_auc)
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
+class BenchmarkReport(FrozenValue):
     """Per-model rows for one dataset; ties share the best flag."""
 
-    dataset_name: str
-    rows: tuple[ReportRow, ...]
+    __slots__ = ("dataset_name", "rows")
+
+    def __init__(self, dataset_name: str, rows: tuple[ReportRow, ...]):
+        self._set_fields(dataset_name, rows)
 
 
 def build_report(curves: list[LearningCurve], dataset_name: str) -> BenchmarkReport:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import reprlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -58,6 +57,7 @@ from .langid import (
 )
 from .masking import IGNORE_LABEL, MaskingConfig, MlmExample, mask_chunk
 from .tokenizers import VocabTokenizer
+from .values import FrozenValue
 
 STAGE_NAMES = ("filter-lang", "clean", "chunk", "mask")
 _DOC_STAGES = ("filter-lang", "clean")
@@ -99,40 +99,51 @@ _SECTION_FIELDS = {
 # fields, less the seed, which a manifest gives once, at the top level.
 _SECTION_KEYS = {
     **_SECTION_FIELDS,
-    "clean": {f.name for f in fields(CleanPolicy)},
-    "mask": {f.name for f in fields(MaskingConfig)} - {"seed"},
+    "clean": set(CleanPolicy.__slots__),
+    "mask": set(MaskingConfig.__slots__) - {"seed"},
 }
 _PATH_FIELDS = {"input_path", "output_dir", "profiles_path", "tokenizer_path"}
 
 
-@dataclass(frozen=True)
-class PipelineManifest:
+class PipelineManifest(FrozenValue):
     """Everything that determines a run: input, stages, settings, seed."""
 
-    input_path: Path
-    output_dir: Path
-    stages: tuple[str, ...]
-    seed: int = 0
-    language: str = "es"
-    threshold: float = DEFAULT_THRESHOLD
-    profiles_path: Path | None = None
-    clean_policy: CleanPolicy = field(default=CleanPolicy())
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    tokenizer_path: Path | None = None
-    masking: MaskingConfig = field(default=MaskingConfig())
+    __slots__ = (
+        "input_path", "output_dir", "stages", "seed", "language", "threshold",
+        "profiles_path", "clean_policy", "max_tokens", "tokenizer_path", "masking",
+    )
 
-    def __post_init__(self):
-        validate_stages(self.stages)
-        for name, kind in (
-            ("seed", int),
-            ("max_tokens", int),
-            ("language", str),
-            ("clean_policy", CleanPolicy),
-            ("masking", MaskingConfig),
+    def __init__(
+        self,
+        input_path: Path,
+        output_dir: Path,
+        stages: tuple[str, ...],
+        seed: int = 0,
+        language: str = "es",
+        threshold: float = DEFAULT_THRESHOLD,
+        profiles_path: Path | None = None,
+        clean_policy: CleanPolicy = CleanPolicy(),
+        max_tokens: int = DEFAULT_MAX_TOKENS,
+        tokenizer_path: Path | None = None,
+        masking: MaskingConfig = MaskingConfig(),
+    ):
+        validate_stages(stages)
+        for name, value, kind in (
+            ("seed", seed, int),
+            ("max_tokens", max_tokens, int),
+            ("language", language, str),
+            ("clean_policy", clean_policy, CleanPolicy),
+            ("masking", masking, MaskingConfig),
         ):
-            check_type(name, getattr(self, name), kind)
-        check_threshold(self.threshold)
-        object.__setattr__(self, "masking", replace(self.masking, seed=self.seed))
+            check_type(name, value, kind)
+        check_threshold(threshold)
+        # A run masks with the manifest's seed.
+        rates = (masking.mask_rate, masking.mask_prob, masking.random_prob)
+        masking = MaskingConfig(*rates, masking.keep_prob, seed)
+        self._set_fields(
+            input_path, output_dir, stages, seed, language, threshold,
+            profiles_path, clean_policy, max_tokens, tokenizer_path, masking,
+        )
 
     @classmethod
     def from_record(cls, record: object, base: Path | None = None) -> "PipelineManifest":

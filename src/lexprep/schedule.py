@@ -7,9 +7,9 @@ all read the same curve without sharing mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import StepOutOfRange, check_type
+from .values import FrozenValue
 
 DEFAULT_LR_PEAK = 1e-4
 DEFAULT_WARMUP_FRAC = 0.08
@@ -22,24 +22,35 @@ DEFAULT_GRAD_ACCUM = 4
 DEFAULT_EPOCHS = 2
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(FrozenValue):
     """Optimizer and schedule hyperparameters for one training run."""
 
-    total_steps: int
-    lr_peak: float = DEFAULT_LR_PEAK
-    warmup_frac: float = DEFAULT_WARMUP_FRAC
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    epsilon: float = DEFAULT_EPSILON
-    weight_decay: float = DEFAULT_WEIGHT_DECAY
-    batch_size: int = DEFAULT_BATCH_SIZE
-    grad_accum: int = DEFAULT_GRAD_ACCUM
-    epochs: int = DEFAULT_EPOCHS
+    __slots__ = (
+        "total_steps", "lr_peak", "warmup_frac", "beta1", "beta2", "epsilon",
+        "weight_decay", "batch_size", "grad_accum", "epochs",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        total_steps: int,
+        lr_peak: float = DEFAULT_LR_PEAK,
+        warmup_frac: float = DEFAULT_WARMUP_FRAC,
+        beta1: float = DEFAULT_BETA1,
+        beta2: float = DEFAULT_BETA2,
+        epsilon: float = DEFAULT_EPSILON,
+        weight_decay: float = DEFAULT_WEIGHT_DECAY,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        grad_accum: int = DEFAULT_GRAD_ACCUM,
+        epochs: int = DEFAULT_EPOCHS,
+    ):
+        self._set_fields(
+            total_steps, lr_peak, warmup_frac, beta1, beta2, epsilon, weight_decay,
+            batch_size, grad_accum, epochs,
+        )
         for name in ("total_steps", "batch_size", "grad_accum", "epochs"):
             check_type(name, getattr(self, name), int)
+        for name in self.__slots__[1:7]:  # lr_peak to weight_decay
+            check_type(name, getattr(self, name), int, float)
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         # nan passes every comparison below, and inf turns the curve to nan.

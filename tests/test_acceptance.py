@@ -5,7 +5,6 @@ line (run with `pytest tests/test_acceptance.py -s` to see them) and then
 asserts, so the suite both documents and enforces the release bar.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -14,7 +13,7 @@ import time
 import unicodedata
 from contextlib import redirect_stdout
 
-from lexprep.chunking import chunk_document, pack_chunks, split_sentences
+from lexprep.chunking import Chunk, chunk_document, pack_chunks, split_sentences
 from lexprep.cleaning import clean_text
 from lexprep.cli import main
 from lexprep.langid import builtin_profiles, gate
@@ -63,7 +62,9 @@ def test_criterion_01_masking_distribution(tokenizer):
     counts = {"mask": 0, "random": 0, "keep": 0}
     selected = 0
     for i in range(1400):
-        chunk = dataclasses.replace(base, doc_id=f"dist-{i}")
+        chunk = Chunk(
+            f"dist-{i}", base.seq, base.text, base.word_boundaries, base.token_ids
+        )
         example = mask_chunk(chunk, tokenizer, config)
         for position, label in enumerate(example.labels):
             if label == IGNORE_LABEL:

@@ -658,6 +658,15 @@ class TestSplitValidation:
         assert code == 2
         assert not (tmp_path / "train.jsonl").exists()
 
+    def test_negative_count_names_the_count(self, corpus_path, tmp_path):
+        train, valid = tmp_path / "train.jsonl", tmp_path / "valid.jsonl"
+        result = run_lexprep("split-validation", corpus_path, train, valid, "--count", "-1")
+        assert result.returncode == 2
+        assert result.stderr == (
+            b"ERROR the validation count must be non-negative, got -1\n"
+        )
+        assert not train.exists() and not valid.exists()
+
     def test_piped_input_is_refused_before_any_output(self, corpus_path, tmp_path):
         # The command reads its input twice; a pipe would be empty the
         # second time, so both outputs would be written short.

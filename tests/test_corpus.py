@@ -292,7 +292,7 @@ def test_split_validation_insufficient():
 
 
 def test_split_validation_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"validation count must be non-negative, got -1"):
         split_validation([], -1, seed=0)
 
 

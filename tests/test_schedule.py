@@ -1,6 +1,7 @@
 """Warmup+cosine schedule math and the training hyperparameter set."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -187,6 +188,22 @@ def test_invalid_configs_rejected(kwargs):
 def test_integer_fields_refuse_other_types(kwargs):
     with pytest.raises(TypeError):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name", ["lr_peak", "warmup_frac", "beta1", "beta2", "epsilon", "weight_decay"]
+)
+@pytest.mark.parametrize("value", [True, False, "1e-4"], ids=["True", "False", "str"])
+def test_real_fields_refuse_bools_and_strings(name, value):
+    # A bool is no number: lr_peak=True once gave a curve peaking at 1.0.
+    message = f"^{name} must be int or float, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        TrainConfig(10, **{name: value})
+
+
+def test_real_fields_take_ints():
+    config = TrainConfig(10, lr_peak=1, warmup_frac=0, epsilon=1, weight_decay=0)
+    assert lr_at(10, config) == 0.0 and lr_at(0, config) == 1
 
 
 def test_steps_for_corpus_rounds_up():

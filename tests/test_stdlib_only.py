@@ -54,6 +54,17 @@ def test_no_module_starts_or_feeds_a_worker_process():
     assert found == set()
 
 
+def test_no_module_imports_dataclasses():
+    """Value types are plain `__slots__` classes (`values.py`): importing
+    `dataclasses` also loads `inspect` and `ast` in every process."""
+    found = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in _imported_modules(path)
+    }
+    assert found == set()
+
+
 def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     with open(PYPROJECT, "rb") as handle:
