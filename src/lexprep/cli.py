@@ -352,5 +352,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The process entry: `main`, then exit without the interpreter's teardown.
+
+    Every output is closed and renamed before `main` returns, and each log
+    line is flushed as it is written, so only stdout and stderr are left to
+    flush. A stdout that cannot take the flush (its reader is gone) gives
+    one `ERROR` line and exit 2, as a failed write in `main` does. A usage
+    error or an unexpected exception leaves through the normal exit.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        logger().error("%s", exc)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -13,7 +13,6 @@ import random
 import re
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager
-from datetime import date
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -22,6 +21,13 @@ from typing import TYPE_CHECKING, TypeVar
 from .errors import DuplicateId, InsufficientDocuments, MalformedRecord
 from .tokenizers import encoder
 from .values import FrozenValue, Value
+
+try:
+    # CPython's C `datetime`, whose `date` is `datetime.date`: `datetime.py`
+    # then never runs, and every process spares its import.
+    from _datetime import date
+except ImportError:  # an interpreter built without it
+    from datetime import date
 
 if TYPE_CHECKING:
     import logging

@@ -35,7 +35,7 @@ class DuplicateId(LexprepError):
     def __init__(self, doc_id: str, line_number: int):
         self.doc_id = doc_id
         self.line_number = line_number
-        super().__init__(f"duplicate document id {doc_id!r} at line {line_number}")
+        super().__init__(f"duplicate document id {reprlib.repr(doc_id)} at line {line_number}")
 
 
 class InsufficientDocuments(LexprepError):
@@ -56,7 +56,7 @@ class TokenizerFailure(LexprepError):
     def __init__(self, doc_id: str, detail: str):
         self.doc_id = doc_id
         self.detail = detail
-        super().__init__(f"tokenizer failed in document {doc_id!r}: {detail}")
+        super().__init__(f"tokenizer failed in document {reprlib.repr(doc_id)}: {detail}")
 
 
 class VocabularyTooSmall(LexprepError):

@@ -36,6 +36,10 @@ class FrozenValue(Value):
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        # `copy` and `pickle` would restore each slot through the refused `setattr`.
+        return _rebuilt, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+
     def __hash__(self) -> int:
         return hash(self._key())
 
@@ -44,3 +48,10 @@ class FrozenValue(Value):
 
     def __delattr__(self, name: str):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _rebuilt(kind: type, fields: tuple) -> FrozenValue:
+    """A copied or unpickled frozen value: every slot set as it was, checks not rerun."""
+    value = kind.__new__(kind)
+    value._set_fields(*fields)
+    return value

@@ -308,6 +308,18 @@ class TestPackChunks:
             "cannot fit a single token within budget 1 (cutting chunk 0)"
         )
 
+    def test_tokenizer_failure_shortens_a_long_document_id(self):
+        long_id = "d" * 100_000
+        failure = TokenizerFailure(long_id, "boom (cutting chunk 0)")
+        assert failure.doc_id == long_id
+        message = str(failure)
+        assert len(message) < 100
+        assert message.startswith("tokenizer failed in document 'ddd")
+        assert message.endswith("ddd': boom (cutting chunk 0)")
+        # An id whose repr fits `reprlib`'s 30 characters prints whole.
+        short = TokenizerFailure("d" * 28, "boom")
+        assert str(short) == f"tokenizer failed in document {'d' * 28!r}: boom"
+
     @_BOTH_PACKERS
     def test_lazy_tokenizer_failure_carries_doc_id(self, tokenizer, concat_stable):
         failing = FailsAfterTwentyTokens(tokenizer, concat_stable)

@@ -678,6 +678,19 @@ class TestSplitValidation:
         assert result.stdout == b""
         assert not train.exists() and not valid.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is missing")
+    def test_a_fifo_is_refused_without_opening_it(self, tmp_path, capsys, caplog):
+        # Opening a FIFO with no writer would block; the check only stats it.
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        train, valid = tmp_path / "train.jsonl", tmp_path / "valid.jsonl"
+        argv = ["split-validation", str(fifo), str(train), str(valid), "--count", "1"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{fifo} is not a regular file; it is read twice" in caplog.text
+        assert not train.exists() and not valid.exists()
+
 
 def _reference_split(docs, n, seed):
     """The single-pass split that held every document: Algorithm R inline."""
@@ -1291,6 +1304,18 @@ class TestStageCommandsShareTheRunPass:
         code, _ = run_cli(capsys, "--strict", command, str(path), str(out_path))
         assert code == 2
         assert "duplicate document id 'a' at line 2" in caplog.text
+
+    def test_a_long_duplicate_id_is_shortened(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        long_id = "x" * 100_000
+        write_jsonl(path, [doc_record(long_id, "Uno."), doc_record(long_id, "Dos.")])
+        result = run_lexprep("--strict", "ingest", path, tmp_path / "out.jsonl")
+        assert result.returncode == 2
+        (line,) = result.stderr.decode().splitlines()
+        assert len(line) <= 512
+        assert line.startswith("ERROR duplicate document id 'xxx")
+        assert line.endswith(" at line 2")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_failed_mask_publishes_nothing(self, tmp_path, capsys, caplog):
         chunks = TestMask()._chunks_file(tmp_path, capsys)

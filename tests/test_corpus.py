@@ -180,6 +180,12 @@ def test_null_or_missing_source_or_region_is_empty(field):
     assert getattr(RawDocument.from_record(record), field) == ""
 
 
+def test_a_document_needs_an_id():
+    # `from_record` refuses an empty id first, so only a direct build gets here.
+    with pytest.raises(ValueError, match="^document id must be non-empty$"):
+        RawDocument(id="", text="uno")
+
+
 def test_document_line_round_trip():
     doc = RawDocument(
         id="x-1",

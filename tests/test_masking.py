@@ -13,6 +13,7 @@ from lexprep.errors import VocabularyTooSmall
 from lexprep.masking import (
     IGNORE_LABEL,
     MaskingConfig,
+    MlmExample,
     _shuffle,
     apply_mask,
     chunk_rng,
@@ -324,6 +325,11 @@ class TestMaskChunk:
         record = mask_chunk(chunk, tokenizer, MaskingConfig()).to_record()
         assert set(record) == {"doc_id", "seq", "input_ids", "labels"}
         assert len(record["input_ids"]) == len(record["labels"]) == chunk.token_count
+
+
+def test_an_example_needs_a_label_per_input_id():
+    with pytest.raises(ValueError, match="^input_ids and labels must have equal length$"):
+        MlmExample("d-1", 0, input_ids=(4, 5), labels=(IGNORE_LABEL,))
 
 
 class TestMaskingConfig:

@@ -1,6 +1,8 @@
 """A process loads `logging` only at its first message and never loads
 `importlib.resources`, `dataclasses` or `inspect` (the value types are plain
-`__slots__` classes), and what the CLI writes to stderr stays byte for byte.
+`__slots__` classes) or `datetime` (`date` comes from the C module
+`_datetime`, so the pure-Python `datetime.py` never runs), and what the CLI
+writes to stderr stays byte for byte.
 
 Every check runs in a fresh `python -S`: without `-S`, a `.pth` hook in the
 interpreter's site-packages can import `importlib.resources` (and through it
@@ -15,7 +17,7 @@ from .conftest import doc_record, run_python, write_jsonl
 from .lang_snippets import ES_SNIPPETS
 
 # Not `tokenize` or `linecache`: `logging` loads both, so they follow it.
-LAZY = ("logging", "importlib.resources", "dataclasses", "inspect")
+LAZY = ("logging", "importlib.resources", "dataclasses", "inspect", "datetime")
 
 REPORT = f"import sys; print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))"
 

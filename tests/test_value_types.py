@@ -1,11 +1,14 @@
 """Every value type keeps its contract: the constructor's field order,
-equality and hash over the compared fields, `repr`, and read-only fields.
+equality and hash over the compared fields, `repr`, read-only fields, and
+copies and pickles that equal the original.
 
 Each type is built twice from the same arguments, and once more for each
 field with that one argument changed to another valid value.
 """
 
+import copy
 import inspect
+import pickle
 from datetime import date
 from pathlib import Path
 
@@ -147,6 +150,9 @@ NOT_COMPARED = {Chunk: {"token_ids"}}
 MUTABLE = {CorpusStats}
 
 TYPES = pytest.mark.parametrize("kind", list(CASES), ids=lambda kind: kind.__name__)
+FROZEN_TYPES = pytest.mark.parametrize(
+    "kind", [kind for kind in CASES if kind not in MUTABLE], ids=lambda kind: kind.__name__
+)
 
 
 def _build(kind, **changes):
@@ -214,6 +220,23 @@ def test_fields_are_read_only_unless_the_type_is_mutable(kind):
         assert getattr(value, name) == before
     with pytest.raises(AttributeError):
         value.not_a_field = 1
+
+
+@FROZEN_TYPES
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_frozen_value_copies_and_pickles(kind, duplicate):
+    value = _build(kind)
+    twin = duplicate(value)
+    assert type(twin) is kind and twin == value and hash(twin) == hash(value)
+    for name in kind.__slots__:  # every slot, `token_ids` and `ranks` too
+        assert getattr(twin, name) == getattr(value, name), name
+    for name, _, other in CASES[kind]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(twin, name, other)
 
 
 def test_corpus_stats_is_unhashable():
