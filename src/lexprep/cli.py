@@ -3,6 +3,8 @@
 Exit codes: 0 on success, 1 on usage errors (bad flags or arguments),
 2 on data errors (malformed input, missing files, contract violations).
 Machine-readable results go to stdout; progress and warnings to stderr.
+Each command returns its result text, and `main` alone writes it, once the
+command's files are published.
 """
 
 from __future__ import annotations
@@ -43,45 +45,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, ensure_ascii=False))
-
-
 def _given(**settings) -> dict:
     """The settings whose flag was given; the rest keep their owner's default."""
     return {name: value for name, value in settings.items() if value is not None}
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> str:
     errors: list[MalformedRecord] = []
     docs = read_documents(args.input, strict=args.strict, error_sink=errors)
     count = write_documents(args.output, docs)
     warn_skipped(errors)
-    _emit({"written": count, "skipped": len(errors)})
-    return 0
+    return json.dumps({"written": count, "skipped": len(errors)}, ensure_ascii=False) + "\n"
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> str:
     tokenizer = VocabTokenizer.from_file(args.tokenizer) if args.tokenizer else None
     errors: list[MalformedRecord] = []
     docs = read_documents(args.input, strict=args.strict, error_sink=errors)
     stats = compute_stats(docs, tokenizer=tokenizer)
     warn_skipped(errors)
-    _emit(stats.to_record())
-    return 0
+    return json.dumps(stats.to_record(), ensure_ascii=False) + "\n"
 
 
-def _cmd_build_profiles(args) -> int:
+def _cmd_build_profiles(args) -> str:
     profiles = build_profiles_from_dir(args.seed_dir)
     save_profiles(profiles, args.output)
-    _emit({"languages": [p.language for p in profiles], "output": args.output})
-    return 0
+    record = {"languages": [p.language for p in profiles], "output": args.output}
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _run_stage(args, name: str, summary: dict, rejected=os.devnull, **settings) -> int:
-    """Run one stage from args.input to args.output and print its summary.
+def _run_stage(args, name: str, summary: dict, rejected=os.devnull, **settings) -> str:
+    """Run one stage from args.input to args.output; its summary is the result.
 
-    `summary` maps each key printed to the report tally it shows.
+    `summary` maps each key of the summary line to the report tally it shows.
     """
     output = Path(args.output)
     # The manifest carries the settings; its stage list stays empty, since
@@ -91,11 +87,11 @@ def _run_stage(args, name: str, summary: dict, rejected=os.devnull, **settings) 
     )
     paths = (output, Path(rejected))
     (report,), _, _ = run_stages(manifest, [(name, paths)], args.strict)
-    _emit({key: report[tally] for key, tally in summary.items()})
-    return 0
+    record = {key: report[tally] for key, tally in summary.items()}
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _cmd_filter_lang(args) -> int:
+def _cmd_filter_lang(args) -> str:
     return _run_stage(
         args,
         "filter-lang",
@@ -107,7 +103,7 @@ def _cmd_filter_lang(args) -> int:
     )
 
 
-def _cmd_clean(args) -> int:
+def _cmd_clean(args) -> str:
     policy = CleanPolicy(
         collapse_spaces=not args.keep_space_runs,
         collapse_newlines=not args.keep_newline_runs,
@@ -117,7 +113,7 @@ def _cmd_clean(args) -> int:
     return _run_stage(args, "clean", {"documents": "out"}, clean_policy=policy)
 
 
-def _cmd_chunk(args) -> int:
+def _cmd_chunk(args) -> str:
     # An empty document is counted, not written to a rejection file.
     summary = {
         "documents": "in",
@@ -134,7 +130,7 @@ def _cmd_chunk(args) -> int:
     )
 
 
-def _cmd_mask(args) -> int:
+def _cmd_mask(args) -> str:
     config = MaskingConfig(
         **_given(
             mask_rate=args.mask_rate,
@@ -153,7 +149,7 @@ def _cmd_mask(args) -> int:
     )
 
 
-def _cmd_split_validation(args) -> int:
+def _cmd_split_validation(args) -> str:
     # Two passes over the file, so only the sampled positions stay in
     # memory: the first draws them, the second routes each document (and
     # warns of each skipped line). A pipe cannot be read twice, so the input
@@ -171,11 +167,11 @@ def _cmd_split_validation(args) -> int:
             (valid if i in chosen else train).write(document_to_line(doc) + "\n")
             written += 1
     warn_skipped(errors)
-    _emit({"train": written - len(chosen), "validation": len(chosen)})
-    return 0
+    record = {"train": written - len(chosen), "validation": len(chosen)}
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _cmd_lr_curve(args) -> int:
+def _cmd_lr_curve(args) -> str:
     # Imported here so that no other command loads it.
     from .schedule import TrainConfig, emit_schedule
 
@@ -188,12 +184,11 @@ def _cmd_lr_curve(args) -> int:
     if args.output:
         with published(args.output) as (out,):
             out.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+        return ""
+    return text
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> str:
     # Imported here so that no other command loads scoring (or `csv`).
     from .metrics import (
         PredictionRecord,
@@ -207,23 +202,27 @@ def _cmd_eval(args) -> int:
     if args.curves:
         report = build_report(load_curves_csv(read_lines(args.curves)), args.dataset)
         if args.format == "csv":
-            sys.stdout.write(write_report_csv(report, sort_by=args.sort_by))
-        else:
-            print(format_report_table(report, sort_by=args.sort_by))
-        return 0
+            return write_report_csv(report, sort_by=args.sort_by)
+        return format_report_table(report, sort_by=args.sort_by) + "\n"
     parse = PredictionRecord.from_record
     records = list(read_records(args.predictions, parse, strict=True))
-    labels = frozenset(args.labels.split(",")) if args.labels else None
-    score = f1_scores(records, averaging=args.averaging, labels=labels)
-    _emit({"f1": score, "averaging": args.averaging, "examples": len(records)})
-    return 0
+    score = f1_scores(records, averaging=args.averaging, labels=args.labels)
+    record = {"f1": score, "averaging": args.averaging, "examples": len(records)}
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> str:
     manifest = PipelineManifest.from_file(args.manifest)
     summary = run_pipeline(manifest, strict=args.strict)
-    print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2))
-    return 0
+    return json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+def _label_names(text: str) -> frozenset[str]:
+    """The `--labels` universe; an empty name (`a,`, `a,,b` or ``) is refused."""
+    names = text.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty label name in {text!r}")
+    return frozenset(names)
 
 
 def _global_options() -> _Parser:
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort-by", choices=["max_f1", "auc", "model_name"])
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.add_argument("--averaging", choices=["micro", "macro"], default="micro")
-    p.add_argument("--labels", help="comma-separated label universe")
+    p.add_argument("--labels", type=_label_names, help="comma-separated label universe")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("run", help="execute a pipeline manifest end to end")
@@ -341,12 +340,17 @@ def main(argv: list[str] | None = None) -> int:
     head = _global_options()
     head.add_argument("-h", "--help", action="store_true")
     head.add_argument("command", nargs=argparse.REMAINDER)
+    head.set_defaults(seed=None)
     head.error = parser.error
-    if unknown := head.parse_known_args(argv)[1]:
+    given, unknown = head.parse_known_args(argv)
+    if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if given.seed is not None and given.command[:1] == ["run"]:
+        parser.error("--seed does not apply to run: a run's seed is the manifest's \"seed\"")
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        print(args.func(args), end="")
+        return 0
     except (LexprepError, OSError, ValueError, KeyError) as exc:
         logger().error("%s", exc)
         return 2

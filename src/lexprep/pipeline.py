@@ -215,10 +215,6 @@ def _chunker(manifest: PipelineManifest) -> VocabTokenizer:
     return tokenizer
 
 
-def _masker(manifest: PipelineManifest) -> tuple[VocabTokenizer, MaskingConfig]:
-    return _load_tokenizer(manifest), manifest.masking
-
-
 # A stage maps one record to the records it passes on, which may be lazy
 # (the chunk stage cuts each chunk as it is drawn), and the rejection record,
 # written iff none is passed on; None for a stage that drops no record.
@@ -257,16 +253,13 @@ def _chunk(
 
 
 def _mask(
-    manifest: PipelineManifest,
-    masker: tuple[VocabTokenizer, MaskingConfig],
-    chunk: Chunk | dict,
+    manifest: PipelineManifest, tokenizer: VocabTokenizer, chunk: Chunk | dict
 ) -> _StageResult:
     # A chunk from the chunk stage in memory carries its token ids, so it is
     # neither decoded nor tokenized again; a record read from a chunk file is.
-    tokenizer, config = masker
     if isinstance(chunk, dict):
         chunk = chunk_from_record(chunk, tokenizer)
-    return [mask_chunk(chunk, tokenizer, config)], None
+    return [mask_chunk(chunk, tokenizer, manifest.masking)], None
 
 
 def _masked_positions(example: MlmExample) -> int:
@@ -279,7 +272,7 @@ _STAGE_SETUP = {
     "filter-lang": _profiles,
     "clean": attrgetter("clean_policy"),
     "chunk": _chunker,
-    "mask": _masker,
+    "mask": _load_tokenizer,
 }
 _STAGE_RUNNERS = {
     "filter-lang": _filter_lang,

@@ -943,6 +943,32 @@ class TestEval:
         assert code == 2
 
 
+class TestLabelNames:
+    def _predictions(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(
+            json.dumps({"example_id": "1", "gold": ["a"], "predicted": ["a"]}) + "\n",
+            encoding="utf-8",
+        )
+        return path
+
+    @pytest.mark.parametrize("labels", ["a,", "a,,b", ",a", ""])
+    def test_an_empty_name_is_a_usage_error(self, tmp_path, capsys, labels):
+        argv = ["eval", "--predictions", str(self._predictions(tmp_path))]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--averaging", "macro", "--labels", labels])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (1, "")
+        assert "argument --labels: empty label name" in captured.err
+
+    @pytest.mark.parametrize("labels, f1", [("a", 1.0), ("a,b", 0.5), ("b,a,b", 0.5)])
+    def test_named_labels_score_as_before(self, tmp_path, capsys, labels, f1):
+        argv = ["eval", "--predictions", str(self._predictions(tmp_path))]
+        code, out = run_cli(capsys, *argv, "--averaging", "macro", "--labels", labels)
+        assert code == 0
+        assert out == json.dumps({"f1": f1, "averaging": "macro", "examples": 1}) + "\n"
+
+
 class TestRun:
     def test_zero_stage_manifest(self, corpus_path, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
@@ -1083,6 +1109,46 @@ class TestRun:
         assert runs["nested"] == (2, "")
         assert "line 2: " in caplog.text
         assert list((tmp_path / "nested").iterdir()) == []
+
+
+class TestSeedIsNotARunFlag:
+    """A run's seed is the manifest's "seed"; `--seed` serves the other commands."""
+
+    def _manifest(self, tmp_path, corpus_path, **extra):
+        record = {
+            "input_path": str(corpus_path),
+            "output_dir": str(tmp_path / "out"),
+            "stages": list(pipeline.STAGE_NAMES),
+            **extra,
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "3"], ["--seed=0"], ["--strict", "--seed", "3"]]
+    )
+    def test_seed_before_run_is_a_usage_error(self, corpus_path, tmp_path, capsys, flags):
+        manifest = self._manifest(tmp_path, corpus_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*flags, "run", str(manifest)])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (1, "")
+        message = "--seed does not apply to run: a run's seed is the manifest's \"seed\""
+        assert message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_masks_with_the_manifest_seed(self, corpus_path, tmp_path, capsys):
+        manifest = self._manifest(tmp_path, corpus_path, seed=3)
+        code, out = run_cli(capsys, "run", str(manifest))
+        assert code == 0
+        assert json.loads(out)["final_output"] == "04-mask.jsonl"
+        # The mask command given the same seed writes the same examples.
+        out_dir = tmp_path / "out"
+        again = tmp_path / "again.jsonl"
+        argv = ["--seed", "3", "mask", str(out_dir / "03-chunk.jsonl"), str(again)]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert again.read_bytes() == (out_dir / "04-mask.jsonl").read_bytes()
 
 
 # A lone surrogate escape: valid JSON, but the text cannot be written as UTF-8.

@@ -65,13 +65,26 @@ def test_a_stdout_without_reader_is_one_error_line(corpus, unbuffered):
 
 
 @pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
-def test_a_closed_stream_is_not_flushed(corpus, closed):
+def test_a_closed_stream_is_not_flushed(corpus, tmp_path, closed):
     # The interpreter sets `sys.stdout` or `sys.stderr` to None for a closed
     # descriptor; the command still succeeds, as it did before the hard exit.
     result = _lexprep("stats", corpus, preexec_fn=lambda: os.close(closed))
     assert result.returncode == 0
     if closed == 2:
         assert json.loads(result.stdout)["document_count"] == 3
+        return
+    assert result.stderr == b""
+    # Every command's result leaves through `main`'s one `print`, which
+    # writes nothing to a closed stdout, whatever the result's form.
+    curves = tmp_path / "curves.csv"
+    curves.write_text("model,epoch,f1\nm,0,0.5\nm,10,0.7\n", encoding="utf-8")
+    for argv in (
+        ("lr-curve", "--total-steps", 10),
+        ("eval", "--curves", curves, "--format", "csv"),
+        ("eval", "--curves", curves),
+    ):
+        result = _lexprep(*argv, preexec_fn=lambda: os.close(closed))
+        assert (result.returncode, result.stderr) == (0, b""), argv
 
 
 def test_a_usage_error_still_exits_1_with_the_usage(corpus):
