@@ -136,7 +136,6 @@ def _cmd_mask(args) -> str:
             mask_rate=args.mask_rate,
             mask_prob=args.mask_prob,
             random_prob=args.random_prob,
-            keep_prob=args.keep_prob,
         )
     )
     summary = {
@@ -191,6 +190,7 @@ def _cmd_lr_curve(args) -> str:
 def _cmd_eval(args) -> str:
     # Imported here so that no other command loads scoring (or `csv`).
     from .metrics import (
+        DEFAULT_AVERAGING,
         PredictionRecord,
         build_report,
         f1_scores,
@@ -199,15 +199,17 @@ def _cmd_eval(args) -> str:
         write_report_csv,
     )
 
-    if args.curves:
-        report = build_report(load_curves_csv(read_lines(args.curves)), args.dataset)
+    if args.curves is not None:
+        dataset = "benchmark" if args.dataset is None else args.dataset
+        report = build_report(load_curves_csv(read_lines(args.curves)), dataset)
         if args.format == "csv":
             return write_report_csv(report, sort_by=args.sort_by)
         return format_report_table(report, sort_by=args.sort_by) + "\n"
     parse = PredictionRecord.from_record
     records = list(read_records(args.predictions, parse, strict=True))
-    score = f1_scores(records, averaging=args.averaging, labels=args.labels)
-    record = {"f1": score, "averaging": args.averaging, "examples": len(records)}
+    averaging = args.averaging or DEFAULT_AVERAGING
+    score = f1_scores(records, averaging=averaging, labels=args.labels)
+    record = {"f1": score, "averaging": averaging, "examples": len(records)}
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
@@ -295,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-rate", type=float)
     p.add_argument("--mask-prob", type=float)
     p.add_argument("--random-prob", type=float)
-    p.add_argument("--keep-prob", type=float)
     p.add_argument("--tokenizer", type=Path, help="vocabulary file (default: bundled)")
     p.set_defaults(func=_cmd_mask)
 
@@ -318,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--curves", help="CSV of model,epoch,f1")
     source.add_argument("--predictions", help="JSONL of prediction records")
-    p.add_argument("--dataset", default="benchmark", help="name shown in the report")
+    p.add_argument("--dataset", help="name shown in the report")
     p.add_argument("--sort-by", choices=["max_f1", "auc", "model_name"])
-    p.add_argument("--format", choices=["table", "csv"], default="table")
-    p.add_argument("--averaging", choices=["micro", "macro"], default="micro")
+    p.add_argument("--format", choices=["table", "csv"])
+    p.add_argument("--averaging", choices=["micro", "macro"])
     p.add_argument("--labels", type=_label_names, help="comma-separated label universe")
     p.set_defaults(func=_cmd_eval)
 
@@ -348,6 +349,18 @@ def main(argv: list[str] | None = None) -> int:
     if given.seed is not None and given.command[:1] == ["run"]:
         parser.error("--seed does not apply to run: a run's seed is the manifest's \"seed\"")
     args = parser.parse_args(argv)
+    if given.seed is not None and args.command not in ("mask", "split-validation"):
+        draws = "only mask and split-validation draw at random"
+        parser.error(f"--seed does not apply to {args.command}: {draws}")
+    if args.command == "eval":
+        # Each mode refuses the flags of the other.
+        mode, others = ("curves", ("averaging", "labels"))
+        if args.curves is None:
+            mode, others = ("predictions", ("dataset", "sort_by", "format"))
+        for name in others:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                parser.error(f"{flag} does not apply to eval --{mode}")
     try:
         print(args.func(args), end="")
         return 0

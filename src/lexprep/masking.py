@@ -35,37 +35,38 @@ IGNORE_LABEL = -100
 DEFAULT_MASK_RATE = 0.15
 DEFAULT_MASK_PROB = 0.80
 DEFAULT_RANDOM_PROB = 0.10
-DEFAULT_KEEP_PROB = 0.10
 
 _PROB_TOL = 1e-12
 
 
 class MaskingConfig(FrozenValue):
-    """Masking rates and the seed that makes a run reproducible."""
+    """Masking rates and the seed that makes a run reproducible.
 
-    __slots__ = ("mask_rate", "mask_prob", "random_prob", "keep_prob", "seed")
+    A selected token is kept with the share 1 - mask_prob - random_prob.
+    """
+
+    __slots__ = ("mask_rate", "mask_prob", "random_prob", "seed")
 
     def __init__(
         self,
         mask_rate: float = DEFAULT_MASK_RATE,
         mask_prob: float = DEFAULT_MASK_PROB,
         random_prob: float = DEFAULT_RANDOM_PROB,
-        keep_prob: float = DEFAULT_KEEP_PROB,
         seed: int = 0,
     ):
-        self._set_fields(mask_rate, mask_prob, random_prob, keep_prob, seed)
-        for name in ("mask_rate", "mask_prob", "random_prob", "keep_prob"):
+        self._set_fields(mask_rate, mask_prob, random_prob, seed)
+        for name in ("mask_rate", "mask_prob", "random_prob"):
             check_type(name, getattr(self, name), int, float)
         check_type("seed", self.seed, int)
         if not 0.0 < self.mask_rate <= 1.0:
             raise ValueError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
-        for name in ("mask_prob", "random_prob", "keep_prob"):
+        for name in ("mask_prob", "random_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        total = self.mask_prob + self.random_prob + self.keep_prob
-        if abs(total - 1.0) > _PROB_TOL:
-            raise ValueError(f"treatment probabilities sum to {total}, expected 1")
+        total = self.mask_prob + self.random_prob
+        if total > 1.0 + _PROB_TOL:
+            raise ValueError(f"mask_prob and random_prob sum to {total}, more than 1")
 
 
 class MlmExample(FrozenValue):
@@ -176,9 +177,9 @@ def apply_mask(
 
     Each selected token independently becomes the mask token (mask_prob),
     a random non-special vocabulary id (random_prob, rejection-sampled so
-    a special id never lands in the input), or stays unchanged
-    (keep_prob). Kept positions still get a label: the model must predict
-    them too. Unselected positions are never altered.
+    a special id never lands in the input), or stays unchanged (the share
+    the other two leave). Kept positions still get a label: the model must
+    predict them too. Unselected positions are never altered.
     """
     vocab = tokenizer.vocab_size
     specials = tokenizer.special_token_ids

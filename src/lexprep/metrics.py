@@ -20,6 +20,8 @@ from .errors import (
 )
 from .values import FrozenValue
 
+DEFAULT_AVERAGING = "micro"
+
 
 class PredictionRecord(FrozenValue):
     """Gold and predicted label sets for one evaluation example."""
@@ -63,7 +65,7 @@ def _check_labels(records: list[PredictionRecord], labels: frozenset[str]) -> No
 
 def f1_scores(
     records: list[PredictionRecord],
-    averaging: str = "micro",
+    averaging: str = DEFAULT_AVERAGING,
     labels: frozenset[str] | None = None,
 ) -> float:
     """F1 over set-valued predictions.

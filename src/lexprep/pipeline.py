@@ -139,7 +139,7 @@ class PipelineManifest(FrozenValue):
         check_threshold(threshold)
         # A run masks with the manifest's seed.
         rates = (masking.mask_rate, masking.mask_prob, masking.random_prob)
-        masking = MaskingConfig(*rates, masking.keep_prob, seed)
+        masking = MaskingConfig(*rates, seed)
         self._set_fields(
             input_path, output_dir, stages, seed, language, threshold,
             profiles_path, clean_policy, max_tokens, tokenizer_path, masking,

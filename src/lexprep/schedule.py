@@ -13,21 +13,16 @@ from .values import FrozenValue
 
 DEFAULT_LR_PEAK = 1e-4
 DEFAULT_WARMUP_FRAC = 0.08
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.98
-DEFAULT_EPSILON = 1e-6
-DEFAULT_WEIGHT_DECAY = 0.01
 DEFAULT_BATCH_SIZE = 16
 DEFAULT_GRAD_ACCUM = 4
 DEFAULT_EPOCHS = 2
 
 
 class TrainConfig(FrozenValue):
-    """Optimizer and schedule hyperparameters for one training run."""
+    """Schedule and batch settings for one training run."""
 
     __slots__ = (
-        "total_steps", "lr_peak", "warmup_frac", "beta1", "beta2", "epsilon",
-        "weight_decay", "batch_size", "grad_accum", "epochs",
+        "total_steps", "lr_peak", "warmup_frac", "batch_size", "grad_accum", "epochs",
     )
 
     def __init__(
@@ -35,41 +30,24 @@ class TrainConfig(FrozenValue):
         total_steps: int,
         lr_peak: float = DEFAULT_LR_PEAK,
         warmup_frac: float = DEFAULT_WARMUP_FRAC,
-        beta1: float = DEFAULT_BETA1,
-        beta2: float = DEFAULT_BETA2,
-        epsilon: float = DEFAULT_EPSILON,
-        weight_decay: float = DEFAULT_WEIGHT_DECAY,
         batch_size: int = DEFAULT_BATCH_SIZE,
         grad_accum: int = DEFAULT_GRAD_ACCUM,
         epochs: int = DEFAULT_EPOCHS,
     ):
-        self._set_fields(
-            total_steps, lr_peak, warmup_frac, beta1, beta2, epsilon, weight_decay,
-            batch_size, grad_accum, epochs,
-        )
+        self._set_fields(total_steps, lr_peak, warmup_frac, batch_size, grad_accum, epochs)
         for name in ("total_steps", "batch_size", "grad_accum", "epochs"):
             check_type(name, getattr(self, name), int)
-        for name in self.__slots__[1:7]:  # lr_peak to weight_decay
+        for name in ("lr_peak", "warmup_frac"):
             check_type(name, getattr(self, name), int, float)
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         # nan passes every comparison below, and inf turns the curve to nan.
-        for name in ("lr_peak", "epsilon", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.lr_peak):
+            raise ValueError(f"lr_peak must be finite, got {self.lr_peak}")
         if self.lr_peak <= 0.0:
             raise ValueError(f"lr_peak must be > 0, got {self.lr_peak}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
-        if not 0.0 < self.beta1 < self.beta2 < 1.0:
-            raise ValueError(
-                f"betas must satisfy 0 < beta1 < beta2 < 1, got "
-                f"({self.beta1}, {self.beta2})"
-            )
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.grad_accum < 1:
             raise ValueError("batch_size and grad_accum must be >= 1")
         if self.epochs < 1:

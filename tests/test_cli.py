@@ -763,7 +763,7 @@ class TestDefaultsStatedOnce:
         "chunk": ["--max-tokens", "512"],
         "mask": [
             *("--mask-rate", "0.15", "--mask-prob", "0.8"),
-            *("--random-prob", "0.1", "--keep-prob", "0.1"),
+            *("--random-prob", "0.1"),
         ],
         "lr-curve": [
             *("--resolution", "101", "--peak-lr", "1e-4", "--warmup-frac", "0.08"),
@@ -810,7 +810,7 @@ class TestDefaultsStatedOnce:
         "command, flags",
         [
             ("filter-lang", ["--threshold", "0"]),
-            ("mask", ["--random-prob", "0", "--keep-prob", "0.2"]),
+            ("mask", ["--random-prob", "0"]),
             ("lr-curve", ["--warmup-frac", "0"]),
         ],
     )
@@ -941,6 +941,30 @@ class TestEval:
             capsys, "eval", "--predictions", str(path), "--labels", "a,b"
         )
         assert code == 2
+
+
+class TestEvalModeFlags:
+    """Each `eval` flag belongs to one mode; the other mode refuses it."""
+
+    @pytest.mark.parametrize(
+        "mode, flags",
+        [
+            ("predictions", ["--dataset", "x"]),
+            ("predictions", ["--sort-by", "auc"]),
+            ("predictions", ["--format", "csv"]),
+            ("predictions", ["--format", "table"]),  # refused at its default too
+            ("curves", ["--averaging", "macro"]),
+            ("curves", ["--labels", "a"]),
+        ],
+    )
+    def test_the_other_modes_flag_is_a_usage_error(self, tmp_path, capsys, mode, flags):
+        source = tmp_path / "source"
+        source.write_text("", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", f"--{mode}", str(source), *flags])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (1, "")
+        assert f"{flags[0]} does not apply to eval --{mode}" in captured.err
 
 
 class TestLabelNames:
@@ -1112,7 +1136,7 @@ class TestRun:
 
 
 class TestSeedIsNotARunFlag:
-    """A run's seed is the manifest's "seed"; `--seed` serves the other commands."""
+    """A run's seed is the manifest's "seed"; `--seed` serves `mask` and `split-validation`."""
 
     def _manifest(self, tmp_path, corpus_path, **extra):
         record = {
@@ -1149,6 +1173,44 @@ class TestSeedIsNotARunFlag:
         argv = ["--seed", "3", "mask", str(out_dir / "03-chunk.jsonl"), str(again)]
         assert run_cli(capsys, *argv)[0] == 0
         assert again.read_bytes() == (out_dir / "04-mask.jsonl").read_bytes()
+
+
+class TestSeedOnlyWhereDrawn:
+    """`--seed` seeds `mask` and `split-validation`; other commands refuse it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "{corpus}"],
+            ["lr-curve", "--total-steps", "10"],
+            ["clean", "{corpus}", "{out}"],
+            ["ingest", "{corpus}", "{out}"],
+            ["filter-lang", "{corpus}", "{out}"],
+            ["chunk", "{corpus}", "{out}"],
+            ["build-profiles", "{tmp}", "{out}"],
+            ["eval", "--curves", "{corpus}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_before_a_command_that_draws_nothing(
+        self, corpus_path, tmp_path, capsys, argv
+    ):
+        out = tmp_path / "out.jsonl"
+        paths = {"corpus": corpus_path, "out": out, "tmp": tmp_path}
+        argv = [arg.format(**paths) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--seed", "5", *argv])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (1, "")
+        message = f"--seed does not apply to {argv[0]}: only mask and split-validation"
+        assert message in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_seed_with_no_command_is_a_missing_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--seed", "3"])
+        assert excinfo.value.code == 1
+        assert "the following arguments are required: command" in capsys.readouterr().err
 
 
 # A lone surrogate escape: valid JSON, but the text cannot be written as UTF-8.

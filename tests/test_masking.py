@@ -189,7 +189,7 @@ class TestCarriedIds:
 class TestApplyMask:
     def test_all_mask_probability(self, tokenizer):
         chunk = one_chunk(tokenizer, "la ley organica del estado")
-        config = MaskingConfig(mask_prob=1.0, random_prob=0.0, keep_prob=0.0)
+        config = MaskingConfig(mask_prob=1.0, random_prob=0.0)
         selection = chunk.word_boundaries
         example = apply_mask(chunk, selection, config, tokenizer, random.Random(0))
         assert all(i == tokenizer.mask_token_id for i in example.input_ids)
@@ -232,7 +232,7 @@ class TestApplyMask:
 
     def test_random_branch_never_emits_specials(self, tokenizer):
         chunk = one_chunk(tokenizer, " ".join(_SINGLE_TOKEN_WORDS * 20))
-        config = MaskingConfig(mask_prob=0.0, random_prob=1.0, keep_prob=0.0)
+        config = MaskingConfig(mask_prob=0.0, random_prob=1.0)
         example = apply_mask(
             chunk, chunk.word_boundaries, config, tokenizer, random.Random(2)
         )
@@ -240,7 +240,7 @@ class TestApplyMask:
 
     def test_keep_branch_still_labels(self, tokenizer):
         chunk = one_chunk(tokenizer, "de la ley")
-        config = MaskingConfig(mask_prob=0.0, random_prob=0.0, keep_prob=1.0)
+        config = MaskingConfig(mask_prob=0.0, random_prob=0.0)
         example = apply_mask(
             chunk, chunk.word_boundaries, config, tokenizer, random.Random(0)
         )
@@ -274,7 +274,7 @@ class TestApplyMask:
         example = apply_mask(
             bad_chunk,
             bad_chunk.word_boundaries,
-            MaskingConfig(mask_prob=1.0, random_prob=0.0, keep_prob=0.0),
+            MaskingConfig(mask_prob=1.0, random_prob=0.0),
             small,
             random.Random(0),
         )
@@ -340,9 +340,10 @@ class TestMaskingConfig:
             MaskingConfig(mask_rate=1.2)
 
     def test_rejects_probabilities_not_summing_to_one(self):
-        with pytest.raises(ValueError):
-            MaskingConfig(mask_prob=0.8, random_prob=0.3, keep_prob=0.1)
+        # A mask share and a random share that leave less than nothing to keep.
+        with pytest.raises(ValueError, match="^mask_prob and random_prob sum to 1.1"):
+            MaskingConfig(mask_prob=0.8, random_prob=0.3)
 
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValueError):
-            MaskingConfig(mask_prob=1.5, random_prob=-0.4, keep_prob=-0.1)
+            MaskingConfig(mask_prob=1.5, random_prob=-0.4)

@@ -179,12 +179,7 @@ class TestManifest:
             "strip_control": False,
             "trim_ends": False,
         }
-        mask = {
-            "mask_rate": 0.2,
-            "mask_prob": 0.5,
-            "random_prob": 0.25,
-            "keep_prob": 0.25,
-        }
+        mask = {"mask_rate": 0.2, "mask_prob": 0.5, "random_prob": 0.25}
         manifest = manifest_for(
             tmp_path, ["clean", "chunk", "mask"], seed=7, clean=clean, mask=mask
         )

@@ -137,7 +137,7 @@ class TestOwnersCheckTheirFields:
         with pytest.raises(TypeError, match="collapse_spaces must be bool"):
             CleanPolicy(collapse_spaces=value)
 
-    @pytest.mark.parametrize("name", ["mask_rate", "mask_prob", "keep_prob"])
+    @pytest.mark.parametrize("name", ["mask_rate", "mask_prob", "random_prob"])
     def test_masking_rate_is_a_number_not_a_bool(self, name):
         with pytest.raises(TypeError, match=f"{name} must be int or float"):
             MaskingConfig(**{name: True})

@@ -61,12 +61,10 @@ CASES = {
         ("ngram_ranks", ("_d", "de"), ("_d", "el")),
     ],
     LanguageVerdict: [("language", "es", "ca"), ("confidence", 0.5, 0.75)],
-    # The three treatment probabilities must sum to 1 within 1e-12.
     MaskingConfig: [
         ("mask_rate", 0.15, 0.2),
-        ("mask_prob", 0.8, 0.8 + 1e-13),
-        ("random_prob", 0.1, 0.1 + 1e-13),
-        ("keep_prob", 0.1, 0.1 + 1e-13),
+        ("mask_prob", 0.8, 0.9),
+        ("random_prob", 0.1, 0.2),
         ("seed", 0, 1),
     ],
     MlmExample: [
@@ -111,10 +109,6 @@ CASES = {
         ("total_steps", 10, 20),
         ("lr_peak", 1e-4, 2e-4),
         ("warmup_frac", 0.08, 0.1),
-        ("beta1", 0.9, 0.8),
-        ("beta2", 0.98, 0.99),
-        ("epsilon", 1e-6, 1e-7),
-        ("weight_decay", 0.01, 0.0),
         ("batch_size", 16, 8),
         ("grad_accum", 4, 2),
         ("epochs", 2, 3),
@@ -130,7 +124,7 @@ FIELD_ORDER = {
     CleanPolicy: ["collapse_spaces", "collapse_newlines", "strip_control", "trim_ends"],
     LanguageProfile: ["language", "ngram_ranks"],
     LanguageVerdict: ["language", "confidence"],
-    MaskingConfig: ["mask_rate", "mask_prob", "random_prob", "keep_prob", "seed"],
+    MaskingConfig: ["mask_rate", "mask_prob", "random_prob", "seed"],
     MlmExample: ["doc_id", "seq", "input_ids", "labels", "selected_word_ranges"],
     PipelineManifest: [
         "input_path", "output_dir", "stages", "seed", "language", "threshold",
@@ -141,8 +135,7 @@ FIELD_ORDER = {
     ReportRow: ["model_name", "max_f1", "auc", "from_epoch", "best_max_f1", "best_auc"],
     BenchmarkReport: ["dataset_name", "rows"],
     TrainConfig: [
-        "total_steps", "lr_peak", "warmup_frac", "beta1", "beta2", "epsilon",
-        "weight_decay", "batch_size", "grad_accum", "epochs",
+        "total_steps", "lr_peak", "warmup_frac", "batch_size", "grad_accum", "epochs"
     ],
 }
 # Fields left out of equality, hash and repr.
