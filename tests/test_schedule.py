@@ -140,6 +140,11 @@ def test_lr_stays_in_band(total_steps, warmup_frac):
         {"total_steps": 10, "lr_peak": -1e-4},
         {"total_steps": 10, "warmup_frac": 1.0},
         {"total_steps": 10, "warmup_frac": -0.1},
+        {"total_steps": 10, "warmup_frac": math.nan},
+        {"total_steps": 10, "warmup_frac": math.inf},
+        {"total_steps": -1},
+        {"total_steps": 10, "batch_size": -1},
+        {"total_steps": 10, "grad_accum": -1},
         {"total_steps": 10, "batch_size": 0},
         {"total_steps": 10, "grad_accum": 0},
         {"total_steps": 10, "epochs": 0},
