@@ -8,11 +8,12 @@ maximal pieces rather than dropped, by the same greedy function over its
 words, so only a word wider than the whole budget is hard-split at token
 boundaries. The hard split draws its tokens through a window of at most
 budget + 1 of them, so the tokens held at once are bounded by the
-budget, not by the length of the word, and tokenizes every piece again.
+budget, not by the length of the word, and encodes every piece again.
 This one packer serves every tokenizer. For one that does not declare
 itself concatenation-stable, each unit's joined text is then tokenized
 once, the unit carries those ids, and a unit that counts over the budget
-(joining added tokens) is hard-split. Chunks are yielded as they are cut
+(joining added tokens) is hard-split; a piece the hard split emitted is
+not tokenized again. Chunks are yielded as they are cut
 (`iter_chunks`), and a sentence is encoded only until its count passes
 the budget, so the memory of packing is bounded by a chunk, not by the
 document. An error while a chunk is cut becomes a `TokenizerFailure`:
@@ -35,6 +36,13 @@ from .values import FrozenValue
 _K = TypeVar("_K")
 # A piece's text and its ids, one tuple per word.
 _Piece = tuple[str, list[tuple[int, ...]]]
+
+
+class _Encoded(tuple):
+    """A piece that `_hard_split` cut and encoded alone: its ids are its text's."""
+
+    __slots__ = ()
+
 
 DEFAULT_MAX_TOKENS = 512
 
@@ -171,9 +179,10 @@ def _hard_split(
     (the text's tokens, in order) is drawn through a window of at most
     budget + 1 of them; a lazy iterator keeps memory bounded by the
     budget. Cuts land on word starts whenever one exists within the
-    budget. Every piece is tokenized again, and its tokens are
+    budget. Every piece is encoded again (`encoder`), and its ids are
     authoritative: a piece that does not fit shrinks until it does.
     """
+    encode = encoder(tokenizer)
     tokens = iter(tokens)
     window: list[Token] = []
     while True:
@@ -192,23 +201,23 @@ def _hard_split(
         while cut > 0:
             last = window[cut - 1]
             piece_text = sentence[begin : last.start + len(last.piece)]
-            piece_tokens = tokenizer.tokenize(piece_text)
-            if len(piece_tokens) <= budget:
+            words = encode(piece_text)
+            if sum(map(len, words)) <= budget:
                 break
             cut -= 1
         if cut == 0:
             raise ValueError(f"cannot fit a single token within budget {budget}")
-        yield piece_text, [ids for _, _, ids in group_words(piece_tokens)]
+        yield _Encoded((piece_text, words))
         del window[:cut]
 
 
 def _all_but_last(pieces: Iterator[_Piece]) -> Generator[_Piece, None, _Piece]:
-    """Yield every piece of a cut but the last, and return the last."""
-    text, words = next(pieces)
-    for piece in pieces:
-        yield text, words
-        text, words = piece
-    return text, words
+    """Yield every piece of a cut but the last, as it is, and return the last."""
+    piece = next(pieces)
+    for following in pieces:
+        yield piece
+        piece = following
+    return piece
 
 
 def _pack(
@@ -328,11 +337,17 @@ def _verified(
     For a tokenizer that does not declare `concat_stable`, whose joined
     count may not be the sum `_pack` counted: a piece's ids are those of
     its whole text, and a piece whose text counts over the budget
-    (joining its sentences added tokens) is cut by `_hard_split`.
+    (joining its sentences added tokens) is cut by `_hard_split`. A piece
+    that `_hard_split` emitted was encoded alone and fits, so it passes
+    as it is; the last piece of a cut stayed open, so it is checked.
     """
     encode = encoder(tokenizer)
     tokens_of = getattr(tokenizer, "iter_tokens", None) or tokenizer.tokenize
-    for text, _ in pieces:
+    for piece in pieces:
+        if type(piece) is _Encoded:
+            yield piece
+            continue
+        text = piece[0]
         words = encode(text)
         if sum(map(len, words)) <= budget:
             yield text, words
@@ -454,14 +469,18 @@ def validate_chunk_record(record: object) -> dict:
     return record
 
 
-def chunk_from_record(record: dict, tokenizer: TokenizerInterface) -> Chunk:
+def chunk_from_record(
+    record: dict, tokenizer: TokenizerInterface, validated: bool = False
+) -> Chunk:
     """Rebuild a Chunk (with word boundaries and ids) from its serialized record.
 
-    The record must pass `validate_chunk_record`; nothing in it is coerced.
+    The record must pass `validate_chunk_record`, which runs here unless
+    `validated` says it already has; nothing in it is coerced.
     The stored token_count must match what the supplied tokenizer produces;
     a mismatch means the record was written with a different tokenizer.
     """
-    validate_chunk_record(record)
+    if not validated:
+        validate_chunk_record(record)
     words = encoder(tokenizer)(record["text"])
     chunk = _make_chunk(record["doc_id"], record["seq"], record["text"], words)
     stored = record.get("token_count")

@@ -21,7 +21,7 @@ from .cleaning import CleanPolicy
 from .corpus import (
     compute_stats,
     document_to_line,
-    logger,
+    log,
     published,
     read_documents,
     read_lines,
@@ -348,7 +348,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if given.seed is not None and given.command[:1] == ["run"]:
         parser.error("--seed does not apply to run: a run's seed is the manifest's \"seed\"")
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # After the command, argparse takes an unknown flag's value for a
+        # positional ("mask --keep-prob 0.1 IN OUT" reads 0.1 as the input
+        # and leaves OUT over): name the flags among the words left over.
+        flags = [word for word in unknown if word.startswith("-")]
+        parser.error(f"unrecognized arguments: {' '.join(flags or unknown)}")
     if given.seed is not None and args.command not in ("mask", "split-validation"):
         draws = "only mask and split-validation draw at random"
         parser.error(f"--seed does not apply to {args.command}: {draws}")
@@ -365,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         print(args.func(args), end="")
         return 0
     except (LexprepError, OSError, ValueError, KeyError) as exc:
-        logger().error("%s", exc)
+        log("ERROR", str(exc))
         return 2
 
 
@@ -383,7 +389,7 @@ def entry() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        logger().error("%s", exc)
+        log("ERROR", str(exc))
         code = 2
     if sys.stderr is not None:
         sys.stderr.flush()

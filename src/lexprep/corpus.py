@@ -11,6 +11,7 @@ import json
 import os
 import random
 import re
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from enum import Enum
@@ -34,7 +35,7 @@ if TYPE_CHECKING:
 
 _T = TypeVar("_T")
 
-# Set by `cli.main`: the first message then sets up `LEVEL message` lines on stderr.
+# Set by `cli.main`: each message is then a `LEVEL message` line on stderr.
 log_to_stderr = False
 
 # The one form `date.fromisoformat` reads on Python 3.10; 3.11 reads "20240101" too.
@@ -229,7 +230,7 @@ def read_records(
 
 @cache
 def logger() -> logging.Logger:
-    """The "lexprep" logger; `logging` is imported and set up here, at the first message."""
+    """The "lexprep" logger; `logging` is imported and set up here, at its first use."""
     import logging
 
     if log_to_stderr:  # a no-op once the root logger has a handler, as under pytest
@@ -237,10 +238,32 @@ def logger() -> logging.Logger:
     return logging.getLogger("lexprep")
 
 
+def log(level: str, message: str) -> None:
+    """Report `message` at `level` ("WARNING" or "ERROR").
+
+    The CLI (`log_to_stderr`) writes `LEVEL message` to stderr itself
+    while `logging` is not loaded: the line that `logger()` would set up,
+    without importing `logging` and the modules it loads. As the logging
+    handler does, it writes nothing when there is no stderr and ignores a
+    write that fails. Anywhere else, and once `logging` is loaded, the
+    message goes to the "lexprep" logger.
+    """
+    if log_to_stderr and "logging" not in sys.modules:
+        stream = sys.stderr
+        if stream is not None:
+            try:
+                stream.write(f"{level} {message}\n")
+                stream.flush()
+            except (OSError, ValueError):
+                pass
+        return
+    getattr(logger(), level.lower())("%s", message)
+
+
 def warn_skipped(errors: Iterable[MalformedRecord]) -> None:
     """Log `skipped line N: reason` for each line a lenient read skipped."""
     for err in errors:
-        logger().warning("skipped line %d: %s", err.line_number, err.reason)
+        log("WARNING", f"skipped line {err.line_number}: {err.reason}")
 
 
 def ingest_stream(

@@ -256,9 +256,10 @@ def _mask(
     manifest: PipelineManifest, tokenizer: VocabTokenizer, chunk: Chunk | dict
 ) -> _StageResult:
     # A chunk from the chunk stage in memory carries its token ids, so it is
-    # neither decoded nor tokenized again; a record read from a chunk file is.
+    # neither decoded nor tokenized again; a record read from a chunk file
+    # is, and `run_stages` validated it as it was read.
     if isinstance(chunk, dict):
-        chunk = chunk_from_record(chunk, tokenizer)
+        chunk = chunk_from_record(chunk, tokenizer, validated=True)
     return [mask_chunk(chunk, tokenizer, manifest.masking)], None
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Iterator, Sequence
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Protocol, runtime_checkable
 
@@ -59,7 +60,7 @@ class TokenizerInterface(Protocol):
     Iterator[Token]`: the tokens of tokenize(text), drawn one at a time.
     The chunker hard-splits a word wider than the whole budget (or, for a
     tokenizer that is not concat-stable, a chunk that counts over it)
-    from it, holding at most budget + 1 tokens at once and tokenizing
+    from it, holding at most budget + 1 tokens at once and encoding
     each piece again; without it the `tokenize` list goes through the
     same cut.
     `reserved_special_count` is how many special tokens the tokenizer
@@ -181,10 +182,11 @@ class VocabTokenizer:
     whose vocabulary outgrows it does not thrash. A word that no longer
     fits is segmented each time. Only the last longer word is kept,
     beside the table: a glued run is segmented whole once, as it is
-    counted, and the cut between its tokens reuses those ids. Each piece
-    cut from it is segmented again as it is tokenized to check its fit,
-    and replaces the run as the word kept, so the run's letters are
-    segmented twice in all.
+    counted, and the cut between its tokens reuses those ids. A piece
+    cut from it, encoded to check its fit, starts and ends on the run's
+    token boundaries, so it takes the slice of the run's ids between
+    them (found through the run's token ends, 4 bytes a token) and the
+    run stays the word kept: its letters are segmented once in all.
     `iter_words` yields the same ids word by word, with each word's span;
     `iter_tokens` expands its words into full tokens, one at a time, and
     `tokenize` lists them.
@@ -212,7 +214,13 @@ class VocabTokenizer:
         self._word_chars = 0
         # The last word longer than LONG_WORD and its ids: the table does
         # not keep such a word, but packing looks it up again to cut it.
-        self._long_word: tuple[str, tuple[int, ...]] = ("", ())
+        # Then the end offset of each of its tokens, built when a piece of
+        # it is first looked up, and the offset and token where its next
+        # piece would start. One tuple, replaced whole, so that a reader in
+        # another thread sees the fields of one word.
+        self._long_word: tuple[str, tuple[int, ...], Sequence[int], tuple[int, int]] = (
+            "", (), (), (0, 0)
+        )
 
     @classmethod
     def from_file(cls, path) -> "VocabTokenizer":
@@ -278,8 +286,14 @@ class VocabTokenizer:
     def _segment(self, word: str) -> tuple[int, ...]:
         """Greedy longest-match ids of a word missing from the table."""
         n = len(word)
-        if n > LONG_WORD and word == self._long_word[0]:
-            return self._long_word[1]
+        if n > LONG_WORD:
+            kept, kept_ids, ends, _ = self._long_word
+            if word == kept:
+                self._long_word = (kept, kept_ids, ends, (0, 0))
+                return kept_ids
+            sliced = self._next_piece_of_long_word(word)
+            if sliced is not None:
+                return sliced
         piece_ids, longest = self._piece_ids, self._max_piece_len
         ids: list[int] = []
         # word[i:end] is the slice tried: the longest first, then one
@@ -296,10 +310,38 @@ class VocabTokenizer:
             i, end = end, min(end + longest, n)
         result = tuple(ids)
         if n > LONG_WORD:
-            self._long_word = (word, result)
+            self._long_word = (word, result, (), (0, 0))
             return result
         charge = max(n, WORD_ENTRY_CHARS)
         if self._word_chars + charge <= WORD_TABLE_CHARS:
             self._word_ids[word] = result
             self._word_chars += charge
         return result
+
+    def _next_piece_of_long_word(self, word: str) -> tuple[int, ...] | None:
+        """The ids of `word` sliced from the kept long word, or None.
+
+        A hard split cuts the kept word into pieces left to right, so
+        `word` is looked for at the cursor alone, which keeps the cost of
+        a lookup within the length of `word`. The cursor is on a token
+        boundary; if `word` also ends on one, its segmentation is the
+        tokens between: each is the longest piece that matches at its
+        offset, and it ends within `word`, so segmenting `word` alone
+        picks it too.
+        """
+        kept, kept_ids, ends, (at, first) = self._long_word
+        if not kept.startswith(word, at):
+            return None
+        from array import array
+        from bisect import bisect_left
+
+        if not ends:
+            pieces = self._pieces
+            widths = (1 if i == UNK else len(pieces[i]) for i in kept_ids)
+            ends = array("I", accumulate(widths))
+        stop = at + len(word)
+        last = bisect_left(ends, stop)
+        if ends[last] != stop:
+            return None
+        self._long_word = (kept, kept_ids, ends, (stop, last + 1))
+        return kept_ids[first : last + 1]

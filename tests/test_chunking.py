@@ -30,7 +30,7 @@ from lexprep.chunking import (
 )
 from lexprep.corpus import RawDocument
 from lexprep.errors import TokenizerFailure
-from lexprep.tokenizers import Token, VocabTokenizer, group_words
+from lexprep.tokenizers import LONG_WORD, Token, VocabTokenizer, group_words
 
 from .conftest import make_doc
 from .test_oversized_contract import unpunctuated_line
@@ -812,6 +812,16 @@ class CountingUndeclared(Counting):
     concat_stable = False
 
 
+class _CountingGets(dict):
+    """A piece table that counts its lookups: segmentation's unit of work."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
 class TestHardSplit:
     """The hard split cuts the reference's pieces; packing cuts them by words."""
 
@@ -881,6 +891,40 @@ class TestHardSplit:
         # word; only pieces cut inside the huge word are tokenized again.
         huge_tokens = len(tokenizer.tokenize(_HUGE_WORD))
         assert calls <= huge_tokens // budget + 3
+
+    def test_a_glued_word_is_segmented_in_full_once(self):
+        # 16 chunks: "Antes de la", then 15 pieces of the word, each longer
+        # than LONG_WORD (a shorter one goes through the word table instead).
+        word = "".join(random.Random(9).choices("abcdelmnoprstuñé", k=10_000))
+        sentence = f"Antes de la {word} y fin."
+        chunks = pack_chunks([sentence], VocabTokenizer(), max_tokens=512)
+        assert len(chunks) == 16
+        assert min(len(chunk.text) for chunk in chunks[1:]) > LONG_WORD
+
+        def lookups(run) -> int:
+            """The piece-table lookups of `run` on a fresh tokenizer."""
+            tok = VocabTokenizer()
+            tok._piece_ids = _CountingGets(tok._piece_ids)
+            run(tok)
+            return tok._piece_ids.gets
+
+        encoded = lookups(lambda tok: tok.encode(sentence))
+        # Counting, cutting and checking each piece all reuse those ids.
+        packed = lookups(lambda tok: pack_chunks([sentence], tok, max_tokens=512))
+        assert packed == encoded
+
+    def test_undeclared_checks_only_the_pieces_it_joined(self, tokenizer):
+        sentence = "Antes de la " + _HUGE_WORD + " y fin."
+        declared, undeclared = Counting(tokenizer), CountingUndeclared(tokenizer)
+        chunks = pack_chunks([sentence], declared, max_tokens=512, doc_id="h")
+        checked = pack_chunks([sentence], undeclared, max_tokens=512, doc_id="h")
+        assert chunk_fields(checked) == chunk_fields(chunks)
+        assert len(chunks) == 10
+        # Declared: the sentence's count, its words, the huge word's tokens
+        # and each of its 9 pieces. Undeclared adds the two closed pieces,
+        # "Antes de la" and the last piece joined with "y fin."; the 8
+        # pieces the hard split emitted pass as they were cut.
+        assert (declared.calls, undeclared.calls) == (12, 14)
 
     @pytest.mark.parametrize("budget", [16, 100, 512])
     def test_word_aligned_pieces_are_not_retokenized(self, tokenizer, budget):

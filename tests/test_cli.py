@@ -9,8 +9,8 @@ from importlib import resources
 
 import pytest
 
-from lexprep import pipeline
-from lexprep.chunking import chunk_from_record
+from lexprep import chunking, pipeline
+from lexprep.chunking import chunk_from_record, validate_chunk_record
 from lexprep.cli import main
 from lexprep.corpus import document_to_line, read_documents
 from lexprep.langid import load_profiles
@@ -68,6 +68,39 @@ class TestUsageErrors:
         # The flag is named, not its value taken for the command.
         if "--jobs" in argv:
             assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "head, flag",
+        [
+            (["mask", "--keep-prob", "0.1"], "--keep-prob"),
+            (["mask", "--keep-prob=0.1"], "--keep-prob=0.1"),
+            (["stats", "--bogus"], "--bogus"),
+        ],
+        ids=["flag-and-value", "flag-equals-value", "lone-flag"],
+    )
+    def test_an_unknown_flag_after_the_command_is_named_alone(
+        self, tmp_path, capsys, head, flag
+    ):
+        # argparse reads the flag's value as the input path and leaves a
+        # path over; the error names the flag as given, and no path.
+        paths = [str(tmp_path / "in.jsonl"), str(tmp_path / "out.jsonl")]
+        argv = head + paths[: 1 if head[0] == "stats" else 2]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (1, "")
+        assert captured.err.endswith(f"lexprep: error: unrecognized arguments: {flag}\n")
+        assert str(tmp_path) not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_numbers_and_joined_values_still_parse(self, tmp_path, capsys, caplog):
+        with caplog.at_level(logging.ERROR, logger="lexprep"):
+            code = main(["filter-lang", "a.jsonl", "b.jsonl", "--threshold", "-0.5"])
+        assert code == 2
+        assert "threshold must lie in [0, 1], got -0.5" in caplog.text
+        out = tmp_path / "lr.csv"
+        assert main(["lr-curve", "--total-steps=10", f"--output={out}"]) == 0
+        assert out.read_text("utf-8").startswith("step,lr\n")
 
 
 class TestDataErrors:
@@ -586,6 +619,26 @@ class TestMask:
         assert tallies["masked_positions"] > 0
         for example in examples:
             assert len(example["input_ids"]) == len(example["labels"])
+
+    def test_each_record_is_validated_once(self, tmp_path, capsys, monkeypatch):
+        chunks = self._chunks_file(tmp_path, capsys)
+        with open(chunks, "a", encoding="utf-8") as handle:
+            handle.write('{"doc_id": "x", "seq": "0", "text": "Hola."}\n')
+        records = len(chunks.read_text("utf-8").splitlines())
+        checked = []
+
+        def counting(record):
+            checked.append(record)
+            return validate_chunk_record(record)
+
+        monkeypatch.setattr(pipeline, "validate_chunk_record", counting)
+        monkeypatch.setattr(chunking, "validate_chunk_record", counting)
+        out_path = tmp_path / "examples.jsonl"
+        code, out = run_cli(capsys, "mask", str(chunks), str(out_path))
+        assert code == 0
+        tallies = last_json(out)
+        assert (tallies["examples"], tallies["skipped"]) == (records - 1, 1)
+        assert len(checked) == records
 
     def test_seed_changes_output(self, tmp_path, capsys):
         chunks = self._chunks_file(tmp_path, capsys)

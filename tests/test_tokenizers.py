@@ -5,7 +5,7 @@ import random
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexprep.chunking import pack_chunks
@@ -334,3 +334,79 @@ def test_word_table_admits_no_word_longer_than_the_bound():
     glued = "ab" * LONG_WORD
     assert tok.encode(glued)[0] is tok.encode(glued)[0]
     assert glued not in tok._word_ids
+
+
+class _CountingGets(dict):
+    """A piece table that counts its lookups: segmentation's unit of work."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+# Letters the pieces cover, alone and in chunks ("ción", "de", "la"), and
+# two that no piece covers, so a long word holds [UNK] tokens too.
+_GLUED_CHARS = list("abcdelnoprsuñéció") + ["中", "ж"]
+
+
+@st.composite
+def _long_word_and_spans(draw):
+    """A word longer than LONG_WORD, maybe periodic, and spans of it.
+
+    The spans are consecutive pieces, as a hard split cuts them, then
+    arbitrary ones.
+    """
+    if draw(st.booleans()):
+        unit = draw(st.text(st.sampled_from(_GLUED_CHARS), min_size=1, max_size=6))
+        size = draw(st.integers(LONG_WORD + 1, 5000))
+        word = (unit * (size // len(unit) + 1))[:size]
+    else:
+        word = draw(
+            st.text(st.sampled_from(_GLUED_CHARS), min_size=LONG_WORD + 1, max_size=800)
+        )
+    offsets = st.integers(0, len(word))
+    cuts = sorted(draw(st.lists(offsets, max_size=6)))
+    spans = list(zip([0, *cuts], [*cuts, len(word)]))
+    spans += draw(st.lists(st.tuples(offsets, offsets).map(sorted), max_size=6))
+    return word, spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_word_and_spans())
+@example(("a" * 5000, [(0, 512), (512, 1024), (1, 4999), (1024, 5000)]))
+@example(("ción" * 1000, [(0, 2048), (2048, 4000), (1, 65 * 4), (2, 3000)]))
+def test_a_piece_of_the_kept_long_word_segments_as_alone(case):
+    word, spans = case
+    tok = VocabTokenizer()
+    tok.encode(word)
+    for start, end in spans:
+        piece = word[start:end]
+        if piece:
+            assert tok._segment(piece) == VocabTokenizer()._segment(piece), (start, end)
+
+
+def test_pieces_of_the_kept_long_word_are_sliced_not_segmented():
+    tok = VocabTokenizer()
+    word = "".join(random.Random(3).choices("abcdelmnoprstuñé中", k=10_000))
+    (ids,) = tok.encode(word)
+    tok._piece_ids = _CountingGets(tok._piece_ids)
+    # Pieces of 500 tokens each, as a hard split cuts them: each starts
+    # where the last one ended, and takes its ids from the kept word's.
+    ends = [token.start + len(token.piece) for token in tok.tokenize(word)]
+    for first in range(0, len(ids) - 499, 500):
+        start = ends[first - 1] if first else 0
+        assert tok._segment(word[start : ends[first + 499]]) == ids[first : first + 500]
+    assert tok._piece_ids.gets == 0
+    assert tok._long_word[0] == word
+    # Its token ends cost 4 bytes a token beside the ids.
+    ends = tok._long_word[2]
+    assert (len(ends), ends.itemsize) == (len(ids), 4)
+    # A piece anywhere else, here one that starts inside a token, is
+    # segmented, and kept, as before.
+    k = next(k for k in range(1, len(ends)) if ends[k] - ends[k - 1] > 1)
+    piece = word[ends[k - 1] + 1 : 5000]
+    assert tok._segment(piece) == VocabTokenizer()._segment(piece)
+    assert tok._piece_ids.gets > 0
+    assert tok._long_word[0] == piece
