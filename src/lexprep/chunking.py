@@ -66,34 +66,6 @@ _OPENERS = "¿¡«“\"'‘(["
 _BOUNDARY = re.compile(r"([.!?…]+)(\s+)(?=(\S))")
 
 
-def _opens_sentence(ch: str) -> bool:
-    return ch.isupper() or ch in _OPENERS
-
-
-def _split_line(line: str) -> list[str]:
-    sentences = []
-    start = 0
-    for match in _BOUNDARY.finditer(line):
-        if not _opens_sentence(match.group(3)):
-            continue
-        # The word before the punctuation: scanning back to the previous
-        # whitespace keeps the split linear in the line length.
-        end = match.end(1)
-        begin = end
-        while begin > 0 and not line[begin - 1].isspace():
-            begin -= 1
-        if line[begin:end].lstrip(_OPENERS).lower() in ABBREVIATIONS:
-            continue
-        sentence = line[start : match.end(1)].strip()
-        if sentence:
-            sentences.append(sentence)
-        start = match.end(2)
-    tail = line[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
-
-
 def split_sentences(text: str) -> list[str]:
     """Split cleaned text into sentences.
 
@@ -106,8 +78,26 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     for line in text.split("\n"):
-        if line.strip():
-            sentences.extend(_split_line(line))
+        start = seen = 0
+        for match in _BOUNDARY.finditer(line):
+            # The word before the punctuation. No word crosses the whitespace
+            # a match consumed, so it lies after the previous match, and the
+            # segments searched keep the split linear in the line length.
+            end = match.end(1)
+            word = line[seen:end].rsplit(None, 1)[-1]
+            seen = match.end()
+            opener = match.group(3)
+            if not (opener.isupper() or opener in _OPENERS):
+                continue
+            if word.lstrip(_OPENERS).lower() in ABBREVIATIONS:
+                continue
+            sentence = line[start:end].strip()
+            if sentence:
+                sentences.append(sentence)
+            start = seen
+        tail = line[start:].strip()
+        if tail:
+            sentences.append(tail)
     return sentences
 
 

@@ -286,14 +286,14 @@ class VocabTokenizer:
     def _segment(self, word: str) -> tuple[int, ...]:
         """Greedy longest-match ids of a word missing from the table."""
         n = len(word)
-        if n > LONG_WORD:
-            kept, kept_ids, ends, _ = self._long_word
-            if word == kept:
-                self._long_word = (kept, kept_ids, ends, (0, 0))
-                return kept_ids
-            sliced = self._next_piece_of_long_word(word)
-            if sliced is not None:
-                return sliced
+        kept, kept_ids, ends, _ = self._long_word
+        if word == kept:
+            self._long_word = (kept, kept_ids, ends, (0, 0))
+            return kept_ids
+        # A piece of the kept word, of any length, takes the slice of its ids.
+        sliced = self._next_piece_of_long_word(word)
+        if sliced is not None:
+            return sliced
         piece_ids, longest = self._piece_ids, self._max_piece_len
         ids: list[int] = []
         # word[i:end] is the slice tried: the longest first, then one

@@ -140,15 +140,26 @@ class TestSplitSentences:
         st.lists(
             st.sampled_from(
                 ["Ley", "art.", "Sr.", "(art.", "«Sra.", "EE.UU.", "núm.", "x.",
-                 "fin.", "¿Qué?", "¡Sí!", "…", "Él", "1.º", "de", "«Otra", "a"]
+                 "fin.", "¿Qué?", "¡Sí!", "…", "Él", "1.º", "de", "«Otra", "a", ""]
             ),
             max_size=40,
         ),
-        st.lists(st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003"]), min_size=1),
+        st.lists(
+            st.sampled_from(
+                [" ", "  ", "\t", "\u00a0", "\u2003", "\r", "\x0c", "\x85", "\u2028",
+                 "\n", "\n\n", "\n \t\n"]
+            ),
+            min_size=1,
+        ),
     )
     def test_matches_regex_search_splitter(self, words, spaces):
-        line = "".join(w + spaces[i % len(spaces)] for i, w in enumerate(words))
-        assert split_sentences(line) == _reference_split_line(line)
+        # Only "\n" ends a line; "\r", "\x0c", "\x85" and U+2028 are
+        # whitespace within one, and a line may be blank or whitespace only.
+        text = "".join(w + spaces[i % len(spaces)] for i, w in enumerate(words))
+        lines = text.split("\n")
+        assert split_sentences(text) == [
+            sentence for line in lines for sentence in _reference_split_line(line)
+        ]
 
     def test_split_time_linear_in_line_length(self):
         # Many boundaries on one line, some after abbreviations; the old
@@ -159,20 +170,28 @@ class TestSplitSentences:
                 for i in range(n)
             )
 
+        # And one boundary, after a long unpunctuated run: the word before
+        # it is found in one segment as long as the line.
+        def run_line(n):
+            return "palabra " * n + "fin. Sí."
+
         short, long = line(200), line(800)
         assert len(split_sentences(long)) == 4 * len(split_sentences(short))
+        run_short, run_long = run_line(2_000), run_line(8_000)
+        assert split_sentences(run_long) == [run_long[:-4], "Sí."]
         # The two lengths alternate so that a drift in the host's speed
         # reaches both, and the fastest of 15 timings of each is compared.
         # Four times the line takes about 4 times as long when the split is
         # linear and 13 to 18 times when it is quadratic; the bound of 8
         # lies between them, a factor of 2 from each.
-        times = {short: [], long: []}
-        for _ in range(15):
-            for text in times:
-                begin = time.perf_counter()
-                split_sentences(text)
-                times[text].append(time.perf_counter() - begin)
-        assert min(times[long]) <= 8 * min(times[short])
+        for short, long in ((short, long), (run_short, run_long)):
+            times = {short: [], long: []}
+            for _ in range(15):
+                for text in times:
+                    begin = time.perf_counter()
+                    split_sentences(text)
+                    times[text].append(time.perf_counter() - begin)
+            assert min(times[long]) <= 8 * min(times[short])
 
     def test_more_abbreviations(self):
         text = "El Sr. García y la Sra. Ruiz firman. La pág. 3 lo recoge."
@@ -822,6 +841,14 @@ class _CountingGets(dict):
         return super().get(key, default)
 
 
+def _lookups(run) -> tuple[int, VocabTokenizer]:
+    """The piece-table lookups of `run` on a fresh tokenizer, and the tokenizer."""
+    tok = VocabTokenizer()
+    tok._piece_ids = _CountingGets(tok._piece_ids)
+    run(tok)
+    return tok._piece_ids.gets, tok
+
+
 class TestHardSplit:
     """The hard split cuts the reference's pieces; packing cuts them by words."""
 
@@ -901,17 +928,24 @@ class TestHardSplit:
         assert len(chunks) == 16
         assert min(len(chunk.text) for chunk in chunks[1:]) > LONG_WORD
 
-        def lookups(run) -> int:
-            """The piece-table lookups of `run` on a fresh tokenizer."""
-            tok = VocabTokenizer()
-            tok._piece_ids = _CountingGets(tok._piece_ids)
-            run(tok)
-            return tok._piece_ids.gets
-
-        encoded = lookups(lambda tok: tok.encode(sentence))
+        encoded, _ = _lookups(lambda tok: tok.encode(sentence))
         # Counting, cutting and checking each piece all reuse those ids.
-        packed = lookups(lambda tok: pack_chunks([sentence], tok, max_tokens=512))
+        packed, _ = _lookups(lambda tok: pack_chunks([sentence], tok, max_tokens=512))
         assert packed == encoded
+
+    def test_a_glued_word_s_short_last_piece_is_sliced(self):
+        # The last piece of this word has at most LONG_WORD letters; it is
+        # sliced from the kept word's ids, not segmented into the word table.
+        word = "".join(random.Random(5).choices("abcdelmnoprstuñé", k=10_000))
+        sentence = f"Antes de la {word} y fin."
+        tail = pack_chunks([sentence], VocabTokenizer(), max_tokens=512)[-1]
+        last_piece = tail.text.removesuffix(" y fin.")
+        assert len(last_piece) <= LONG_WORD and word.endswith(last_piece)
+
+        encoded, _ = _lookups(lambda tok: tok.encode(sentence))
+        packed, tok = _lookups(lambda tok: pack_chunks([sentence], tok, max_tokens=512))
+        assert packed == encoded
+        assert last_piece not in tok._word_ids
 
     def test_undeclared_checks_only_the_pieces_it_joined(self, tokenizer):
         sentence = "Antes de la " + _HUGE_WORD + " y fin."

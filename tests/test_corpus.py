@@ -361,6 +361,42 @@ def test_published_refuses_one_file_given_twice_before_opening_it(tmp_path):
     assert not path.exists()
 
 
+def test_published_refuses_a_temp_file_another_call_is_writing(tmp_path):
+    pytest.importorskip("fcntl")
+    path = tmp_path / "a.jsonl"
+    other = tmp_path / "b.jsonl"
+    with published(path) as (outer,):
+        outer.write("outer\n")
+        with pytest.raises(OSError, match="a.jsonl: another run is writing this file"):
+            with published(other, path) as (_, inner):
+                inner.write("inner\n")
+        # The inner call removed the temp file it locked, and no other.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".a.jsonl.tmp"]
+        outer.write("kept\n")
+    assert path.read_text(encoding="utf-8") == "outer\nkept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl"]
+
+
+def test_published_refuses_a_temp_file_published_before_it_was_locked(tmp_path, monkeypatch):
+    fcntl = pytest.importorskip("fcntl")
+    path, temp = tmp_path / "a.jsonl", tmp_path / ".a.jsonl.tmp"
+    temp.write_text("other run\n", encoding="utf-8")
+    flock = fcntl.flock
+
+    def racing_flock(fd, operation):
+        # Another run renames the temp file into place between the open
+        # and the lock here, and lets go of its lock.
+        os.replace(temp, path)
+        flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", racing_flock)
+    with pytest.raises(OSError, match="a.jsonl: another run is writing this file"):
+        with published(path) as (handle,):
+            handle.write("this run\n")
+    assert path.read_text(encoding="utf-8") == "other run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl"]
+
+
 def test_published_writes_through_one_device_given_twice():
     with published(os.devnull, os.devnull) as (one, two):
         one.write("a\n")

@@ -69,6 +69,8 @@ def _run(python: str, work: Path) -> dict[str, bytes]:
         timeout=120,
     )
     assert result.returncode == 0, result.stderr.decode(errors="replace")
+    # A warning only one interpreter prints fails here instead of passing unseen.
+    assert result.stderr == b"", python
     return {path.name: path.read_bytes() for path in sorted(work.iterdir())}
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import reprlib
+import subprocess
 import sys
 import tracemalloc
 from importlib import resources
@@ -567,6 +568,53 @@ def _unpunctuated_line(chars: int) -> str:
     rng = random.Random(chars)
     # Seed words average more than 2 letters: 3 per word, space included.
     return " ".join(rng.choices(words, k=chars // 3))[:chars].strip()
+
+
+def test_concurrent_runs_into_one_directory_publish_whole_files(tmp_path):
+    pytest.importorskip("fcntl")
+    records = [
+        doc_record(f"es-{i}", " ".join(ES_SNIPPETS[i % 4 : i % 4 + 3]))
+        for i in range(40)
+    ]
+    write_jsonl(tmp_path / "in.jsonl", records)
+
+    def manifest(out: str, seed: int) -> str:
+        path = tmp_path / f"{out}-{seed}.json"
+        data = {
+            "input_path": str(tmp_path / "in.jsonl"),
+            "output_dir": str(tmp_path / out),
+            "stages": list(STAGE_NAMES),
+            "seed": seed,
+        }
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    # Every file that one run of either seed writes alone.
+    whole = set()
+    for seed in (1, 2):
+        assert run_lexprep("run", manifest(f"alone-{seed}", seed)).returncode == 0
+        whole |= {(p.name, p.read_bytes()) for p in (tmp_path / f"alone-{seed}").iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    for attempt in range(3):
+        out = f"shared-{attempt}"
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "lexprep.cli", "run", manifest(out, seed)],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+            )
+            for seed in (1, 2)
+        ]
+        results = [(run.communicate(timeout=120)[1], run.returncode) for run in runs]
+        assert 0 in [code for _, code in results]
+        for stderr, code in results:
+            assert code == 0 and stderr == b"" or (
+                code == 2 and b"another run is writing this file" in stderr
+            )
+        # Each file is one run's whole output, and no temp file is left.
+        for path in (tmp_path / out).iterdir():
+            assert (path.name, path.read_bytes()) in whole
 
 
 class TestOneChunkAtATime:
